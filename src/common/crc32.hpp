@@ -19,13 +19,19 @@
 ///    a scalar table fallback elsewhere; both paths produce identical
 ///    values, so ledgers are portable across builds.
 ///
+/// The table walks are slicing-by-8 (eight bytes per step through eight
+/// derived tables); crcUpdateBytewise keeps the one-byte reference walk
+/// the tests hold them to.
+///
 /// Historically crc32 lived in pcu::faults — integrity hashing does not
 /// belong to the fault injector, so it moved here; pcu::faults::crc32
 /// remains as a thin forwarding wrapper for the framing layer's spelling.
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #if defined(__SSE4_2__)
 #include <nmmintrin.h>
@@ -41,28 +47,57 @@ namespace common {
 
 namespace detail {
 
-/// Lookup table for the requested reflected polynomial.
+/// Slicing-by-8 lookup tables for the requested reflected polynomial:
+/// t[0] is the classic byte table, t[k][i] advances t[k-1][i] by one more
+/// zero byte, so eight table reads fold eight input bytes at once.
 template <std::uint32_t Poly>
-inline const std::array<std::uint32_t, 256>& crcTable() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+inline const std::array<std::array<std::uint32_t, 256>, 8>& crcTables() {
+  static const auto tables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) c = (c & 1u) ? Poly ^ (c >> 1) : c >> 1;
-      t[i] = c;
+      t[0][i] = c;
     }
+    for (std::size_t k = 1; k < 8; ++k)
+      for (std::uint32_t i = 0; i < 256; ++i)
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
     return t;
   }();
-  return table;
+  return tables;
 }
 
+/// Byte-at-a-time reference walk (the oracle the sliced walk is tested
+/// against, and the tail of every sliced walk).
+template <std::uint32_t Poly>
+inline std::uint32_t crcUpdateBytewise(std::uint32_t c, const std::byte* data,
+                                       std::size_t n) {
+  const auto& t0 = crcTables<Poly>()[0];
+  for (std::size_t i = 0; i < n; ++i)
+    c = t0[(c ^ static_cast<std::uint8_t>(data[i])) & 0xFFu] ^ (c >> 8);
+  return c;
+}
+
+/// Slicing-by-8 walk: same values as crcUpdateBytewise, several times the
+/// throughput. The 8-byte loads are little-endian by construction of the
+/// tables, so big-endian hosts take the byte walk.
 template <std::uint32_t Poly>
 inline std::uint32_t crcUpdateScalar(std::uint32_t c, const std::byte* data,
                                      std::size_t n) {
-  const auto& table = crcTable<Poly>();
-  for (std::size_t i = 0; i < n; ++i)
-    c = table[(c ^ static_cast<std::uint8_t>(data[i])) & 0xFFu] ^ (c >> 8);
-  return c;
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto& t = crcTables<Poly>();
+    for (; n >= 8; data += 8, n -= 8) {
+      std::uint32_t lo;
+      std::uint32_t hi;
+      std::memcpy(&lo, data, 4);
+      std::memcpy(&hi, data + 4, 4);
+      lo ^= c;
+      c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    }
+  }
+  return crcUpdateBytewise<Poly>(c, data, n);
 }
 
 #if PUMI_CRC32C_HW
@@ -112,7 +147,8 @@ inline bool crc32cHwAvailable() {
 
 /// CRC-32 (IEEE 802.3, reflected) of a byte span. Persisted-format checksum;
 /// output is a compatibility contract (known answer: "123456789" ->
-/// 0xCBF43926).
+/// 0xCBF43926). A slicing-by-8 table walk: every journal refresh and
+/// checkpoint chunk passes through here.
 inline std::uint32_t crc32(const std::byte* data, std::size_t n) {
   return detail::crcUpdateScalar<0xEDB88320u>(0xFFFFFFFFu, data, n) ^
          0xFFFFFFFFu;

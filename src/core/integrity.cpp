@@ -15,12 +15,6 @@ std::span<const std::byte> vecBytes(const std::vector<T>& v) {
   return {reinterpret_cast<const std::byte*>(v.data()), v.size() * sizeof(T)};
 }
 
-void appendU64(std::vector<std::byte>& out, std::uint64_t v) {
-  const std::size_t at = out.size();
-  out.resize(at + 8);
-  std::memcpy(out.data() + at, &v, 8);
-}
-
 }  // namespace
 
 std::vector<MeshAccess::SectionRef> MeshAccess::sections(const Mesh& m) {
@@ -76,12 +70,22 @@ std::vector<std::byte> tagStream(const common::TagBase<Ent>* tag) {
   std::vector<Ent> items = tag->items();
   std::sort(items.begin(), items.end(),
             [](Ent a, Ent b) { return a.packed() < b.packed(); });
-  std::vector<std::byte> out;
+  // One payload lookup per item; the stream is sized once and filled.
+  std::vector<std::span<const std::byte>> payloads;
+  payloads.reserve(items.size());
+  std::size_t total = 0;
   for (Ent e : items) {
-    const auto payload = tag->valueBytes(e);
-    appendU64(out, e.packed());
-    appendU64(out, payload.size());
-    out.insert(out.end(), payload.begin(), payload.end());
+    payloads.push_back(tag->valueBytes(e));
+    total += 16 + payloads.back().size();
+  }
+  std::vector<std::byte> out(total);
+  std::byte* at = out.data();
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const std::uint64_t head[2] = {items[i].packed(), payloads[i].size()};
+    std::memcpy(at, head, 16);
+    if (!payloads[i].empty())
+      std::memcpy(at + 16, payloads[i].data(), payloads[i].size());
+    at += 16 + payloads[i].size();
   }
   return out;
 }
@@ -145,12 +149,16 @@ void Ledger::seal(const Mesh& m) {
   };
   for (const auto& ref : MeshAccess::sections(m))
     upsert(ref.name, ref.va, ref.vb, ref.bytes);
-  auto tags = m.tags().list();
-  std::sort(tags.begin(), tags.end(),
-            [](const auto* a, const auto* b) { return a->name() < b->name(); });
-  for (const auto* tag : tags) {
-    const auto stream = tagStream(tag);
-    upsert("tag:" + tag->name(), tag->version(), 0, stream);
+  for (const auto* tag : m.tags().list()) {
+    // Check the version before building the stream: an unchanged tag costs
+    // one lookup, not a sorted serialization of its every value.
+    std::string name = "tag:" + tag->name();
+    auto it = sections_.find(name);
+    if (it == sections_.end() || it->second.external ||
+        it->second.va != tag->version() || it->second.vb != 0)
+      it = sections_.insert_or_assign(
+          it, name, makeSection(tagStream(tag), tag->version(), 0, false));
+    seen.push_back(std::move(name));
   }
   // Prune mesh-owned sections that vanished (destroyed tag, drained pool,
   // stale CSR view); external sections belong to the caller.
@@ -184,9 +192,16 @@ void Ledger::audit(const Mesh& m, std::vector<Mismatch>& out) {
   }
 }
 
-void Ledger::sealExternal(const std::string& name,
+bool Ledger::externalCurrent(const std::string& name,
+                             std::uint64_t version) const {
+  auto it = sections_.find(name);
+  return it != sections_.end() && it->second.external &&
+         it->second.va == version;
+}
+
+void Ledger::sealExternal(const std::string& name, std::uint64_t version,
                           std::span<const std::byte> bytes) {
-  sections_[name] = makeSection(bytes, 0, 0, true);
+  sections_[name] = makeSection(bytes, version, 0, true);
   sealed_ = true;
 }
 
@@ -203,6 +218,13 @@ std::vector<std::string> Ledger::sectionNames() const {
   out.reserve(sections_.size());
   for (const auto& [name, s] : sections_) out.push_back(name);
   return out;
+}
+
+std::optional<std::uint32_t> Ledger::sectionCrc(
+    const std::string& name) const {
+  auto it = sections_.find(name);
+  if (it == sections_.end()) return std::nullopt;
+  return it->second.crc;
 }
 
 std::size_t Ledger::coveredBytes() const {

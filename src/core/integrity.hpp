@@ -35,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -113,11 +114,17 @@ class Ledger {
   void audit(const Mesh& m, std::vector<Mismatch>& out);
 
   /// External sections: state owned by a higher layer (the part's
-  /// remote/ghost tables), serialized canonically by the caller. Always
-  /// re-hashed at seal (no version counter gates them); audited by direct
-  /// byte comparison — callers guarantee no legitimate writes happen
-  /// between boundaries.
-  void sealExternal(const std::string& name, std::span<const std::byte> bytes);
+  /// remote/ghost tables), serialized canonically by the caller and keyed
+  /// on the caller's version counter for that state — the same gate as
+  /// mesh sections. externalCurrent() says whether `name` was sealed at
+  /// `version`: then its stored hash is still valid, the caller skips
+  /// building the stream at seal, and at audit compares the bytes (same
+  /// version, different bytes is corruption). A moved version is a
+  /// legitimate write: audit skips it and the next seal re-keys it.
+  [[nodiscard]] bool externalCurrent(const std::string& name,
+                                     std::uint64_t version) const;
+  void sealExternal(const std::string& name, std::uint64_t version,
+                    std::span<const std::byte> bytes);
   void auditExternal(const std::string& name, std::span<const std::byte> bytes,
                      std::vector<Mismatch>& out);
 
@@ -129,6 +136,9 @@ class Ledger {
 
   /// Section names currently sealed, sorted (diagnostics, tests).
   [[nodiscard]] std::vector<std::string> sectionNames() const;
+  /// The sealed hash of one section; nullopt when none has that name.
+  [[nodiscard]] std::optional<std::uint32_t> sectionCrc(
+      const std::string& name) const;
   /// Total bytes covered by the current seal.
   [[nodiscard]] std::size_t coveredBytes() const;
 

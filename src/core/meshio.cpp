@@ -2,7 +2,7 @@
 
 #include <cstdio>
 #include <stdexcept>
-#include <unordered_map>
+#include <vector>
 
 #include "core/tagio.hpp"
 #include "gmi/model.hpp"
@@ -36,16 +36,22 @@ gmi::Entity* unpackCls(pcu::InBuffer& b, gmi::Model* model) {
 std::vector<std::byte> meshToBytes(const Mesh& mesh) {
   pcu::OutBuffer b;
   b.pack(kMagic);
+  const TagPlan tags(mesh);
 
   // Vertices: coordinates + classification + tags, indexed by iteration
-  // order.
-  std::unordered_map<Ent, std::uint32_t, EntHash> vindex;
+  // order. The index is dense over vertex pool slots (iteration visits
+  // them in ascending slot order, so the last vertex sizes it).
+  constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+  std::vector<std::uint32_t> vindex;
+  vindex.reserve(mesh.count(0));
   b.pack<std::uint64_t>(mesh.count(0));
+  std::uint32_t nv = 0;
   for (Ent v : mesh.entities(0)) {
-    vindex.emplace(v, static_cast<std::uint32_t>(vindex.size()));
+    vindex.resize(std::size_t{v.index()} + 1, kAbsent);
+    vindex[v.index()] = nv++;
     b.pack(mesh.point(v));
     packCls(b, mesh.classification(v));
-    packTags(mesh, v, b);
+    tags.pack(v, b);
   }
 
   // Entities of every higher dimension, ascending, by canonical vertices.
@@ -53,9 +59,14 @@ std::vector<std::byte> meshToBytes(const Mesh& mesh) {
     b.pack<std::uint64_t>(mesh.count(d));
     for (Ent e : mesh.entities(d)) {
       b.pack<std::uint8_t>(static_cast<std::uint8_t>(e.topo()));
-      for (Ent v : mesh.verts(e)) b.pack<std::uint32_t>(vindex.at(v));
+      for (Ent v : mesh.verts(e)) {
+        if (v.topo() != Topo::Vertex || v.index() >= vindex.size() ||
+            vindex[v.index()] == kAbsent)
+          throw std::out_of_range("meshToBytes: entity names a dead vertex");
+        b.pack<std::uint32_t>(vindex[v.index()]);
+      }
       packCls(b, mesh.classification(e));
-      packTags(mesh, e, b);
+      tags.pack(e, b);
     }
   }
 

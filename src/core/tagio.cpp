@@ -1,22 +1,15 @@
 #include "core/tagio.hpp"
 
 #include <cstdint>
-#include <typeindex>
+#include <typeinfo>
+
+#include "common/smallvec.hpp"
 
 namespace core {
 
 namespace {
 
 enum class TagType : std::uint8_t { Int = 0, Long = 1, Double = 2 };
-
-template <typename T>
-void packTyped(const core::Mesh& mesh, core::Mesh::Tag tag, core::Ent e,
-               TagType code, pcu::OutBuffer& buf) {
-  buf.packString(tag->name());
-  buf.pack(code);
-  buf.pack<std::uint32_t>(static_cast<std::uint32_t>(tag->components()));
-  buf.packVector(mesh.tags().get<T>(tag, e));
-}
 
 template <typename T>
 void unpackTyped(core::Mesh& mesh, core::Ent e, const std::string& name,
@@ -27,29 +20,60 @@ void unpackTyped(core::Mesh& mesh, core::Ent e, const std::string& name,
   mesh.tags().set<T>(tag, e, std::move(values));
 }
 
+template <typename T>
+using Values = common::TagData<Ent, T, EntHash>;
+
 }  // namespace
 
-void packTags(const core::Mesh& mesh, core::Ent e, pcu::OutBuffer& buf,
-              const std::string& only) {
-  std::uint32_t count = 0;
-  for (auto* tag : mesh.tags().list()) {
-    if (!tag->has(e)) continue;
+template <typename T>
+bool TagPlan::findTyped(const void* table, Ent e, Value& out) {
+  const auto& values = static_cast<const Values<T>*>(table)->values;
+  const auto it = values.find(e);
+  if (it == values.end()) return false;
+  out = {reinterpret_cast<const std::byte*>(it->second.data()),
+         it->second.size()};
+  return true;
+}
+
+template <typename T>
+void TagPlan::add(const common::TagBase<Ent>& tag, std::uint8_t code) {
+  const auto& typed = dynamic_cast<const Values<T>&>(tag);
+  entries_.push_back({tag.name(), code,
+                      static_cast<std::uint32_t>(tag.components()), sizeof(T),
+                      &typed, &findTyped<T>});
+}
+
+TagPlan::TagPlan(const Mesh& mesh, const std::string& only) {
+  for (const auto* tag : mesh.tags().list()) {
     if (!only.empty() && tag->name() != only) continue;
-    if (tag->type() == std::type_index(typeid(int)) ||
-        tag->type() == std::type_index(typeid(long)) ||
-        tag->type() == std::type_index(typeid(double)))
-      ++count;
+    if (tag->type() == typeid(int))
+      add<int>(*tag, static_cast<std::uint8_t>(TagType::Int));
+    else if (tag->type() == typeid(long))
+      add<long>(*tag, static_cast<std::uint8_t>(TagType::Long));
+    else if (tag->type() == typeid(double))
+      add<double>(*tag, static_cast<std::uint8_t>(TagType::Double));
   }
-  buf.pack(count);
-  for (auto* tag : mesh.tags().list()) {
-    if (!tag->has(e)) continue;
-    if (!only.empty() && tag->name() != only) continue;
-    if (tag->type() == std::type_index(typeid(int)))
-      packTyped<int>(mesh, tag, e, TagType::Int, buf);
-    else if (tag->type() == std::type_index(typeid(long)))
-      packTyped<long>(mesh, tag, e, TagType::Long, buf);
-    else if (tag->type() == std::type_index(typeid(double)))
-      packTyped<double>(mesh, tag, e, TagType::Double, buf);
+}
+
+void TagPlan::pack(Ent e, pcu::OutBuffer& buf) const {
+  // One lookup per tag: remember what was found so the count can lead the
+  // record. Meshes carry a handful of transportable tags.
+  struct Found {
+    const Entry* entry;
+    Value v;
+  };
+  common::SmallVec<Found, 8> found;
+  for (const Entry& entry : entries_) {
+    Value v;
+    if (entry.find(entry.table, e, v)) found.push_back({&entry, v});
+  }
+  buf.pack<std::uint32_t>(found.size());
+  for (const auto& [entry, v] : found) {
+    buf.packString(entry->name);
+    buf.pack(entry->code);
+    buf.pack<std::uint32_t>(entry->components);
+    buf.pack<std::uint64_t>(v.count);
+    buf.packBytes(v.bytes, v.count * entry->elem_bytes);
   }
 }
 

@@ -33,28 +33,61 @@ double msSince(std::chrono::steady_clock::time_point t0) {
 
 void BuddyJournal::record(const PartedMesh& pm) {
   const int nparts = pm.parts();
-  std::vector<partio::OrdinalMap> ords;
-  ords.reserve(static_cast<std::size_t>(nparts));
+  MetaStamp meta_stamp;
+  meta_stamp.parts.reserve(static_cast<std::size_t>(nparts));
   for (PartId p = 0; p < nparts; ++p)
-    ords.push_back(partio::buildOrdinals(pm.part(p).mesh()));
+    meta_stamp.parts.emplace_back(pm.part(p).generation(),
+                                  pm.part(p).mesh().topoVersion());
+  // Ordinal maps of every part, built only if some metadata stream must be.
+  std::vector<partio::OrdinalMap> ords;
   ++records_;
   std::uint64_t streamed = 0;
   for (PartId p = 0; p < nparts; ++p) {
-    auto mesh = core::meshToBytes(pm.part(p).mesh());
-    auto meta = partio::buildMeta(pm.part(p),
-                                  ords[static_cast<std::size_t>(p)], ords);
-    const std::uint32_t mesh_crc = common::crc32(mesh.data(), mesh.size());
-    const std::uint32_t meta_crc = common::crc32(meta.data(), meta.size());
+    const Part& part = pm.part(p);
+    const core::Mesh& m = part.mesh();
+    MeshStamp mesh_stamp{part.generation(), m.topoVersion(), m.dataVersion(),
+                         {}};
+    for (const auto* tag : m.tags().list())
+      mesh_stamp.tags.emplace_back(tag->name(), tag->version());
+    meta_stamp.tables = part.tableVersion();
+
     auto it = parts_.find(p);
-    if (it != parts_.end() && it->second.mesh_crc == mesh_crc &&
-        it->second.meta_crc == meta_crc &&
-        it->second.mesh.size() == mesh.size() &&
-        it->second.meta.size() == meta.size()) {
-      ++records_skipped_;  // unchanged since the last record: no traffic
+    Snapshot* old = it == parts_.end() ? nullptr : &it->second;
+    const bool mesh_same = old != nullptr && old->mesh_stamp == mesh_stamp;
+    const bool meta_same = old != nullptr && old->meta_stamp == meta_stamp;
+    if (mesh_same && meta_same) {
+      ++records_skipped_;  // provably unchanged: nothing to serialize
       continue;
     }
+    std::vector<std::byte> mesh;
+    std::vector<std::byte> meta;
+    if (!mesh_same) mesh = core::meshToBytes(m);
+    if (!meta_same) {
+      if (ords.empty())
+        for (PartId q = 0; q < nparts; ++q)
+          ords.push_back(partio::buildOrdinals(pm.part(q).mesh()));
+      meta = partio::buildMeta(part, ords[static_cast<std::size_t>(p)], ords);
+    }
+    const std::uint32_t mesh_crc =
+        mesh_same ? old->mesh_crc : common::crc32(mesh.data(), mesh.size());
+    const std::uint32_t meta_crc =
+        meta_same ? old->meta_crc : common::crc32(meta.data(), meta.size());
+    if (old != nullptr && old->mesh_crc == mesh_crc &&
+        old->meta_crc == meta_crc &&
+        (mesh_same || old->mesh.size() == mesh.size()) &&
+        (meta_same || old->meta.size() == meta.size())) {
+      ++records_skipped_;  // unchanged since the last record: no traffic
+      // The stored bytes are the current state's: key them on its stamps.
+      old->mesh_stamp = std::move(mesh_stamp);
+      old->meta_stamp = meta_stamp;
+      continue;
+    }
+    if (mesh_same) mesh = std::move(old->mesh);
+    if (meta_same) meta = std::move(old->meta);
     streamed += mesh.size() + meta.size();
-    parts_[p] = Snapshot{std::move(mesh), std::move(meta), mesh_crc, meta_crc};
+    parts_[p] = Snapshot{std::move(mesh), std::move(meta), mesh_crc,
+                         meta_crc,        std::move(mesh_stamp),
+                         meta_stamp};
   }
   bytes_streamed_ += streamed;
   if (pcu::trace::enabled() && streamed > 0)

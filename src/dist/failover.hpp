@@ -15,8 +15,10 @@
 /// point (between distributed operations) serializes each part — mesh
 /// stream plus partio metadata stream — and retains the newest copy,
 /// attributing the bytes to the part's buddy rank (the next rank
-/// cyclically). A CRC-based dedup skips parts unchanged since the last
-/// record, so steady-state phases stream only deltas.
+/// cyclically). Version stamps let record skip serializing a part whose
+/// state provably did not change; a CRC-based dedup then drops parts whose
+/// fresh streams match the stored copy, so steady-state phases stream only
+/// deltas.
 ///
 /// evacuate(pm, journal[, checkpoint_dir]) runs on the survivors after an
 /// operation aborts with pcu::ErrorCode::kRankFailed:
@@ -39,6 +41,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dist/partedmesh.hpp"
@@ -49,18 +52,45 @@ namespace failover {
 /// Newest serialized copy of every part, replicated for its buddy rank.
 class BuddyJournal {
  public:
+  /// What a part's mesh stream is a function of: the Part object, its
+  /// mesh's topology and data versions, and its tags' (name, version) list
+  /// in registry order. Every component is monotone per object and the
+  /// generation is process-wide unique, so equal stamps mean equal bytes.
+  struct MeshStamp {
+    std::uint64_t generation = 0;
+    std::uint64_t topo = 0;
+    std::uint64_t data = 0;
+    std::vector<std::pair<std::string, std::uint64_t>> tags;
+    friend bool operator==(const MeshStamp&, const MeshStamp&) = default;
+  };
+  /// What a part's metadata stream is a function of: its own table version
+  /// and the ordinals of every part, i.e. each part's (generation, topology
+  /// version).
+  struct MetaStamp {
+    std::uint64_t tables = 0;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> parts;
+    friend bool operator==(const MetaStamp&, const MetaStamp&) = default;
+  };
+
   /// One part's replicated state: the two partio streams plus their CRCs
-  /// (used for delta dedup between records).
+  /// (used for delta dedup between records) and the stamps of the state
+  /// they were serialized from.
   struct Snapshot {
     std::vector<std::byte> mesh;
     std::vector<std::byte> meta;
     std::uint32_t mesh_crc = 0;
     std::uint32_t meta_crc = 0;
+    MeshStamp mesh_stamp;
+    MetaStamp meta_stamp;
   };
 
   /// Serialize every part of `pm` at a quiescent point, keeping the newest
-  /// copy. Parts whose streams are byte-identical to the previous record
-  /// are skipped (delta dedup) and counted in recordsSkipped().
+  /// copy. A stream whose stamp matches the stored copy's is not
+  /// serialized at all; parts whose streams come out byte-identical to the
+  /// stored copy (both stamps matched, or equal CRCs and sizes) are
+  /// skipped (delta dedup) and counted in recordsSkipped(). A bit flipped
+  /// in live state bumps no version, so it cannot overwrite a replica of
+  /// an otherwise unchanged part.
   void record(const PartedMesh& pm);
 
   [[nodiscard]] bool hasPart(PartId p) const {

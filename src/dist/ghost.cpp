@@ -16,6 +16,7 @@
 #include <stdexcept>
 
 #include "common/flatmap.hpp"
+#include "dist/integrity.hpp"
 #include "dist/keymaps_impl.hpp"
 #include "dist/partedmesh.hpp"
 #include "dist/tagio.hpp"
@@ -65,6 +66,7 @@ void PartedMesh::ghostLayersBody(int layers) {
       if (e.topo() != core::Topo::Vertex) continue;
       for (const Copy& c : r.copies) seeds[c.part].push_back(e);
     }
+    const TagPlan tag_plan(p.mesh());
     core::AdjVec adj;
     for (auto& [q, verts] : seeds) {
       // Grow `layers` element layers from the seed vertices.
@@ -131,7 +133,7 @@ void PartedMesh::ghostLayersBody(int layers) {
             for (int k = 0; k < nv; ++k)
               packKey(b, keyOf(p, buf[static_cast<std::size_t>(k)]));
           }
-          packTags(p.mesh(), e, b);
+          tag_plan.pack(e, b);
         }
       }
       net_.send(p.id(), q, std::move(b));
@@ -177,6 +179,7 @@ void PartedMesh::ghostLayersBody(int layers) {
       unpackTags(p.mesh(), local, body);
       by_key.emplace(key, local);
       p.ghost_source_.emplace(local, Copy{key.part, key.ent});
+      p.touchTables();
       pcu::OutBuffer reply;
       reply.pack<std::uint64_t>(key.ent.packed());
       reply.pack<std::uint64_t>(local.packed());
@@ -190,11 +193,16 @@ void PartedMesh::ghostLayersBody(int layers) {
     const Ent real = Ent::unpack(body.unpack<std::uint64_t>());
     const Ent ghost = Ent::unpack(body.unpack<std::uint64_t>());
     p.ghosted_on_[real].push_back(Copy{from, ghost});
+    p.touchTables();
   });
 }
 
 void PartedMesh::unghost() {
   pcu::trace::Scope trace_scope("dist:unghost");
+  // A commit point when armored (unghost is not transactional): audit on
+  // entry, seal on exit, as runTransactional does for inactive operations.
+  integrity::Armor* armor = armorIfActive();
+  if (armor != nullptr) armor->auditAndRepair("unghost");
   for (const auto& pp : parts_) {
     Part& p = *pp;
     std::vector<Ent> ghosts;
@@ -208,10 +216,13 @@ void PartedMesh::unghost() {
         return core::topoDim(a.topo()) > core::topoDim(b.topo());
       return b < a;
     });
+    if (ghosts.empty() && p.ghosted_on_.empty()) continue;
     for (Ent e : ghosts) p.mesh().destroy(e);
     p.ghost_source_.clear();
     p.ghosted_on_.clear();
+    p.touchTables();
   }
+  if (armor != nullptr) armor->sealAndMaybeInject();
 }
 
 void PartedMesh::syncSharedTags(const std::string& only) {
@@ -222,12 +233,13 @@ void PartedMesh::syncSharedTagsBody(const std::string& only) {
   pcu::trace::Scope trace_scope("dist:syncSharedTags");
   for (const auto& pp : parts_) {
     Part& p = *pp;
+    const TagPlan tag_plan(p.mesh(), only);
     for (const auto& [e, r] : p.remotes_) {
       if (r.owner != p.id()) continue;
       for (const Copy& c : r.copies) {
         pcu::OutBuffer b;
         b.pack<std::uint64_t>(c.ent.packed());
-        packTags(p.mesh(), e, b, only);
+        tag_plan.pack(e, b);
         net_.send(p.id(), c.part, std::move(b));
       }
     }
@@ -247,11 +259,12 @@ void PartedMesh::syncGhostTagsBody() {
   pcu::trace::Scope trace_scope("dist:syncGhostTags");
   for (const auto& pp : parts_) {
     Part& p = *pp;
+    const TagPlan tag_plan(p.mesh());
     for (const auto& [real, ghosts] : p.ghosted_on_) {
       for (const Copy& g : ghosts) {
         pcu::OutBuffer b;
         b.pack<std::uint64_t>(g.ent.packed());
-        packTags(p.mesh(), real, b);
+        tag_plan.pack(real, b);
         net_.send(p.id(), g.part, std::move(b));
       }
     }

@@ -19,11 +19,21 @@ namespace integrity {
 
 namespace {
 
-void appendU64(std::vector<std::byte>& out, std::uint64_t v) {
-  const std::size_t at = out.size();
-  out.resize(at + 8);
-  std::memcpy(out.data() + at, &v, 8);
-}
+/// The external streams are sequences of u64 words whose count is known up
+/// front: size the buffer once, then fill it in place.
+class WordStream {
+ public:
+  explicit WordStream(std::size_t words) : out_(words * 8) {}
+  void put(std::uint64_t v) {
+    std::memcpy(out_.data() + at_, &v, 8);
+    at_ += 8;
+  }
+  std::vector<std::byte> take() && { return std::move(out_); }
+
+ private:
+  std::vector<std::byte> out_;
+  std::size_t at_ = 0;
+};
 
 std::uint64_t u64(PartId p) {
   return static_cast<std::uint64_t>(static_cast<std::uint32_t>(p));
@@ -100,44 +110,51 @@ std::vector<FieldFlip> remoteFields(
 
 /// --- canonical streams of the external (non-mesh) sections -----------------
 
-std::vector<std::byte> Armor::remotesStream(const Part& p) const {
-  std::vector<std::byte> out;
-  for (Ent e : sortedKeys(p.remotes_)) {
-    const Remote& r = p.remotes_.find(e)->second;
-    appendU64(out, e.packed());
-    appendU64(out, u64(r.owner));
-    appendU64(out, r.copies.size());
+std::vector<std::byte> remotesStream(const Part& p) {
+  const auto& remotes = p.remotes();
+  std::size_t words = 0;
+  for (const auto& [e, r] : remotes) words += 3 + 2 * r.copies.size();
+  WordStream out(words);
+  for (Ent e : sortedKeys(remotes)) {
+    const Remote& r = remotes.find(e)->second;
+    out.put(e.packed());
+    out.put(u64(r.owner));
+    out.put(r.copies.size());
     for (const Copy& c : r.copies) {
-      appendU64(out, u64(c.part));
-      appendU64(out, c.ent.packed());
+      out.put(u64(c.part));
+      out.put(c.ent.packed());
     }
   }
-  return out;
+  return std::move(out).take();
 }
 
-std::vector<std::byte> Armor::ghostSourceStream(const Part& p) const {
-  std::vector<std::byte> out;
-  for (Ent g : sortedKeys(p.ghost_source_)) {
-    const Copy& c = p.ghost_source_.find(g)->second;
-    appendU64(out, g.packed());
-    appendU64(out, u64(c.part));
-    appendU64(out, c.ent.packed());
+std::vector<std::byte> ghostSourceStream(const Part& p) {
+  const auto& sources = CheckpointAccess::ghostSource(p);
+  WordStream out(3 * sources.size());
+  for (Ent g : sortedKeys(sources)) {
+    const Copy& c = sources.find(g)->second;
+    out.put(g.packed());
+    out.put(u64(c.part));
+    out.put(c.ent.packed());
   }
-  return out;
+  return std::move(out).take();
 }
 
-std::vector<std::byte> Armor::ghostedOnStream(const Part& p) const {
-  std::vector<std::byte> out;
-  for (Ent e : sortedKeys(p.ghosted_on_)) {
-    const auto& copies = p.ghosted_on_.find(e)->second;
-    appendU64(out, e.packed());
-    appendU64(out, copies.size());
+std::vector<std::byte> ghostedOnStream(const Part& p) {
+  const auto& ghosted = CheckpointAccess::ghostedOn(p);
+  std::size_t words = 0;
+  for (const auto& [e, copies] : ghosted) words += 2 + 2 * copies.size();
+  WordStream out(words);
+  for (Ent e : sortedKeys(ghosted)) {
+    const auto& copies = ghosted.find(e)->second;
+    out.put(e.packed());
+    out.put(copies.size());
     for (const Copy& c : copies) {
-      appendU64(out, u64(c.part));
-      appendU64(out, c.ent.packed());
+      out.put(u64(c.part));
+      out.put(c.ent.packed());
     }
   }
-  return out;
+  return std::move(out).take();
 }
 
 /// --- seal / audit -----------------------------------------------------------
@@ -147,22 +164,33 @@ void Armor::ensureParts() {
     ledgers_.resize(static_cast<std::size_t>(pm_.parts()));
 }
 
+// The three external sections are keyed on the part's table version: a
+// seal rebuilds a stream only when the version moved, an audit compares
+// one only while it has not.
 void Armor::sealPart(PartId p) {
   auto& led = ledgers_[static_cast<std::size_t>(p)];
   const Part& part = pm_.part(p);
   led.seal(part.mesh());
-  led.sealExternal("remotes", remotesStream(part));
-  led.sealExternal("ghost-src", ghostSourceStream(part));
-  led.sealExternal("ghost-on", ghostedOnStream(part));
+  const std::uint64_t v = part.tableVersion();
+  if (!led.externalCurrent("remotes", v))
+    led.sealExternal("remotes", v, remotesStream(part));
+  if (!led.externalCurrent("ghost-src", v))
+    led.sealExternal("ghost-src", v, ghostSourceStream(part));
+  if (!led.externalCurrent("ghost-on", v))
+    led.sealExternal("ghost-on", v, ghostedOnStream(part));
 }
 
 void Armor::auditPart(PartId p, std::vector<core::integrity::Mismatch>& out) {
   auto& led = ledgers_[static_cast<std::size_t>(p)];
   const Part& part = pm_.part(p);
   led.audit(part.mesh(), out);
-  led.auditExternal("remotes", remotesStream(part), out);
-  led.auditExternal("ghost-src", ghostSourceStream(part), out);
-  led.auditExternal("ghost-on", ghostedOnStream(part), out);
+  const std::uint64_t v = part.tableVersion();
+  if (led.externalCurrent("remotes", v))
+    led.auditExternal("remotes", remotesStream(part), out);
+  if (led.externalCurrent("ghost-src", v))
+    led.auditExternal("ghost-src", ghostSourceStream(part), out);
+  if (led.externalCurrent("ghost-on", v))
+    led.auditExternal("ghost-on", ghostedOnStream(part), out);
 }
 
 void Armor::sealAndMaybeInject() {
@@ -173,7 +201,8 @@ void Armor::sealAndMaybeInject() {
   // Seal, then replicate, then corrupt: refreshing the journal here — after
   // the seal, before the flip — guarantees every boundary's sealed state
   // has a matching replica, so a tier-2 repair never meets a stale
-  // snapshot. Dedup makes unchanged parts free.
+  // snapshot. The journal's stamp gate skips parts whose state provably did
+  // not change; CRC dedup drops the rest whose bytes did not.
   if (journal_ != nullptr) journal_->record(pm_);
   const std::uint64_t phase = boundary_++;
   const pcu::faults::MemFlip burst = pcu::faults::fireMemFlip(phase);
@@ -525,8 +554,8 @@ IntegrityReport Armor::report() const {
   return out;
 }
 
-std::vector<std::string> Armor::partSections(PartId p) const {
-  return ledgers_.at(static_cast<std::size_t>(p)).sectionNames();
+const core::integrity::Ledger& Armor::ledger(PartId p) const {
+  return ledgers_.at(static_cast<std::size_t>(p));
 }
 
 }  // namespace integrity

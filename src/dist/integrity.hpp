@@ -84,6 +84,14 @@ struct IntegrityReport {
   std::vector<PartId> parts_unrepaired;
 };
 
+/// Canonical byte streams of a part's boundary and ghost tables — the
+/// armor's external ledger sections "remotes", "ghost-src" and "ghost-on".
+/// Records are sorted by entity handle, so a stream is deterministic
+/// regardless of hash-map layout; every field is a u64 word.
+std::vector<std::byte> remotesStream(const Part& p);
+std::vector<std::byte> ghostSourceStream(const Part& p);
+std::vector<std::byte> ghostedOnStream(const Part& p);
+
 /// The armor of one PartedMesh (created lazily via PartedMesh::armor()).
 class Armor {
  public:
@@ -102,11 +110,15 @@ class Armor {
   /// pcu::Error(kIntegrity) when a corrupt part exhausts the ladder.
   void auditAndRepair(const char* where);
 
-  /// Reseal every part's ledger, refresh the journal replica (dedup makes
-  /// unchanged parts free), then consume any memflip scheduled for this
+  /// Reseal every part's ledger, refresh the journal replica, then consume
+  /// any memflip scheduled for this
   /// boundary index and plant the flips in live state. The order is the
   /// armor's core invariant: seal, then replicate, then corrupt — so the
   /// repair source always matches the sealed state a flip lands in.
+  /// The work follows what changed: mesh sections and the external tables
+  /// are rehashed only when their versions moved, and the journal
+  /// serializes a part only when its stamps moved (CRC dedup then drops
+  /// re-serialized parts whose bytes came out unchanged).
   void sealAndMaybeInject();
 
   /// One full boundary: audit/repair, then seal and maybe inject. The
@@ -124,8 +136,8 @@ class Armor {
   /// documented on IntegrityReport.
   [[nodiscard]] IntegrityReport report() const;
 
-  /// Sealed section names of one part's ledger (diagnostics, tests).
-  [[nodiscard]] std::vector<std::string> partSections(PartId p) const;
+  /// One part's sealed ledger (diagnostics, tests).
+  [[nodiscard]] const core::integrity::Ledger& ledger(PartId p) const;
 
  private:
   void ensureParts();
@@ -133,11 +145,6 @@ class Armor {
   /// Appends this part's mismatches (mesh sections + external tables).
   void auditPart(PartId p, std::vector<core::integrity::Mismatch>& out);
 
-  // Canonical byte streams of the part-boundary tables (sorted by entity
-  // handle, so deterministic regardless of hash-map layout).
-  [[nodiscard]] std::vector<std::byte> remotesStream(const Part& p) const;
-  [[nodiscard]] std::vector<std::byte> ghostSourceStream(const Part& p) const;
-  [[nodiscard]] std::vector<std::byte> ghostedOnStream(const Part& p) const;
 
   bool repairFromJournal(PartId p);     // tier 2
   bool repairFromCheckpoint(PartId p);  // tier 3

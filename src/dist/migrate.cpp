@@ -237,6 +237,9 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
   // --- Phase B: creation payloads per dimension ----------------------------
   pcu::trace::begin("migrate:B-create");
   std::array<Ent, core::kMaxDown> vbuf{};
+  // One tag plan per part, rebuilt for every dimension's payloads: a
+  // delivery may create tags on the receiving parts.
+  std::vector<TagPlan> tag_plans;
   auto packCreation = [&](Part& p, Ent e, pcu::OutBuffer& b) {
     packKey(b, keyOf(p, e));
     b.pack<std::uint8_t>(static_cast<std::uint8_t>(e.topo()));
@@ -251,7 +254,7 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
       for (int k = 0; k < nv; ++k)
         packKey(b, keyOf(p, vbuf[static_cast<std::size_t>(k)]));
     }
-    packTags(p.mesh(), e, b);
+    tag_plans[static_cast<std::size_t>(p.id())].pack(e, b);
   };
   auto createFromPayload = [&](PartId to, pcu::InBuffer& body) {
     const GKey key = unpackKey(body);
@@ -278,6 +281,8 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
   };
 
   for (int d = 0; d <= dim; ++d) {
+    tag_plans.clear();
+    for (const auto& pp : parts_) tag_plans.emplace_back(pp->mesh());
     // Post creation payloads.
     if (d < dim) {
       for (std::size_t pi = 0; pi < nparts; ++pi) {
@@ -380,6 +385,7 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
     Part& p = *parts_[static_cast<std::size_t>(to)];
     const auto kind = body.unpack<std::uint8_t>();
     const Ent local = Ent::unpack(body.unpack<std::uint64_t>());
+    p.touchTables();
     if (kind == 0) {
       p.remotes_.erase(local);
       to_delete[static_cast<std::size_t>(to)].push_back(local);

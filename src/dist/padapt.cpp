@@ -10,6 +10,7 @@
 #include "common/flatmap.hpp"
 #include "adapt/split.hpp"
 #include "core/measure.hpp"
+#include "dist/integrity.hpp"
 #include "gmi/model.hpp"
 #include "pcu/trace.hpp"
 
@@ -75,6 +76,12 @@ PartedRefineStats refineParted(PartedMesh& pm, const adapt::SizeField& size,
   for (PartId p = 0; p < pm.parts(); ++p)
     if (pm.part(p).ghostCount() > 0)
       throw std::logic_error("refineParted: unghost first");
+
+  // An armored refine is a commit point, like a transactional operation:
+  // audit on entry, seal on exit, so its legitimate edits are never read
+  // as corruption and the journal replica follows them.
+  integrity::Armor* armor = pm.armorIfActive();
+  if (armor != nullptr) armor->auditAndRepair("refineParted");
 
   PartedRefineStats stats;
   Network& net = pm.network();
@@ -310,6 +317,7 @@ PartedRefineStats refineParted(PartedMesh& pm, const adapt::SizeField& size,
     // --- 5. sweep boundary records of the split (destroyed) entities ------
     for (PartId p = 0; p < pm.parts(); ++p) pm.part(p).sweepDeadRemotes();
   }
+  if (armor != nullptr) armor->sealAndMaybeInject();
   return stats;
 }
 
@@ -320,6 +328,10 @@ PartedCoarsenStats coarsenParted(PartedMesh& pm, const adapt::SizeField& size,
   for (PartId p = 0; p < pm.parts(); ++p)
     if (pm.part(p).ghostCount() > 0)
       throw std::logic_error("coarsenParted: unghost first");
+
+  // A commit point when armored, like refineParted.
+  integrity::Armor* armor = pm.armorIfActive();
+  if (armor != nullptr) armor->auditAndRepair("coarsenParted");
 
   PartedCoarsenStats stats;
   pcu::trace::Scope trace_scope("dist:coarsenParted");
@@ -367,6 +379,7 @@ PartedCoarsenStats coarsenParted(PartedMesh& pm, const adapt::SizeField& size,
     stats.passes = pass + 1;
     stats.collapses += done;
   }
+  if (armor != nullptr) armor->sealAndMaybeInject();
   return stats;
 }
 

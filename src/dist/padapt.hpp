@@ -45,7 +45,9 @@ struct PartedRefineStats {
   std::size_t splits = 0;  ///< total splits, counting each edge once
 };
 
-/// Refine the distributed mesh under `size`. Requires no ghosts.
+/// Refine the distributed mesh under `size`. Requires no ghosts. When the
+/// integrity armor is active the refine is a commit point: it audits on
+/// entry and seals on exit (so does coarsenParted).
 PartedRefineStats refineParted(PartedMesh& pm, const adapt::SizeField& size,
                                const PartedRefineOptions& opts = {});
 

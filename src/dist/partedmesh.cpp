@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstdlib>
@@ -23,6 +24,11 @@
 namespace dist {
 
 /// --- Part ------------------------------------------------------------------
+
+std::uint64_t Part::nextStamp() {
+  static std::atomic<std::uint64_t> counter{1};
+  return counter.fetch_add(1, std::memory_order_relaxed);
+}
 
 std::vector<PartId> Part::residence(Ent e) const {
   std::vector<PartId> res{id_};
@@ -185,6 +191,7 @@ std::unique_ptr<PartedMesh> PartedMesh::distribute(
   }
 
   // Per-part copies of each serial entity, created dimension-ascending.
+  const TagPlan serial_tags(serial);
   common::FlatMap<Ent, std::vector<Copy>, EntHash> copies;
   copies.reserve(res.size());
   std::array<Ent, core::kMaxDown> vbuf{};
@@ -216,7 +223,7 @@ std::unique_ptr<PartedMesh> PartedMesh::distribute(
         }
         // Transport serial tags to each copy.
         pcu::OutBuffer tags;
-        packTags(serial, e, tags);
+        serial_tags.pack(e, tags);
         pcu::InBuffer in(std::move(tags).take());
         unpackTags(part.mesh_, local, in);
         cps.push_back(Copy{pid, local});
@@ -236,6 +243,7 @@ std::unique_ptr<PartedMesh> PartedMesh::distribute(
       out->part(self.part).remotes_.emplace(self.ent, std::move(r));
     }
   }
+  for (const auto& p : out->parts_) p->touchTables();
   return out;
 }
 
@@ -301,6 +309,7 @@ void PartedMesh::runTransactional(const char* opname,
         p.remotes_ = std::move(saved[i].remotes);
         p.ghost_source_ = std::move(saved[i].ghost_source);
         p.ghosted_on_ = std::move(saved[i].ghosted_on);
+        p.touchTables();
       }
       dim_ = dim_before;
       net_.resetTransport();
@@ -406,6 +415,7 @@ std::uint64_t PartedMesh::fingerprint() const {
   };
   for (std::size_t i = 0; i < parts_.size(); ++i) {
     const Part& p = *parts_[i];
+    const TagPlan tag_plan(p.mesh());
     const int pd = p.mesh().dim();
     for (int d = 0; d <= pd; ++d) {
       // Entities are visited in canonical-name order, so the byte stream
@@ -447,7 +457,7 @@ std::uint64_t PartedMesh::fingerprint() const {
           }
         }
         pcu::OutBuffer tags;
-        packTags(p.mesh(), e, tags);
+        tag_plan.pack(e, tags);
         const auto bytes = std::move(tags).take();
         mix(h, bytes.size());
         mix(h, common::crc32(bytes.data(), bytes.size()));

@@ -83,18 +83,40 @@ class Part {
   /// For distributed algorithms (parallel adaptation) that create new
   /// part-boundary entities and must register their links. Misuse breaks
   /// the invariants verify() checks; normal users never call these.
-  void setRemote(Ent e, Remote r) { remotes_[e] = std::move(r); }
-  void eraseRemote(Ent e) { remotes_.erase(e); }
+  void setRemote(Ent e, Remote r) {
+    remotes_[e] = std::move(r);
+    touchTables();
+  }
+  void eraseRemote(Ent e) {
+    if (remotes_.erase(e) > 0) touchTables();
+  }
   /// Drop records whose entity has been destroyed (after local mesh
   /// modification).
   void sweepDeadRemotes() {
     for (auto it = remotes_.begin(); it != remotes_.end();) {
-      if (!mesh_.alive(it->first))
+      if (!mesh_.alive(it->first)) {
         it = remotes_.erase(it);
-      else
+        touchTables();
+      } else {
         ++it;
+      }
     }
   }
+
+  /// --- version stamps ---------------------------------------------------
+
+  /// Version of the boundary and ghost tables (remote records, ghost
+  /// sources, tracked ghost copies). Every legitimate mutation draws a
+  /// fresh value from a process-wide monotone counter (like
+  /// TagBase::version()), so an unchanged version proves no legitimate
+  /// write happened since it was observed; the armor and the buddy journal
+  /// skip re-serializing tables whose version did not move. Writes through
+  /// the armor's memory-fault injector deliberately do not bump it.
+  [[nodiscard]] std::uint64_t tableVersion() const { return table_version_; }
+  /// Process-wide unique id of this Part object. Mesh version counters are
+  /// per object and restart in a re-added part, so stamps that must never
+  /// repeat for different content key on (generation, mesh versions).
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
   /// Residence part set: this part plus every part with a copy, sorted.
   [[nodiscard]] std::vector<PartId> residence(Ent e) const;
 
@@ -132,8 +154,14 @@ class Part {
  private:
   friend class PartedMesh;
   friend struct CheckpointAccess;  ///< checkpoint.cpp (de)serializes the maps
-  friend class integrity::Armor;   ///< ledger streams + memory-fault spans
+  friend class integrity::Armor;   ///< memory-fault spans
+  /// Draw a new table version (after any write to the three tables).
+  void touchTables() { table_version_ = nextStamp(); }
+  static std::uint64_t nextStamp();
+
   PartId id_;
+  std::uint64_t generation_ = nextStamp();
+  std::uint64_t table_version_ = nextStamp();
   core::Mesh mesh_;
   // Open-addressing tables (SIMD-probed; see common/flatmap.hpp): the
   // remote/ghost lookups these serve are the per-entity inner loops of
@@ -192,7 +220,8 @@ class PartedMesh {
   /// their closure and transportable tags.
   void ghostLayers(int layers = 1);
 
-  /// Remove all ghost entities.
+  /// Remove all ghost entities. Not transactional, but a commit point when
+  /// the integrity armor is active (audit on entry, seal on exit).
   void unghost();
 
   /// Re-send transportable tag values of ghosted entities from their real

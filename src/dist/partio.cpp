@@ -20,8 +20,17 @@ namespace {
 OrdinalMap buildOrdinals(const core::Mesh& m) {
   OrdinalMap ord;
   for (int d = 0; d <= m.dim(); ++d) {
+    // entities(d) walks each topology's pool in ascending slot order, so
+    // the last entity of a topology sizes its array.
     std::uint64_t k = 0;
-    for (Ent e : m.entities(d)) ord.emplace(e, entref(d, k++));
+    for (Ent e : m.entities(d)) {
+      auto& refs = ord.refs_[static_cast<std::size_t>(e.topo())];
+      if (e.index() >= refs.size()) {
+        if (refs.empty()) refs.reserve(m.countTopo(e.topo()));
+        refs.resize(std::size_t{e.index()} + 1, OrdinalMap::kAbsent);
+      }
+      refs[e.index()] = entref(d, k++);
+    }
   }
   return ord;
 }

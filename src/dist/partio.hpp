@@ -15,11 +15,12 @@
 /// the format so the two layers can consume each other's bytes (evacuation
 /// falls back to the newest checkpoint for parts the journal lacks).
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dist/partedmesh.hpp"
@@ -41,9 +42,11 @@ struct CheckpointAccess {
   }
   static void setGhost(Part& p, Ent ghost, Copy source) {
     p.ghost_source_[ghost] = source;
+    p.touchTables();
   }
   static void setGhostedOn(Part& p, Ent real, std::vector<Copy> copies) {
     p.ghosted_on_[real] = std::move(copies);
+    p.touchTables();
   }
   static void setDim(PartedMesh& pm, int dim) { pm.dim_ = dim; }
   /// Replace `p`'s mesh with `content` and drop every boundary/ghost
@@ -53,6 +56,7 @@ struct CheckpointAccess {
     p.remotes_.clear();
     p.ghost_source_.clear();
     p.ghosted_on_.clear();
+    p.touchTables();
   }
 };
 
@@ -69,9 +73,29 @@ constexpr std::uint64_t entref(int dim, std::uint64_t ordinal) {
   return (static_cast<std::uint64_t>(dim) << 48) | ordinal;
 }
 
-using OrdinalMap = std::unordered_map<Ent, std::uint64_t, EntHash>;
+/// entity -> entref for every entity of one mesh: one dense array per
+/// topology indexed by Ent::index(), so a lookup is two loads instead of a
+/// hash probe (buildMeta resolves every boundary and ghost record through
+/// it at every journal refresh and checkpoint).
+class OrdinalMap {
+ public:
+  /// The entref of `e`; throws std::out_of_range when `e` is not a live
+  /// entity of the mapped mesh.
+  [[nodiscard]] std::uint64_t at(Ent e) const {
+    const auto t = static_cast<std::size_t>(e.topo());
+    if (t >= refs_.size() || e.index() >= refs_[t].size() ||
+        refs_[t][e.index()] == kAbsent)
+      throw std::out_of_range("partio::OrdinalMap: entity not in the mesh");
+    return refs_[t][e.index()];
+  }
 
-/// entity -> entref for every entity of `m`.
+ private:
+  friend OrdinalMap buildOrdinals(const core::Mesh& m);
+  static constexpr std::uint64_t kAbsent = ~std::uint64_t{0};
+  std::array<std::vector<std::uint64_t>, core::kTopoCount> refs_;
+};
+
+/// entity -> entref for every entity of `m`, in one pass over its pools.
 OrdinalMap buildOrdinals(const core::Mesh& m);
 
 /// [dim][ordinal] -> entity: the inverse of buildOrdinals against a

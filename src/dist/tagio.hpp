@@ -8,7 +8,7 @@
 #include "core/tagio.hpp"
 
 namespace dist {
-using core::packTags;
+using core::TagPlan;
 using core::skipTags;
 using core::unpackTags;
 }  // namespace dist

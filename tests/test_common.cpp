@@ -279,6 +279,31 @@ TEST(Crc32, MatchesIeeeKnownAnswers) {
             0x414FA339u);
 }
 
+TEST(Crc32, SlicedWalkMatchesTheBytewiseOracle) {
+  // crc32() folds eight bytes per step; the one-byte table walk is the
+  // oracle. Every length 0..4096 at every 8-byte alignment covers the
+  // sliced loop, its tail and every misaligned load. The Castagnoli scalar
+  // fallback shares the sliced walk, so hold it to its oracle too.
+  std::vector<std::byte> buf(4096 + 8);
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    buf[i] = static_cast<std::byte>((i * 2654435761u) >> 13);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const std::byte* p = buf.data() + off;
+      const std::uint32_t oracle =
+          common::detail::crcUpdateBytewise<0xEDB88320u>(0xFFFFFFFFu, p,
+                                                         len) ^
+          0xFFFFFFFFu;
+      ASSERT_EQ(common::crc32(p, len), oracle)
+          << "length " << len << " alignment " << off;
+      ASSERT_EQ(
+          common::detail::crcUpdateScalar<0x82F63B78u>(0u, p, len),
+          common::detail::crcUpdateBytewise<0x82F63B78u>(0u, p, len))
+          << "length " << len << " alignment " << off;
+    }
+  }
+}
+
 TEST(Crc32c, MatchesCastagnoliKnownAnswersOnEveryPath) {
   // CRC-32C (Castagnoli) — the in-memory integrity checksum. The SSE4.2
   // hardware path and the scalar table fallback must agree bit-for-bit, so

@@ -365,10 +365,15 @@ double globalMeasure(dist::PartedMesh& pm) {
   return v;
 }
 
+// gtest names each case with the raw bytes of its parameter, so the struct
+// must have no padding: padding bytes hold leftover stack contents and
+// would make the printed test names differ from build to build. The flag
+// is therefore a full word (0 = triangles, 1 = tetrahedra).
 struct MeshCase {
-  bool three_d;
+  std::uint64_t three_d;
   std::uint64_t seed;
 };
+static_assert(sizeof(MeshCase) == 2 * sizeof(std::uint64_t));
 
 std::unique_ptr<dist::PartedMesh> makeMesh(const meshgen::Generated& gen,
                                            int nparts) {
@@ -460,8 +465,8 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, DistChaos, ::testing::ValuesIn([] {
       std::vector<MeshCase> cases;
       for (std::uint64_t s = 1; s <= 11; ++s) {
-        cases.push_back({false, s});
-        cases.push_back({true, s});
+        cases.push_back({0, s});
+        cases.push_back({1, s});
       }
       return cases;
     }()),

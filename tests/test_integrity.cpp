@@ -28,14 +28,18 @@
 #include <thread>
 #include <vector>
 
+#include "adapt/sizefield.hpp"
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "core/integrity.hpp"
 #include "core/mesh.hpp"
+#include "core/meshio.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/failover.hpp"
 #include "dist/integrity.hpp"
+#include "dist/padapt.hpp"
 #include "dist/partedmesh.hpp"
+#include "dist/partio.hpp"
 #include "meshgen/boxmesh.hpp"
 #include "parma/balance.hpp"
 #include "part/partition.hpp"
@@ -43,6 +47,7 @@
 #include "pcu/faults.hpp"
 #include "pcu/stats.hpp"
 #include "pcu/trace.hpp"
+#include "solver/poisson.hpp"
 #include "svc/patrol.hpp"
 #include "svc/scheduler.hpp"
 
@@ -128,7 +133,7 @@ void corruptSection(core::Mesh& m, const std::string& name, std::size_t at) {
 /// First sealed section of part p whose name starts with `prefix`.
 std::string sectionWithPrefix(di::Armor& armor, PartId p,
                               const std::string& prefix) {
-  for (const auto& s : armor.partSections(p))
+  for (const auto& s : armor.ledger(p).sectionNames())
     if (s.rfind(prefix, 0) == 0) return s;
   return {};
 }
@@ -559,6 +564,193 @@ TEST(Armor, OperationEntryAuditRepairsAFlipFromThePreviousBoundary) {
     EXPECT_GE(rep.mismatches, 1u);
   }
   EXPECT_TRUE(rep.parts_unrepaired.empty());
+}
+
+/// --- refine, coarsen and unghost are commit points -----------------------
+
+/// The CRC of a fresh serialization of part p's mesh.
+std::uint32_t freshMeshCrc(const dist::PartedMesh& pm, PartId p) {
+  const auto bytes = core::meshToBytes(pm.part(p).mesh());
+  return common::crc32(bytes.data(), bytes.size());
+}
+
+TEST(ArmorCommitPoints, UnsealedAdaptThenBalanceKeepsEveryElement) {
+  // No caller seal anywhere: refineParted and coarsenParted audit on entry
+  // and seal on exit, so the journal replica follows their edits and the
+  // balancer's round-entry audits never read them as corruption (before,
+  // such a refine was "repaired" from a stale replica and lost elements).
+  auto gen = meshgen::boxTets(4, 4, 4);
+  auto pm = makeMesh(gen, 4);
+  pm->setIntegrity(true);
+  failover::BuddyJournal journal;
+  di::Armor& armor = pm->armor();
+  armor.setJournal(&journal);
+  armor.sealAndMaybeInject();
+  const adapt::ShockFrontSize size({0.3, 0.5, 0.5}, {1, 0, 0}, 0.1, 0.12,
+                                   0.3);
+
+  std::uint64_t b = armor.boundaryIndex();
+  const auto ref = dist::refineParted(*pm, size);
+  EXPECT_GT(ref.splits, 0u);
+  EXPECT_EQ(armor.boundaryIndex(), b + 1) << "refine seals on exit";
+  for (PartId p = 0; p < pm->parts(); ++p)
+    EXPECT_EQ(journal.find(p)->mesh_crc, freshMeshCrc(*pm, p))
+        << "the replica follows the refine, part " << p;
+
+  b = armor.boundaryIndex();
+  const auto coa = dist::coarsenParted(*pm, size);
+  EXPECT_GT(coa.collapses, 0u);
+  EXPECT_EQ(armor.boundaryIndex(), b + 1) << "coarsen seals on exit";
+
+  const std::size_t elems = pm->globalCount(3);
+  parma::balance(*pm, "Rgn");
+  EXPECT_EQ(pm->globalCount(3), elems);
+  const auto rep = armor.report();
+  EXPECT_EQ(rep.mismatches, 0u);
+  EXPECT_TRUE(rep.parts_repaired.empty());
+  EXPECT_NO_THROW(pm->verify());
+}
+
+TEST(ArmorCommitPoints, UnghostThenAuditDoesNotThrow) {
+  auto gen = meshgen::boxTets(3, 3, 3);
+  auto pm = makeMesh(gen, 4);
+  pm->setIntegrity(true);
+  failover::BuddyJournal journal;
+  di::Armor& armor = pm->armor();
+  armor.setJournal(&journal);
+  pm->ghostLayers(1);
+  const std::uint64_t b = armor.boundaryIndex();
+  pm->unghost();
+  EXPECT_EQ(armor.boundaryIndex(), b + 1) << "unghost seals on exit";
+  EXPECT_NO_THROW(armor.auditAndRepair("after-unghost"));
+  EXPECT_EQ(armor.report().mismatches, 0u);
+  EXPECT_NO_THROW(pm->verify());
+}
+
+/// --- the version gates never leave a stale replica or ledger entry -------
+
+/// Every journal replica must equal a fresh full serialization of its part,
+/// whatever the journal's stamp gate skipped.
+void expectReplicasFresh(const dist::PartedMesh& pm,
+                         const failover::BuddyJournal& journal) {
+  std::vector<dist::partio::OrdinalMap> ords;
+  for (PartId p = 0; p < pm.parts(); ++p)
+    ords.push_back(dist::partio::buildOrdinals(pm.part(p).mesh()));
+  for (PartId p = 0; p < pm.parts(); ++p) {
+    const auto meta = dist::partio::buildMeta(
+        pm.part(p), ords[static_cast<std::size_t>(p)], ords);
+    const auto* snap = journal.find(p);
+    ASSERT_NE(snap, nullptr) << "part " << p;
+    EXPECT_EQ(snap->mesh_crc, freshMeshCrc(pm, p)) << "part " << p;
+    EXPECT_EQ(snap->meta_crc, common::crc32(meta.data(), meta.size()))
+        << "part " << p;
+  }
+}
+
+/// Every section the armor sealed (mesh and external) must hash what a
+/// fresh ledger over the current state hashes, whatever the seal's version
+/// gates skipped. Holds right after a seal.
+void expectLedgersFresh(const dist::PartedMesh& pm, di::Armor& armor) {
+  for (PartId p = 0; p < pm.parts(); ++p) {
+    const dist::Part& part = pm.part(p);
+    ci::Ledger fresh;
+    fresh.seal(part.mesh());
+    fresh.sealExternal("remotes", 0, di::remotesStream(part));
+    fresh.sealExternal("ghost-src", 0, di::ghostSourceStream(part));
+    fresh.sealExternal("ghost-on", 0, di::ghostedOnStream(part));
+    const ci::Ledger& sealed = armor.ledger(p);
+    ASSERT_EQ(sealed.sectionNames(), fresh.sectionNames()) << "part " << p;
+    for (const auto& name : fresh.sectionNames())
+      EXPECT_EQ(sealed.sectionCrc(name), fresh.sectionCrc(name))
+          << "part " << p << " section " << name;
+  }
+}
+
+void expectSealedStateFresh(const dist::PartedMesh& pm, di::Armor& armor,
+                            const failover::BuddyJournal& journal,
+                            const std::string& after) {
+  SCOPED_TRACE("after " + after);
+  expectReplicasFresh(pm, journal);
+  expectLedgersFresh(pm, armor);
+}
+
+TEST(VersionGates, NeverLeaveAStaleReplicaOrLedgerEntry) {
+  // A seeded armored workflow: distribute -> refine -> coarsen -> (a
+  // rolled-back migrate) -> balance -> ghost -> sync -> unghost -> solve.
+  // Every operation ends in a seal; the sealed state is checked after each.
+  // A memflip planted by the coarsen's exit seal (boundary 2) is repaired
+  // from the journal by the audit ahead of the next plan computation (the
+  // client contract the memflip matrix follows), and the migrate is then
+  // forced to roll back, so both the repair and the rollback paths must
+  // leave the gates' stamps and versions consistent.
+  auto gen = meshgen::boxTets(4, 4, 4);
+  auto pm = makeMesh(gen, 4);
+  pm->setIntegrity(true);
+  failover::BuddyJournal journal;
+  di::Armor& armor = pm->armor();
+  armor.setJournal(&journal);
+  const adapt::ShockFrontSize size({0.4, 0.5, 0.5}, {1, 0, 0}, 0.1, 0.12,
+                                   0.3);
+  {
+    PlanGuard g(faults::parsePlan("seed=23,memflip=1@2:pool"));
+    armor.sealAndMaybeInject();  // boundary 0
+    expectSealedStateFresh(*pm, armor, journal, "arming");
+    dist::refineParted(*pm, size);  // boundary 1
+    expectSealedStateFresh(*pm, armor, journal, "refine");
+    dist::coarsenParted(*pm, size);  // boundary 2: the flip strikes
+  }
+  ASSERT_EQ(armor.report().flips_injected, 1u);
+  const std::size_t elems = pm->globalCount(3);
+
+  armor.auditAndRepair("plan");
+  const auto repaired = armor.report();
+  ASSERT_EQ(repaired.detected.size(), 1u);
+  EXPECT_EQ(repaired.detected[0].repair_tier, 2) << "journal is tier 2";
+  EXPECT_EQ(pm->globalCount(3), elems);
+  expectSealedStateFresh(*pm, armor, journal, "repair");
+
+  common::Rng rng(23);
+  const auto plan = randomPlan(*pm, rng, 0.2);
+  {
+    faults::FaultPlan lossy;
+    lossy.seed = 5;
+    lossy.drop = 1.0;
+    PlanGuard g(lossy);
+    EXPECT_THROW(pm->migrate(plan), Error) << "every message is dropped";
+  }
+  EXPECT_EQ(armor.report().mismatches, repaired.mismatches);
+  EXPECT_EQ(pm->globalCount(3), elems);
+  {
+    // An aborted operation does not seal: the ledgers keep the pre-op seal
+    // (the next audit sees the rollback's version bumps and the next seal
+    // re-keys), but the journal must still hold the rolled-back state.
+    SCOPED_TRACE("after rollback");
+    expectReplicasFresh(*pm, journal);
+  }
+
+  parma::BalanceOptions bopts;
+  bopts.max_rounds = 2;
+  parma::balance(*pm, "Rgn", bopts);
+  expectSealedStateFresh(*pm, armor, journal, "balance");
+  pm->ghostLayers(1);
+  expectSealedStateFresh(*pm, armor, journal, "ghostLayers");
+  pm->syncGhostTags();
+  expectSealedStateFresh(*pm, armor, journal, "syncGhostTags");
+  pm->unghost();
+  expectSealedStateFresh(*pm, armor, journal, "unghost");
+  const auto solved = solver::solvePoisson(
+      *pm, [](const common::Vec3&) { return 1.0; },
+      [](const common::Vec3&) { return 0.0; },
+      {.max_iterations = 500, .tolerance = 1e-8});
+  EXPECT_TRUE(solved.converged);
+  armor.sealAndMaybeInject();  // the solve writes "u" without a seal
+  expectSealedStateFresh(*pm, armor, journal, "solve");
+
+  const auto rep = armor.report();
+  EXPECT_EQ(rep.mismatches, repaired.mismatches) << "no new mismatch";
+  EXPECT_TRUE(rep.parts_unrepaired.empty());
+  EXPECT_EQ(pm->globalCount(3), elems);
+  EXPECT_NO_THROW(pm->verify());
 }
 
 /// --- the memflip matrix --------------------------------------------------

@@ -20,16 +20,23 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
+#include "adapt/sizefield.hpp"
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
+#include "core/meshio.hpp"
 #include "dist/checkpoint.hpp"
+#include "dist/padapt.hpp"
 #include "dist/pario.hpp"
 #include "dist/partedmesh.hpp"
+#include "dist/partio.hpp"
 #include "meshgen/boxmesh.hpp"
 #include "part/partition.hpp"
 #include "pcu/error.hpp"
 #include "pcu/faults.hpp"
+#include "solver/poisson.hpp"
 
 namespace {
 
@@ -781,6 +788,106 @@ TEST(PariaReport, LostPartListIsSortedAndDeterministicAcrossReruns) {
   EXPECT_EQ(b.chunks_lost, a.chunks_lost);
   EXPECT_EQ(b.chunks_repaired, a.chunks_repaired);
   EXPECT_TRUE(a.partial());
+}
+
+/// --- format pins ----------------------------------------------------------
+
+/// The persisted streams (meshToBytes, the partio metadata stream and the
+/// pario chunks that carry both) are a compatibility contract: journals,
+/// checkpoints and their CRCs must come out byte-identical whatever the
+/// serializers do internally. The fixture is a seeded 4-part boxTets(4),
+/// uniformly refined, with a seeded int tag on elements and a long tag on
+/// vertices, solved (the double field "u"), then ghosted and tag-synced,
+/// so every tag type and every metadata table is present. The constants
+/// were recorded with the byte-at-a-time CRC and the hash-map-based
+/// serializers the current ones replaced.
+std::unique_ptr<dist::PartedMesh> pinnedMesh(const meshgen::Generated& gen) {
+  auto pm = makeMesh(gen, 4);
+  dist::refineParted(*pm, adapt::UniformSize(0.17));
+  common::Rng rng(2012);
+  for (PartId p = 0; p < pm->parts(); ++p) {
+    core::Mesh& m = pm->part(p).mesh();
+    auto mark = m.tags().create<int>("pin:mark", 1);
+    for (Ent e : m.entities(3))
+      m.tags().setScalar<int>(mark, e, static_cast<int>(rng.below(1000)));
+    auto stamp = m.tags().create<long>("pin:stamp", 2);
+    for (Ent v : m.entities(0)) {
+      const auto x = m.point(v);
+      m.tags().set<long>(stamp, v,
+                         {static_cast<long>(x.x * 1e6),
+                          static_cast<long>(x.y * 1e6 + x.z * 1e3)});
+    }
+  }
+  const auto rep = solver::solvePoisson(
+      *pm, [](const common::Vec3&) { return 1.0; },
+      [](const common::Vec3& x) { return x.x + 2 * x.y; },
+      {.max_iterations = 500, .tolerance = 1e-8});
+  EXPECT_TRUE(rep.converged);
+  pm->ghostLayers(1);
+  pm->syncGhostTags();
+  std::set<std::string> types;
+  for (const auto* tag : pm->part(0).mesh().tags().list())
+    types.insert(tag->type().name());
+  EXPECT_EQ(types, (std::set<std::string>{typeid(int).name(),
+                                          typeid(long).name(),
+                                          typeid(double).name()}));
+  EXPECT_GT(pm->part(0).ghostCount(), 0u);
+  return pm;
+}
+
+std::uint32_t crcOf(const std::vector<std::byte>& b) {
+  return common::crc32(b.data(), b.size());
+}
+
+TEST(FormatPins, MeshAndMetaStreamsAreByteStable) {
+  auto gen = meshgen::boxTets(4, 4, 4);
+  auto pm = pinnedMesh(gen);
+  std::vector<dist::partio::OrdinalMap> ords;
+  for (PartId p = 0; p < pm->parts(); ++p)
+    ords.push_back(dist::partio::buildOrdinals(pm->part(p).mesh()));
+  std::vector<std::uint32_t> mesh_crcs;
+  std::vector<std::uint32_t> meta_crcs;
+  for (PartId p = 0; p < pm->parts(); ++p) {
+    mesh_crcs.push_back(crcOf(core::meshToBytes(pm->part(p).mesh())));
+    meta_crcs.push_back(crcOf(dist::partio::buildMeta(
+        pm->part(p), ords[static_cast<std::size_t>(p)], ords)));
+  }
+  const std::vector<std::uint32_t> kMesh = {0x6CB9435Cu, 0xD460CB8Fu,
+                                           0x6C179B5Eu, 0x50A73873u};
+  const std::vector<std::uint32_t> kMeta = {0x3364997Bu, 0x3CB11106u,
+                                           0x8B146716u, 0x9E3BC3C1u};
+  EXPECT_EQ(mesh_crcs, kMesh);
+  EXPECT_EQ(meta_crcs, kMeta);
+}
+
+TEST(FormatPins, CheckpointChunksAreByteStable) {
+  auto gen = meshgen::boxTets(4, 4, 4);
+  auto pm = pinnedMesh(gen);
+  const auto dir = freshDir("format_pins");
+  pario::checkpointImage(*pm, dir);
+  const auto idx = pario::loadIndex(dir);
+  std::ifstream image(dir + "/" + idx.image, std::ios::binary);
+  ASSERT_TRUE(image.good());
+  auto payloadCrc = [&image](const pario::ChunkSlot& slot) {
+    std::vector<std::byte> bytes(slot.length);
+    image.seekg(static_cast<std::streamoff>(slot.primary +
+                                            pario::kChunkHeaderBytes));
+    image.read(reinterpret_cast<char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+    EXPECT_EQ(crcOf(bytes), slot.crc);
+    return crcOf(bytes);
+  };
+  std::vector<std::uint32_t> crcs;
+  for (const auto& part : idx.parts) {
+    crcs.push_back(payloadCrc(part.mesh));
+    crcs.push_back(payloadCrc(part.meta));
+  }
+  // Chunk payloads are the two streams verbatim: (mesh, meta) per part.
+  const std::vector<std::uint32_t> kChunks = {
+      0x6CB9435Cu, 0x3364997Bu, 0xD460CB8Fu, 0x3CB11106u,
+      0x6C179B5Eu, 0x8B146716u, 0x50A73873u, 0x9E3BC3C1u};
+  EXPECT_EQ(crcs, kChunks);
+  fs::remove_all(dir);
 }
 
 }  // namespace
