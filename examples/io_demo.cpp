@@ -144,7 +144,8 @@ void baselineRead(const fs::path& dir, int nparts, gmi::Model* model,
     auto meta = readAll(dir / ("part" + std::to_string(p) + ".meta"));
     st->bytes_read += mesh.size() + meta.size();
     auto rebuilt = core::meshFromBytes(std::move(mesh), model);
-    (void)dist::partio::buildEntTable(*rebuilt);
+    dist::partio::EntResolver ents(1);
+    ents.index(0, *rebuilt);
   }
   st->read_ms = msSince(t0);
 }

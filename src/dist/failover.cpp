@@ -125,99 +125,28 @@ EvacuationReport evacuate(PartedMesh& pm, const BuddyJournal& journal,
   // 1. Fetch every dead part's newest replica — the buddy journal first,
   //    the checkpoint directory as fallback — BEFORE touching the mesh, so
   //    a missing or corrupt replica aborts with nothing wiped.
-  std::vector<std::vector<std::byte>> meshes(static_cast<std::size_t>(nparts));
-  std::vector<std::vector<std::byte>> metas(static_cast<std::size_t>(nparts));
+  std::vector<partio::Replica> replicas;
   for (PartId p : rep.parts_evacuated) {
-    std::vector<std::byte> mesh_bytes;
-    std::vector<std::byte> meta_bytes;
+    partio::Replica r{p, {}, {}};
     if (const BuddyJournal::Snapshot* snap = journal.find(p)) {
-      mesh_bytes = snap->mesh;
-      meta_bytes = snap->meta;
+      r.mesh = snap->mesh;
+      r.meta = snap->meta;
     } else if (!checkpoint_dir.empty()) {
-      std::tie(mesh_bytes, meta_bytes) =
-          checkpointPartBytes(checkpoint_dir, p);
+      std::tie(r.mesh, r.meta) = checkpointPartBytes(checkpoint_dir, p);
     } else {
       failValidation("evacuate: part " + std::to_string(p) +
                      " (dead rank " + std::to_string(map.rankOf(p)) +
                      ") has no journal replica and no checkpoint fallback");
     }
-    rep.journal_bytes_replayed += mesh_bytes.size() + meta_bytes.size();
-    meshes[static_cast<std::size_t>(p)] = std::move(mesh_bytes);
-    metas[static_cast<std::size_t>(p)] = std::move(meta_bytes);
+    rep.journal_bytes_replayed += r.mesh.size() + r.meta.size();
+    replicas.push_back(std::move(r));
   }
-  for (PartId p : rep.parts_evacuated) {
-    auto rebuilt = core::meshFromBytes(
-        std::move(meshes[static_cast<std::size_t>(p)]), pm.model());
-    CheckpointAccess::resetPart(pm.part(p), *rebuilt);
-  }
+  // 2. Rebuild them in place and patch the survivors' mirror records.
+  //    Survivors resolve at their CURRENT state: the transactional
+  //    rollback landed them on the quiescent state the journal recorded.
+  partio::rebuildParts(pm, std::move(replicas), "evacuate");
 
-  // 2. Resolve the replicas' (part, ordinal) references against the
-  //    rebuilt handles. Survivor tables are built from their CURRENT
-  //    meshes: the transactional rollback landed them on the same
-  //    quiescent state the journal recorded, so their ordinals agree.
-  std::vector<partio::EntTable> ents;
-  ents.reserve(static_cast<std::size_t>(nparts));
-  for (PartId p = 0; p < nparts; ++p)
-    ents.push_back(partio::buildEntTable(pm.part(p).mesh()));
-  auto entOf = [&ents](PartId part, std::uint64_t ref) -> Ent {
-    const int d = static_cast<int>(ref >> 48);
-    const std::uint64_t k = ref & ((std::uint64_t{1} << 48) - 1);
-    const auto& table = ents[static_cast<std::size_t>(part)];
-    if (d < 0 || d > 3 || k >= table[static_cast<std::size_t>(d)].size())
-      failValidation(
-          "evacuate: replica references entity (dim " + std::to_string(d) +
-          ", ordinal " + std::to_string(k) + ") absent from part " +
-          std::to_string(part) +
-          " — the journal is stale relative to the rollback point");
-    return table[static_cast<std::size_t>(d)][k];
-  };
-  for (PartId p : rep.parts_evacuated)
-    partio::applyMeta(pm.part(p), p,
-                      std::move(metas[static_cast<std::size_t>(p)]), entOf,
-                      "evacuate: part " + std::to_string(p) + " replica");
-
-  // 3. Patch the survivors' mirror records through copy symmetry: their
-  //    stored handles into each dead part died with the old mesh, but the
-  //    dead part's rebuilt records name the same links from the other end
-  //    (with valid handles on both sides).
-  const std::set<PartId> evac(rep.parts_evacuated.begin(),
-                              rep.parts_evacuated.end());
-  for (PartId p : rep.parts_evacuated) {
-    const Part& dp = pm.part(p);
-    for (const auto& [e, r] : dp.remotes()) {
-      for (const Copy& c : r.copies) {
-        if (evac.count(c.part) > 0) continue;  // both ends already rebuilt
-        Part& sq = pm.part(c.part);
-        const Remote* mirror = sq.remote(c.ent);
-        if (mirror == nullptr) continue;  // verify() reports the asymmetry
-        Remote patched = *mirror;
-        for (Copy& mc : patched.copies)
-          if (mc.part == p) mc.ent = e;
-        sq.setRemote(c.ent, std::move(patched));
-      }
-    }
-    for (const auto& [g, src] : CheckpointAccess::ghostSource(dp)) {
-      if (evac.count(src.part) > 0) continue;
-      Part& sq = pm.part(src.part);
-      const auto& ghosted = CheckpointAccess::ghostedOn(sq);
-      auto it = ghosted.find(src.ent);
-      if (it == ghosted.end()) continue;
-      std::vector<Copy> patched = it->second;
-      for (Copy& mc : patched)
-        if (mc.part == p) mc.ent = g;
-      CheckpointAccess::setGhostedOn(sq, src.ent, std::move(patched));
-    }
-    for (const auto& [e, cps] : CheckpointAccess::ghostedOn(dp)) {
-      for (const Copy& c : cps) {
-        if (evac.count(c.part) > 0) continue;
-        Part& sq = pm.part(c.part);
-        if (sq.isGhost(c.ent))
-          CheckpointAccess::setGhost(sq, c.ent, Copy{p, e});
-      }
-    }
-  }
-
-  // 4. Re-pin every evacuated part to its buddy rank. This is what lifts
+  // 3. Re-pin every evacuated part to its buddy rank. This is what lifts
   //    the transport's dead-rank gate: from here on the whole mesh lives
   //    on surviving ranks only.
   const int nranks = map.machine().totalCores();

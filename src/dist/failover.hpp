@@ -22,12 +22,12 @@
 ///
 /// evacuate(pm, journal[, checkpoint_dir]) runs on the survivors after an
 /// operation aborts with pcu::ErrorCode::kRankFailed:
-///  1. every part pinned to a dead rank is wiped and rebuilt in place from
-///     the journal (falling back to `checkpoint_dir` for parts the journal
-///     lacks);
-///  2. its boundary/ghost records are re-resolved against the rebuilt
-///     handles, and the surviving parts' mirror records — whose stored
-///     handles died with the old mesh — are patched through copy symmetry;
+///  1. every part pinned to a dead rank is fetched from the journal
+///     (falling back to `checkpoint_dir` for parts the journal lacks);
+///  2. partio::rebuildParts — the one rebuild routine, shared with armor
+///     repair — wipes and rebuilds them in place, re-resolves their
+///     boundary/ghost records against the rebuilt handles, and patches the
+///     surviving parts' mirror records through copy symmetry;
 ///  3. the parts are re-pinned to their buddy ranks (lifting the
 ///     transport's dead-rank gate) and the whole mesh is verify()-ed.
 ///

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/crc32.hpp"
-#include "core/meshio.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/partio.hpp"
 #include "pcu/error.hpp"
@@ -319,12 +318,8 @@ bool Armor::repairFromJournal(PartId p) {
   if (common::crc32(snap->mesh.data(), snap->mesh.size()) != snap->mesh_crc ||
       common::crc32(snap->meta.data(), snap->meta.size()) != snap->meta_crc)
     return false;
-  try {
-    rebuildPart(p, snap->mesh, snap->meta, "journal");
-  } catch (const pcu::Error&) {
-    return false;  // stale replica (kValidation): escalate to checkpoint
-  }
-  return true;
+  // A stale replica (kValidation) escalates to the checkpoint.
+  return rebuildFrom(p, snap->mesh, snap->meta, "journal");
 }
 
 bool Armor::repairFromCheckpoint(PartId p) {
@@ -337,83 +332,25 @@ bool Armor::repairFromCheckpoint(PartId p) {
   } catch (const std::exception&) {
     return false;  // missing/damaged checkpoint: ladder exhausted
   }
-  try {
-    rebuildPart(p, std::move(mesh_bytes), std::move(meta_bytes),
-                "checkpoint");
-  } catch (const pcu::Error&) {
-    return false;
-  }
-  return true;
+  return rebuildFrom(p, std::move(mesh_bytes), std::move(meta_bytes),
+                     "checkpoint");
 }
 
-void Armor::rebuildPart(PartId p, std::vector<std::byte> mesh_bytes,
+bool Armor::rebuildFrom(PartId p, std::vector<std::byte> mesh_bytes,
                         std::vector<std::byte> meta_bytes, const char* src) {
   const std::uint64_t replayed = mesh_bytes.size() + meta_bytes.size();
-  auto content = core::meshFromBytes(std::move(mesh_bytes), pm_.model());
-  CheckpointAccess::resetPart(pm_.part(p), *content);
-
-  // Resolve the replica's (part, ordinal) references against the rebuilt
-  // handles; survivor tables come from their current (clean) meshes, whose
-  // ordinals the replica recorded at the same sealed boundary.
-  const int nparts = pm_.parts();
-  std::vector<partio::EntTable> ents;
-  ents.reserve(static_cast<std::size_t>(nparts));
-  for (PartId q = 0; q < nparts; ++q)
-    ents.push_back(partio::buildEntTable(pm_.part(q).mesh()));
-  const std::string ctx = std::string("integrity repair: part ") +
-                          std::to_string(p) + " " + src + " replica";
-  auto entOf = [&ents, &ctx](PartId part, std::uint64_t ref) -> Ent {
-    const int d = static_cast<int>(ref >> 48);
-    const std::uint64_t k = ref & ((std::uint64_t{1} << 48) - 1);
-    const auto& table = ents[static_cast<std::size_t>(part)];
-    if (d < 0 || d > 3 || k >= table[static_cast<std::size_t>(d)].size())
-      throw pcu::Error(
-          pcu::ErrorCode::kValidation, -1,
-          ctx + " references entity (dim " + std::to_string(d) +
-              ", ordinal " + std::to_string(k) + ") absent from part " +
-              std::to_string(part) +
-              " — the replica is stale relative to the sealed state");
-    return table[static_cast<std::size_t>(d)][k];
-  };
-  partio::applyMeta(pm_.part(p), p, std::move(meta_bytes), entOf, ctx);
-
-  // Patch the survivors' mirror records through copy symmetry: their
-  // stored handles into part p died with the wiped mesh, but p's rebuilt
-  // records name the same links from the other end (valid on both sides).
-  const Part& dp = pm_.part(p);
-  for (const auto& [e, r] : dp.remotes()) {
-    for (const Copy& c : r.copies) {
-      if (c.part == p) continue;
-      Part& sq = pm_.part(c.part);
-      const Remote* mirror = sq.remote(c.ent);
-      if (mirror == nullptr) continue;  // verify() reports the asymmetry
-      Remote patched = *mirror;
-      for (Copy& mc : patched.copies)
-        if (mc.part == p) mc.ent = e;
-      sq.setRemote(c.ent, std::move(patched));
-    }
-  }
-  for (const auto& [g, gsrc] : CheckpointAccess::ghostSource(dp)) {
-    if (gsrc.part == p) continue;
-    Part& sq = pm_.part(gsrc.part);
-    const auto& ghosted = CheckpointAccess::ghostedOn(sq);
-    auto it = ghosted.find(gsrc.ent);
-    if (it == ghosted.end()) continue;
-    std::vector<Copy> patched = it->second;
-    for (Copy& mc : patched)
-      if (mc.part == p) mc.ent = g;
-    CheckpointAccess::setGhostedOn(sq, gsrc.ent, std::move(patched));
-  }
-  for (const auto& [e, cps] : CheckpointAccess::ghostedOn(dp)) {
-    for (const Copy& c : cps) {
-      if (c.part == p) continue;
-      Part& sq = pm_.part(c.part);
-      if (sq.isGhost(c.ent)) CheckpointAccess::setGhost(sq, c.ent, Copy{p, e});
-    }
+  std::vector<partio::Replica> one;
+  one.push_back({p, std::move(mesh_bytes), std::move(meta_bytes)});
+  try {
+    partio::rebuildParts(pm_, std::move(one),
+                         std::string("integrity repair from ") + src);
+  } catch (const pcu::Error&) {
+    return false;
   }
   if (pcu::trace::enabled())
     pcu::trace::counter("integrity:bytes_replayed",
                         static_cast<std::int64_t>(replayed));
+  return true;
 }
 
 /// --- deterministic fault injection ------------------------------------------

@@ -15,10 +15,11 @@
 ///   * repairs what it can, escalating through a ladder:
 ///       tier 1  mismatch confined to CSR adjacency views: derived state —
 ///               drop the views, the next query rebuilds from the pools;
-///       tier 2  refetch the part from its BuddyJournal replica (CRC-gated,
-///               evacuation-style in-place rebuild, survivor mirrors
-///               patched through copy symmetry);
-///       tier 3  restore the part from the configured checkpoint directory;
+///       tier 2  refetch the part from its BuddyJournal replica (CRC-gated)
+///               and rebuild it in place through partio::rebuildParts —
+///               the routine evacuation uses — which patches survivor
+///               mirrors through copy symmetry;
+///       tier 3  the same rebuild from the configured checkpoint directory;
 ///       tier 4  nothing left — throw pcu::Error(kIntegrity) naming the
 ///               part, section and byte range;
 ///   * reseals the ledgers against the (possibly repaired) state, then
@@ -148,11 +149,10 @@ class Armor {
 
   bool repairFromJournal(PartId p);     // tier 2
   bool repairFromCheckpoint(PartId p);  // tier 3
-  /// Shared tier-2/3 body: wipe the part, rebuild it from the two partio
-  /// streams, patch survivor mirror records through copy symmetry
-  /// (evacuation steps 1-3 for a single part, without the re-pinning: the
-  /// part's rank is alive, only its bytes were bad).
-  void rebuildPart(PartId p, std::vector<std::byte> mesh_bytes,
+  /// Shared tier-2/3 body: partio::rebuildParts on the one-part set (the
+  /// part's rank is alive, only its bytes were bad, so nothing is
+  /// re-pinned). False when the replica is stale or malformed.
+  bool rebuildFrom(PartId p, std::vector<std::byte> mesh_bytes,
                    std::vector<std::byte> meta_bytes, const char* src);
 
   void injectFlips(const pcu::faults::MemFlip& burst);

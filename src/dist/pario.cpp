@@ -791,57 +791,27 @@ std::unique_ptr<PartedMesh> restoreImage(const std::string& dir,
 
   auto pm =
       std::make_unique<PartedMesh>(model, n, std::move(map), idx.rule);
-  std::vector<partio::EntTable> ents(static_cast<std::size_t>(n));
+  partio::EntResolver ents(n);
   parallelFor(n, [&](int p) {
     if (part_lost[static_cast<std::size_t>(p)] != 0) return;
     auto loaded = core::meshFromBytes(
         std::move(mesh_bytes[static_cast<std::size_t>(p)]), model);
     Part& part = pm->part(p);
     part.mesh().copyFrom(*loaded);
-    ents[static_cast<std::size_t>(p)] = partio::buildEntTable(part.mesh());
+    ents.index(p, part.mesh());
   });
 
-  auto entOf = [&ents, &dir](PartId part, std::uint64_t ref) -> Ent {
-    const int d = static_cast<int>(ref >> 48);
-    const std::uint64_t k = ref & ((std::uint64_t{1} << 48) - 1);
-    const auto& table = ents[static_cast<std::size_t>(part)];
-    if (d < 0 || d > 3 || k >= table[static_cast<std::size_t>(d)].size())
-      failValidation("restore: " + dir + " references entity (dim " +
-                     std::to_string(d) + ", ordinal " + std::to_string(k) +
-                     ") absent from part " + std::to_string(part));
-    return table[static_cast<std::size_t>(d)][k];
-  };
-
-  if (lost_parts.empty()) {
-    parallelFor(n, [&](int p) {
-      partio::applyMeta(pm->part(p), p,
-                        std::move(meta_bytes[static_cast<std::size_t>(p)]),
-                        entOf, "restore: " + dir + " part " +
-                                   std::to_string(p) + " metadata");
-    });
-  } else {
-    // Partial restore: filter records referencing lost parts and drop all
-    // ghosts mesh-wide — a ghost whose source may be gone cannot satisfy
-    // the verify() invariants — destroying ghost entities exactly like
-    // unghost() does (descending dimension).
-    std::vector<bool> lost_mask(static_cast<std::size_t>(n), false);
-    for (PartId p : lost_parts) lost_mask[static_cast<std::size_t>(p)] = true;
-    parallelFor(n, [&](int p) {
-      if (part_lost[static_cast<std::size_t>(p)] != 0) return;
-      Part& part = pm->part(p);
-      std::vector<Ent> ghosts;
-      partio::applyMetaPartial(
-          part, p, std::move(meta_bytes[static_cast<std::size_t>(p)]), entOf,
-          "restore: " + dir + " part " + std::to_string(p) + " metadata",
-          lost_mask, ghosts);
-      std::sort(ghosts.begin(), ghosts.end(), [](Ent a, Ent b) {
-        if (core::topoDim(a.topo()) != core::topoDim(b.topo()))
-          return core::topoDim(a.topo()) > core::topoDim(b.topo());
-        return b < a;
-      });
-      for (Ent e : ghosts) part.mesh().destroy(e);
-    });
-  }
+  // A partial restore filters records referencing lost parts and drops
+  // all ghosts mesh-wide — a ghost whose source may be gone cannot satisfy
+  // the verify() invariants.
+  parallelFor(n, [&](int p) {
+    if (part_lost[static_cast<std::size_t>(p)] != 0) return;
+    partio::applyMeta(pm->part(p), p,
+                      std::move(meta_bytes[static_cast<std::size_t>(p)]), ents,
+                      "restore: " + dir + " part " + std::to_string(p) +
+                          " metadata",
+                      lost_parts);
+  });
 
   CheckpointAccess::setDim(*pm, idx.dim);
   pm->verify();

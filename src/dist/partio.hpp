@@ -4,21 +4,22 @@
 /// \file partio.hpp
 /// \brief Shared (de)serialization of one part's parallel state.
 ///
-/// Both durability layers serialize a part the same way: a serial mesh
+/// Every durability layer serializes a part the same way: a serial mesh
 /// stream (core::meshToBytes) plus a metadata stream holding the
 /// part-boundary and ghost records with cross-part entity references as
 /// (dim, ordinal) pairs — the entity's position in its part's
 /// entities(dim) iteration order, which the mesh stream format preserves.
-/// checkpoint.cpp writes these streams to files under a MANIFEST;
-/// failover.cpp streams them to a buddy rank's journal and replays them to
-/// rebuild a dead rank's parts in place. This header is the single home of
-/// the format so the two layers can consume each other's bytes (evacuation
-/// falls back to the newest checkpoint for parts the journal lacks).
+/// pario.cpp writes these streams into checkpoint images; failover.cpp
+/// streams them to a buddy rank's journal. This header is the single home
+/// of the format and of its decode: pario's restore resolves references
+/// through EntResolver and applyMeta, and armor repair (tiers 2 and 3) and
+/// failover evacuation rebuild live parts through rebuildParts — so every
+/// layer consumes every other's bytes (evacuation and repair fall back to
+/// the newest checkpoint for parts the journal lacks).
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -98,10 +99,26 @@ class OrdinalMap {
 /// entity -> entref for every entity of `m`, in one pass over its pools.
 OrdinalMap buildOrdinals(const core::Mesh& m);
 
-/// [dim][ordinal] -> entity: the inverse of buildOrdinals against a
-/// (re)built mesh, for resolving metadata references.
-using EntTable = std::vector<std::vector<Ent>>;
-EntTable buildEntTable(const core::Mesh& m);
+/// Bounds-checked (part, entref) -> entity lookup over every part's
+/// (re)built mesh: the inverse of buildOrdinals, and the one way a
+/// metadata stream's references become live handles.
+class EntResolver {
+ public:
+  explicit EntResolver(int nparts)
+      : tables_(static_cast<std::size_t>(nparts)) {}
+
+  /// Index part `p`'s mesh. Distinct parts may be indexed concurrently.
+  void index(PartId p, const core::Mesh& m);
+
+  /// The entity `ref` names in part `part`. Throws pcu::Error(kValidation)
+  /// naming `ctx` when `part` is out of range or the reference is absent
+  /// from that part's indexed mesh.
+  [[nodiscard]] Ent at(PartId part, std::uint64_t ref,
+                       const std::string& ctx) const;
+
+ private:
+  std::vector<std::vector<std::vector<Ent>>> tables_;  // [part][dim][ordinal]
+};
 
 /// Serialize one part's boundary/ghost records. All three maps are written
 /// sorted by entity reference so the byte stream (and therefore its CRC)
@@ -111,14 +128,11 @@ std::vector<std::byte> buildMeta(const Part& p, const OrdinalMap& ord,
                                  const std::vector<OrdinalMap>& all);
 
 /// Parse a buildMeta stream and install the records into `part`, resolving
-/// each (part, entref) through `entOf`. Throws pcu::Error(kValidation)
+/// each (part, entref) through `ents`. Throws pcu::Error(kValidation)
 /// naming `ctx` on malformed input.
-void applyMeta(Part& part, PartId p, std::vector<std::byte> meta,
-               const std::function<Ent(PartId, std::uint64_t)>& entOf,
-               const std::string& ctx);
-
-/// applyMeta for a partial restore (pario, OnLoss::kPartial): parts with
-/// `lost[part] == true` no longer exist, so their records are filtered out
+///
+/// When `lost` (sorted part ids) is not empty (pario, OnLoss::kPartial),
+/// those parts no longer exist, so their records are filtered out
 /// symmetrically on every surviving part instead of installed:
 ///  - remote copies on lost parts are dropped; a record whose copies all
 ///    vanished is skipped (the entity became interior);
@@ -127,15 +141,35 @@ void applyMeta(Part& part, PartId p, std::vector<std::byte> meta,
 ///    computes the same owner without communicating;
 ///  - NO ghost records are installed. Ghost sources (and ghost-copy
 ///    back-pointers) may name lost parts, and a dangling ghost cannot
-///    satisfy verify()'s ghost invariants — instead every parsed ghost
-///    entity handle is appended to `dropped_ghosts` for the caller to
-///    destroy (descending dimension, exactly like unghost()).
-/// `entOf` is never called for a lost part. Throws kValidation naming
-/// `ctx` on malformed input.
-void applyMetaPartial(Part& part, PartId p, std::vector<std::byte> meta,
-                      const std::function<Ent(PartId, std::uint64_t)>& entOf,
-                      const std::string& ctx, const std::vector<bool>& lost,
-                      std::vector<Ent>& dropped_ghosts);
+///    satisfy verify()'s ghost invariants — instead every ghost entity is
+///    destroyed (descending dimension, exactly like unghost()).
+/// A lost part's references are never resolved.
+void applyMeta(Part& part, PartId p, std::vector<std::byte> meta,
+               const EntResolver& ents, const std::string& ctx,
+               const std::vector<PartId>& lost = {});
+
+/// One part's replica: the two partio streams it is rebuilt from.
+struct Replica {
+  PartId part = -1;
+  std::vector<std::byte> mesh;
+  std::vector<std::byte> meta;
+};
+
+/// Rebuild the replicas' parts of `pm` in place — the one decode path of
+/// armor repair and failover evacuation:
+///  1. decode every mesh stream, before any part is wiped;
+///  2. reset each part to its decoded mesh;
+///  3. install each part's metadata, resolving references against every
+///     part's current mesh (survivors must hold the state the replicas
+///     recorded ordinals of);
+///  4. patch the mirror records of parts outside the set through copy
+///     symmetry: their stored handles into a rebuilt part died with its
+///     old mesh, but the rebuilt records name the same links from the
+///     other end.
+/// Errors name `ctx` and the part ("<ctx>: part 3 replica ..."). A stale
+/// replica throws pcu::Error(kValidation) after its part was wiped.
+void rebuildParts(PartedMesh& pm, std::vector<Replica> replicas,
+                  const std::string& ctx);
 
 }  // namespace partio
 }  // namespace dist

@@ -107,6 +107,7 @@ class InBuffer {
     assert(pos_ + n * sizeof(T) <= bytes_.size() &&
            "unpackVector past end of buffer");
     std::vector<T> v(n);
+    if (n == 0) return v;  // memcpy with an empty vector's null data() is UB
     std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;

@@ -443,6 +443,52 @@ TEST(Failover, FallsBackToCheckpointWhenJournalLacksThePart) {
   EXPECT_EQ(rep.parts_evacuated, std::vector<PartId>{2});
 }
 
+TEST(Failover, EvacuatesTwoNeighbouringPartsFromOneDeadRank) {
+  // Two parts sharing a boundary pinned to the same rank: when it dies,
+  // links between them are rebuilt from both replicas, so the mirror
+  // patch must leave them alone and patch only the survivors.
+  for (bool three_d : {false, true}) {
+    SCOPED_TRACE(three_d ? "tets" : "tris");
+    auto gen = three_d ? meshgen::boxTets(3, 3, 3) : meshgen::boxTris(5, 5);
+    const int nparts = 8;
+    auto pm = makeMesh(gen, nparts);
+    const int victim = 3;
+    const auto nbrs = pm->part(victim).neighborParts(pm->dim() - 1);
+    ASSERT_FALSE(nbrs.empty());
+    const PartId buddy_part = nbrs.front();
+    std::vector<int> ranks(static_cast<std::size_t>(nparts));
+    for (PartId q = 0; q < nparts; ++q) ranks[static_cast<std::size_t>(q)] = q;
+    ranks[static_cast<std::size_t>(buddy_part)] = victim;
+    pm->network().setPartRanks(ranks);
+
+    const std::uint64_t fp = pm->fingerprint();
+    const auto covered = elementDigests(*pm);
+    failover::BuddyJournal journal;
+    journal.record(*pm);
+
+    faults::FaultPlan p;
+    p.seed = 31;
+    p.kill = {victim, 2};
+    p.deadline_ms = 30;
+    PlanGuard g(p);
+    common::Rng rng(13 + static_cast<std::uint64_t>(three_d));
+    try {
+      pm->migrate(randomPlan(*pm, rng, 0.2));
+      FAIL() << "migration crossing a dead rank committed";
+    } catch (const Error& e) {
+      ASSERT_EQ(e.code(), ErrorCode::kRankFailed) << e.what();
+    }
+
+    const auto rep = failover::evacuate(*pm, journal);
+    EXPECT_EQ(pm->fingerprint(), fp);
+    EXPECT_NO_THROW(pm->verify());
+    EXPECT_EQ(elementDigests(*pm), covered) << "zero lost elements";
+    std::vector<PartId> both = {victim, buddy_part};
+    std::sort(both.begin(), both.end());
+    EXPECT_EQ(rep.parts_evacuated, both);
+  }
+}
+
 /// --- checkpoint restore onto fewer ranks ---------------------------------
 
 TEST(CheckpointShrink, RestoresOntoFewerRanksDeterministically) {

@@ -34,6 +34,7 @@
 #include "dist/partio.hpp"
 #include "meshgen/boxmesh.hpp"
 #include "part/partition.hpp"
+#include "pcu/buffer.hpp"
 #include "pcu/error.hpp"
 #include "pcu/faults.hpp"
 #include "solver/poisson.hpp"
@@ -572,6 +573,65 @@ TEST(PariaValidation, BitflippedManifestFailsItsOwnCrc) {
     EXPECT_EQ(e.code(), ErrorCode::kValidation);
     EXPECT_NE(e.detail().find("CRC"), std::string::npos) << e.what();
   }
+}
+
+TEST(PariaValidation, MetadataNamingAPartOutOfRangeIsAValidationError) {
+  // CRC-valid but malformed metadata: each of the three cross-part
+  // references (remote copy, ghost source, ghosted-on copy) names a part
+  // the mesh does not have. The resolver must reject it, not index past
+  // its tables.
+  namespace partio = dist::partio;
+  auto gen = meshgen::boxTris(4, 4);
+  auto pm = makeMesh(gen, 2);
+  partio::EntResolver ents(2);
+  for (PartId p = 0; p < 2; ++p) ents.index(p, pm->part(p).mesh());
+  const std::uint64_t ref = partio::entref(0, 0);
+  enum class Field { kRemoteCopy, kGhostSource, kGhostedOn };
+  auto metaNaming = [ref](Field f, std::int32_t bad) {
+    pcu::OutBuffer b;
+    b.pack(partio::kMetaMagic);
+    b.pack<std::uint64_t>(f == Field::kRemoteCopy ? 1 : 0);
+    if (f == Field::kRemoteCopy) {
+      b.pack<std::uint64_t>(ref);
+      b.pack<std::int32_t>(0);  // owner
+      b.pack<std::uint64_t>(1);
+      b.pack<std::int32_t>(bad);
+      b.pack<std::uint64_t>(ref);
+    }
+    b.pack<std::uint64_t>(f == Field::kGhostSource ? 1 : 0);
+    if (f == Field::kGhostSource) {
+      b.pack<std::uint64_t>(ref);
+      b.pack<std::int32_t>(bad);
+      b.pack<std::uint64_t>(ref);
+    }
+    b.pack<std::uint64_t>(f == Field::kGhostedOn ? 1 : 0);
+    if (f == Field::kGhostedOn) {
+      b.pack<std::uint64_t>(ref);
+      b.pack<std::uint64_t>(1);
+      b.pack<std::int32_t>(bad);
+      b.pack<std::uint64_t>(ref);
+    }
+    return std::move(b).take();
+  };
+  for (Field f : {Field::kRemoteCopy, Field::kGhostSource, Field::kGhostedOn})
+    for (std::int32_t bad : {99, -1}) {
+      try {
+        partio::applyMeta(pm->part(0), 0, metaNaming(f, bad), ents,
+                          "hand-built metadata");
+        FAIL() << "applyMeta resolved part " << bad;
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kValidation) << e.what();
+        EXPECT_NE(e.detail().find("part " + std::to_string(bad)),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  // A partial restore filters only parts marked lost: an out-of-range
+  // copy is still malformed.
+  EXPECT_THROW(partio::applyMeta(pm->part(0), 0,
+                                 metaNaming(Field::kRemoteCopy, 99), ents,
+                                 "hand-built metadata", {1}),
+               Error);
 }
 
 /// --- edge cases -----------------------------------------------------------
