@@ -85,7 +85,8 @@ void BM_RegionToVertices(benchmark::State& state) {
 BENCHMARK(BM_RegionToVertices)->Arg(6)->Arg(12)->Arg(24)->Arg(40);
 
 void BM_RegionToEdgesDerived(benchmark::State& state) {
-  // Second-order downward adjacency derived through canonical templates.
+  // Second-order downward adjacency: each template edge is read from the
+  // edges stored on one of the region's faces.
   auto& gen = meshOfSize(static_cast<int>(state.range(0)));
   const auto elems = gen.mesh->all(3);
   std::array<core::Ent, core::kMaxDown> buf{};

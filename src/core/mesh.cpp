@@ -26,6 +26,88 @@ bool sameVertexSet(std::span<const Ent> a, std::span<const Ent> b) {
   return true;
 }
 
+/// For each region type and template edge, the index of one template face
+/// holding that edge. downward(region, 1) reads the edge among that face's
+/// stored edges; which of them it is depends on how the face was created,
+/// so the last step compares vertex pairs.
+struct EdgeFaces {
+  std::array<std::array<std::uint8_t, kMaxDown>, kTopoCount> face{};
+};
+
+EdgeFaces buildEdgeFaces() {
+  EdgeFaces t;
+  for (Topo r : toposOfDim(3)) {
+    const int nf = topoBoundaryCount(r, 2);
+    for (int i = 0; i < topoBoundaryCount(r, 1); ++i) {
+      const auto ev = topoBoundaryVerts(r, 1, i);
+      int found = -1;
+      for (int j = 0; j < nf && found < 0; ++j) {
+        const auto fv = topoBoundaryVerts(r, 2, j);
+        if (std::find(fv.begin(), fv.end(), ev[0]) != fv.end() &&
+            std::find(fv.begin(), fv.end(), ev[1]) != fv.end())
+          found = j;
+      }
+      assert(found >= 0 && "region template edge on no template face");
+      t.face[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(found);
+    }
+  }
+  return t;
+}
+
+const EdgeFaces& edgeFaces() {
+  static const EdgeFaces table = buildEdgeFaces();
+  return table;
+}
+
+/// Order-preserving membership test for one level of an upward closure:
+/// linear-probing hash set over packed handles, sized from an upper bound
+/// on the level's size (at most half full, never rehashed). Up to
+/// kInline / 2 entries probe a table on the stack; a larger star spills
+/// to the heap.
+class LevelSet {
+ public:
+  static constexpr std::size_t kInline = 256;
+
+  void reset(std::size_t bound) {
+    int bits = 4;
+    while ((std::size_t{1} << bits) < 2 * bound) ++bits;
+    const std::size_t cap = std::size_t{1} << bits;
+    shift_ = 64 - bits;
+    mask_ = cap - 1;
+    if (cap <= kInline) {
+      slots_ = inline_.data();
+      std::fill(slots_, slots_ + cap, kEmpty);
+    } else {
+      heap_.assign(cap, kEmpty);
+      slots_ = heap_.data();
+    }
+  }
+
+  /// True when `e` was not in the set yet.
+  bool insert(Ent e) {
+    const std::uint64_t key = e.packed();
+    std::size_t i = static_cast<std::size_t>(
+        (key * 0x9e3779b97f4a7c15ull) >> shift_);
+    while (slots_[i] != kEmpty) {
+      if (slots_[i] == key) return false;
+      i = (i + 1) & mask_;
+    }
+    slots_[i] = key;
+    return true;
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  // Deliberately left uninitialized: reset() fills the prefix it probes
+  // before any read, and most queries touch far less than the whole table.
+  std::array<std::uint64_t, kInline> inline_;
+  std::vector<std::uint64_t> heap_;
+  std::uint64_t* slots_ = nullptr;
+  std::size_t mask_ = 0;
+  int shift_ = 64;
+};
+
 }  // namespace
 
 Ent Mesh::createVertex(const Vec3& x, gmi::Entity* cls) {
@@ -107,6 +189,15 @@ Ent Mesh::buildElement(Topo t, std::span<const Ent> vs, gmi::Entity* cls) {
     down[i] = buildElement(bt, {bverts.data(), idxs.size()}, cls);
   }
   return allocate(t, vs, {down.data(), static_cast<std::size_t>(nb)}, cls);
+}
+
+Ent Mesh::createEntity(Topo t, std::span<const Ent> vs,
+                       std::span<const Ent> down, gmi::Entity* cls) {
+  assert(t != Topo::Vertex);
+  assert(static_cast<int>(vs.size()) == topoVertexCount(t));
+  assert(static_cast<int>(down.size()) ==
+         topoBoundaryCount(t, topoDim(t) - 1));
+  return allocate(t, vs, down, cls);
 }
 
 void Mesh::destroy(Ent e) {
@@ -210,14 +301,30 @@ int Mesh::downward(Ent e, int d, Ent* out) const {
     std::copy(src, src + p.stride_down, out);
     return p.stride_down;
   }
-  // Regions asked for edges: derive from canonical templates + findEntity.
+  // Regions asked for edges: template edge i lies on template face
+  // edgeFaces()[i]; pick it out of that face's stored edges by its vertex
+  // pair. Output stays in template order.
   assert(ed == 3 && d == 1);
   const auto vs = verts(e);
+  const Ent* faces = p.down.data() + std::size_t{e.index()} * p.stride_down;
+  const auto& face_of = edgeFaces().face[static_cast<std::size_t>(e.topo())];
+  const Pool& edges = pool(Topo::Edge);
   const int ne = topoBoundaryCount(e.topo(), 1);
   for (int i = 0; i < ne; ++i) {
     const auto idxs = topoBoundaryVerts(e.topo(), 1, i);
-    const std::array<Ent, 2> ev{vs[idxs[0]], vs[idxs[1]]};
-    out[i] = findEntity(Topo::Edge, ev);
+    const Ent a = vs[idxs[0]];
+    const Ent b = vs[idxs[1]];
+    const Ent f = faces[face_of[static_cast<std::size_t>(i)]];
+    const Pool& fp = pool(f.topo());
+    const Ent* fedges = fp.down.data() + std::size_t{f.index()} * fp.stride_down;
+    out[i] = Ent();
+    for (int k = 0; k < fp.stride_down; ++k) {
+      const Ent* ev = edges.verts.data() + std::size_t{fedges[k].index()} * 2;
+      if ((ev[0] == a && ev[1] == b) || (ev[0] == b && ev[1] == a)) {
+        out[i] = fedges[k];
+        break;
+      }
+    }
     assert(out[i] && "mesh incomplete: missing edge of region");
   }
   return ne;
@@ -266,18 +373,23 @@ int Mesh::adjacentInto(Ent e, int d, AdjVec& out) const {
     for (int i = 0; i < n; ++i) out.push_back(buf[i]);
     return n;
   }
-  // Upward level-by-level with linear dedup (closures are O(1) small);
-  // ping-pong between `out` and one scratch vector — no heap traffic
-  // while the lists stay inline.
+  // Upward level by level, keeping first occurrences in discovery order
+  // (the order adjacent() produces); ping-pong between `out` and one
+  // scratch vector — no heap traffic while the lists stay inline. The
+  // first level is up(e) itself: an entity bounds another at most once.
   AdjVec scratch;
   AdjVec* cur = &scratch;
   AdjVec* nxt = &out;
-  cur->push_back(e);
-  for (int level = ed; level < d; ++level) {
+  for (Ent u : up(e)) cur->push_back(u);
+  LevelSet seen;
+  for (int level = ed + 1; level < d; ++level) {
     nxt->clear();
+    std::size_t bound = 0;
+    for (Ent c : *cur) bound += up(c).size();
+    seen.reset(bound);
     for (Ent c : *cur) {
       for (Ent u : up(c)) {
-        if (!nxt->contains(u)) nxt->push_back(u);
+        if (seen.insert(u)) nxt->push_back(u);
       }
     }
     std::swap(cur, nxt);

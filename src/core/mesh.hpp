@@ -101,6 +101,15 @@ class Mesh {
   Ent buildElement(Topo t, std::span<const Ent> verts,
                    gmi::Entity* cls = nullptr);
 
+  /// Create a new entity of type `t` directly from its canonical vertices
+  /// and its one-level boundary `down` (template order; for an edge, its
+  /// two vertices), classified on `cls`. No find-or-create search: the
+  /// caller guarantees the boundary exists and the entity does not. This
+  /// is the receiving side of ghost and migration creation records, which
+  /// name every boundary entity of the records they carry.
+  Ent createEntity(Topo t, std::span<const Ent> verts,
+                   std::span<const Ent> down, gmi::Entity* cls = nullptr);
+
   /// Delete an entity. It must not bound any live higher-dimension entity.
   /// Tag values attached to it are dropped; handles to it become invalid.
   void destroy(Ent e);
@@ -111,6 +120,9 @@ class Mesh {
   /// Entity count of one dimension (0..3).
   [[nodiscard]] std::size_t count(int dim) const;
   [[nodiscard]] std::size_t countTopo(Topo t) const;
+  /// Pool slots of one type, live and free: every handle of type `t` has
+  /// index < slots(t), so side arrays indexed by Ent::index() size by it.
+  [[nodiscard]] std::uint32_t slots(Topo t) const { return pool(t).slots(); }
   /// Highest dimension with live entities (-1 for an empty mesh).
   [[nodiscard]] int dim() const;
 
@@ -127,7 +139,9 @@ class Mesh {
 
   /// Downward adjacency: fills `out` with the entities of dimension `d`
   /// bounding `e`, in canonical template order; returns the count.
-  /// `out` must hold at least kMaxDown entries.
+  /// `out` must hold at least kMaxDown entries. One-level boundaries and
+  /// vertices are read from storage; region -> edge walks the edges stored
+  /// on the region's faces (no vertex search).
   int downward(Ent e, int d, Ent* out) const;
 
   /// One-level upward adjacency (dimension dim(e)+1).
@@ -142,7 +156,9 @@ class Mesh {
   /// No-allocation general adjacency: clears `out`, fills it with the
   /// deduplicated entities of dimension `d` adjacent to `e` (same contents
   /// and order as adjacent()), returns the count. `out` stays inline for
-  /// typical 3D closures; reuse one AdjVec across a loop.
+  /// typical 3D closures; reuse one AdjVec across a loop. Upward levels
+  /// deduplicate through a hash set in O(1) per entity; the set lives on
+  /// the stack and spills to the heap only for a very large star.
   int adjacentInto(Ent e, int d, AdjVec& out) const;
 
   /// --- CSR adjacency view -----------------------------------------------
@@ -152,6 +168,10 @@ class Mesh {
   /// `e`. Rows are indexed by *pool slot* (dead slots own empty rows), so
   /// lookup is pure arithmetic. Built lazily by csr()/adjacentSpan() and
   /// invalidated by any topology change (creation/deletion/copyFrom).
+  /// Only callers that ask for a view build one: the distributed commit
+  /// gate (dist::PartedMesh::verify) marks closures itself and builds no
+  /// views, so the integrity ledger and the memflip `csr` family see only
+  /// views some caller built.
   struct Csr {
     std::array<std::uint32_t, kTopoCount> base{};  ///< row base per topo
     std::vector<std::uint32_t> offsets;            ///< rows + 1

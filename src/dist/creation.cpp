@@ -1,0 +1,142 @@
+#include "dist/creation.hpp"
+
+#include <string>
+#include <utility>
+
+#include "pcu/error.hpp"
+
+namespace dist::creation {
+
+namespace {
+
+[[noreturn]] void malformed(PartId part, const std::string& what) {
+  throw pcu::Error(pcu::ErrorCode::kProtocol, static_cast<int>(part),
+                   "creation record: " + what);
+}
+
+/// Unpack a T, rejecting a truncated record instead of reading past it.
+template <typename T>
+T take(pcu::InBuffer& b, PartId part) {
+  if (b.remaining() < sizeof(T)) malformed(part, "truncated");
+  return b.unpack<T>();
+}
+
+GKey takeKey(pcu::InBuffer& b, PartId part) {
+  GKey k;
+  k.part = take<std::int32_t>(b, part);
+  k.ent = Ent::unpack(take<std::uint64_t>(b, part));
+  return k;
+}
+
+Ref takeRef(pcu::InBuffer& b, PartId part) {
+  Ref r;
+  const auto tag = take<std::int32_t>(b, part);
+  if (tag == -1) {
+    r.ordinal = take<std::uint32_t>(b, part);
+  } else if (tag >= 0) {
+    r.key.part = tag;
+    r.key.ent = Ent::unpack(take<std::uint64_t>(b, part));
+  } else {
+    malformed(part, "bad reference tag " + std::to_string(tag));
+  }
+  return r;
+}
+
+}  // namespace
+
+int boundaryRefs(core::Topo t) {
+  const int d = core::topoDim(t);
+  return d >= 2 ? core::topoBoundaryCount(t, d - 1) : 0;
+}
+
+void packKey(pcu::OutBuffer& b, const GKey& k) {
+  b.pack<std::int32_t>(k.part);
+  b.pack<std::uint64_t>(k.ent.packed());
+}
+
+Record decode(pcu::InBuffer& b, PartId part) {
+  Record r;
+  r.key = takeKey(b, part);
+  const auto code = take<std::uint8_t>(b, part);
+  if (code >= core::kTopoCount)
+    malformed(part, "topology code " + std::to_string(code) + " out of range");
+  r.topo = static_cast<core::Topo>(code);
+  r.cls_dim = take<std::int32_t>(b, part);
+  r.cls_tag = take<std::int32_t>(b, part);
+  if (r.topo == core::Topo::Vertex) {
+    r.x = take<common::Vec3>(b, part);
+    return r;
+  }
+  const char* name = core::topoName(r.topo);
+  r.nv = take<std::uint8_t>(b, part);
+  if (r.nv != core::topoVertexCount(r.topo))
+    malformed(part,
+              std::to_string(r.nv) + " vertices for topology " + name);
+  for (int k = 0; k < r.nv; ++k)
+    r.verts[static_cast<std::size_t>(k)] = takeRef(b, part);
+  r.nb = take<std::uint8_t>(b, part);
+  if (r.nb != boundaryRefs(r.topo))
+    malformed(part, std::to_string(r.nb) +
+                        " boundary entities for topology " + name);
+  for (int k = 0; k < r.nb; ++k)
+    r.down[static_cast<std::size_t>(k)] = takeRef(b, part);
+  return r;
+}
+
+Ent create(core::Mesh& mesh, const Record& r, PartId part, const KeyMap& keys,
+           std::span<const Ent> earlier, gmi::Model* model) {
+  gmi::Entity* cls = r.cls_dim >= 0 && model != nullptr
+                         ? model->find(r.cls_dim, r.cls_tag)
+                         : nullptr;
+  if (r.topo == core::Topo::Vertex) return mesh.createVertex(r.x, cls);
+  auto resolve = [&](const Ref& ref, core::Topo want) {
+    Ent e;
+    if (ref.ordinal != kNoOrdinal) {
+      if (ref.ordinal < earlier.size()) e = earlier[ref.ordinal];
+    } else if (ref.key.part == part) {
+      e = ref.key.ent;
+    } else {
+      const auto it = keys.find(ref.key);
+      if (it != keys.end()) e = it->second;
+    }
+    if (e.topo() != want || !mesh.alive(e))
+      malformed(part, std::string("unresolved ") + core::topoName(want) +
+                          " reference in a " + core::topoName(r.topo) +
+                          " record");
+    return e;
+  };
+  std::array<Ent, 8> verts{};
+  for (int k = 0; k < r.nv; ++k)
+    verts[static_cast<std::size_t>(k)] =
+        resolve(r.verts[static_cast<std::size_t>(k)], core::Topo::Vertex);
+  const auto nv = static_cast<std::size_t>(r.nv);
+  if (r.nb == 0)  // an edge: its vertices are its boundary
+    return mesh.createEntity(r.topo, {verts.data(), nv},
+                             {verts.data(), nv}, cls);
+  const int bd = core::topoDim(r.topo) - 1;
+  std::array<Ent, core::kMaxDown> down{};
+  for (int k = 0; k < r.nb; ++k)
+    down[static_cast<std::size_t>(k)] =
+        resolve(r.down[static_cast<std::size_t>(k)],
+                core::topoBoundaryTopo(r.topo, bd, k));
+  return mesh.createEntity(r.topo, {verts.data(), nv},
+                           {down.data(), static_cast<std::size_t>(r.nb)}, cls);
+}
+
+void postReplies(Network& net, std::vector<std::vector<Reply>>& replies) {
+  std::vector<pcu::OutBuffer> out(static_cast<std::size_t>(net.parts()));
+  for (std::size_t q = 0; q < replies.size(); ++q) {
+    for (const Reply& r : replies[q]) {
+      auto& b = out[static_cast<std::size_t>(r.owner)];
+      b.pack<std::uint64_t>(r.real.packed());
+      b.pack<std::uint64_t>(r.local.packed());
+    }
+    replies[q].clear();
+    for (std::size_t o = 0; o < out.size(); ++o)
+      if (out[o].size() > 0)
+        net.send(static_cast<PartId>(q), static_cast<PartId>(o),
+                 std::exchange(out[o], pcu::OutBuffer{}));
+  }
+}
+
+}  // namespace dist::creation

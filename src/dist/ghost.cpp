@@ -7,39 +7,27 @@
 /// remote element adjacent (through shared vertices) to the boundary;
 /// layer k+1 adds elements adjacent to layer-k vertices. The sending part
 /// computes all requested layers locally, then ships each neighbour one
-/// self-contained closure payload; receivers deduplicate shared closure
-/// entities by their canonical (owner part, owner handle) key.
+/// self-contained closure payload of creation records (dist/creation.hpp)
+/// in ascending dimension order; receivers deduplicate shared closure
+/// entities by their canonical (owner part, owner handle) key, create the
+/// rest directly from their boundary references, and answer each owner
+/// with one payload of new ghost handles.
 
 #include <algorithm>
 #include <array>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 #include "common/flatmap.hpp"
+#include "dist/creation.hpp"
 #include "dist/integrity.hpp"
 #include "dist/keymaps_impl.hpp"
 #include "dist/partedmesh.hpp"
 #include "dist/tagio.hpp"
-#include "gmi/model.hpp"
 #include "pcu/trace.hpp"
 
 namespace dist {
-
-namespace {
-
-void packKey(pcu::OutBuffer& b, const GKey& k) {
-  b.pack<std::int32_t>(k.part);
-  b.pack<std::uint64_t>(k.ent.packed());
-}
-
-GKey unpackKey(pcu::InBuffer& b) {
-  GKey k;
-  k.part = b.unpack<std::int32_t>();
-  k.ent = core::Ent::unpack(b.unpack<std::uint64_t>());
-  return k;
-}
-
-}  // namespace
 
 void PartedMesh::ghostLayers(int layers) {
   if (layers < 1) throw std::invalid_argument("ghostLayers: layers >= 1");
@@ -100,99 +88,88 @@ void PartedMesh::ghostLayersBody(int layers) {
                            [&](const Copy& c) { return c.part == q; });
       };
       std::vector<std::vector<Ent>> closure(static_cast<std::size_t>(dim) + 1);
-      common::FlatSet<Ent, EntHash> in_closure;
+      // Closure entity -> its index within its dimension's list; records go
+      // out dimension-ascending, so boundaries travel before the entities
+      // they bound and can be named by record ordinal.
+      common::FlatMap<Ent, std::uint32_t, EntHash> in_closure;
       for (Ent elem : elems) {
         for (int d = 0; d < dim; ++d) {
           const int n = p.mesh().downward(elem, d, buf.data());
           for (int k = 0; k < n; ++k) {
             const Ent e = buf[static_cast<std::size_t>(k)];
             if (held_by_q(e)) continue;
-            if (in_closure.insert(e).second)
-              closure[static_cast<std::size_t>(d)].push_back(e);
+            auto& level = closure[static_cast<std::size_t>(d)];
+            if (in_closure.emplace(e, static_cast<std::uint32_t>(level.size()))
+                    .second)
+              level.push_back(e);
           }
         }
         closure[static_cast<std::size_t>(dim)].push_back(elem);
       }
-      pcu::OutBuffer b;
+      std::array<std::uint32_t, 4> first{};  // ordinal of each level's head
       std::uint32_t total = 0;
-      for (const auto& level : closure)
-        total += static_cast<std::uint32_t>(level.size());
-      b.pack(total);
       for (int d = 0; d <= dim; ++d) {
-        for (Ent e : closure[static_cast<std::size_t>(d)]) {
-          packKey(b, keyOf(p, e));
-          b.pack<std::uint8_t>(static_cast<std::uint8_t>(e.topo()));
-          gmi::Entity* cls = p.mesh().classification(e);
-          b.pack<std::int32_t>(cls ? cls->dim() : -1);
-          b.pack<std::int32_t>(cls ? cls->tag() : -1);
-          if (e.topo() == core::Topo::Vertex) {
-            b.pack(p.mesh().point(e));
-          } else {
-            const int nv = p.mesh().downward(e, 0, buf.data());
-            b.pack<std::uint32_t>(static_cast<std::uint32_t>(nv));
-            for (int k = 0; k < nv; ++k)
-              packKey(b, keyOf(p, buf[static_cast<std::size_t>(k)]));
-          }
-          tag_plan.pack(e, b);
-        }
+        first[static_cast<std::size_t>(d)] = total;
+        total += static_cast<std::uint32_t>(
+            closure[static_cast<std::size_t>(d)].size());
       }
+      auto ordinalOf = [&](Ent e) {
+        const auto it = in_closure.find(e);
+        if (it == in_closure.end()) return creation::kNoOrdinal;
+        return first[static_cast<std::size_t>(core::topoDim(e.topo()))] +
+               it->second;
+      };
+      auto key = [&](Ent e) { return keyOf(p, e); };
+      pcu::OutBuffer b;
+      b.pack(total);
+      for (const auto& level : closure)
+        for (Ent e : level)
+          creation::pack(b, p.mesh(), tag_plan, e, key, ordinalOf);
       net_.send(p.id(), q, std::move(b));
     }
   }
 
-  // Receivers create ghosts (deduplicating by key) and notify owners.
+  // Receivers create ghosts (deduplicating by key) and collect one handle
+  // reply per created ghost for its owner.
+  std::vector<std::vector<Ent>> earlier(parts_.size());
+  std::vector<std::vector<creation::Reply>> replies(parts_.size());
   net_.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
     Part& p = *parts_[static_cast<std::size_t>(to)];
     auto& by_key = keys.by_key[static_cast<std::size_t>(to)];
-    std::array<Ent, 8> lv{};
+    auto& local = earlier[static_cast<std::size_t>(to)];
+    local.clear();
     const auto total = body.unpack<std::uint32_t>();
     for (std::uint32_t i = 0; i < total; ++i) {
-      const GKey key = unpackKey(body);
-      const auto topo = static_cast<core::Topo>(body.unpack<std::uint8_t>());
-      const auto cls_dim = body.unpack<std::int32_t>();
-      const auto cls_tag = body.unpack<std::int32_t>();
-      gmi::Entity* cls =
-          cls_dim >= 0 ? model_->find(cls_dim, cls_tag) : nullptr;
-      // Consume the geometric payload regardless of deduplication.
-      common::Vec3 x;
-      std::uint32_t nv = 0;
-      std::array<GKey, 8> vkeys{};
-      if (topo == core::Topo::Vertex) {
-        x = body.unpack<common::Vec3>();
-      } else {
-        nv = body.unpack<std::uint32_t>();
-        for (std::uint32_t k = 0; k < nv; ++k) vkeys[k] = unpackKey(body);
+      const creation::Record rec = creation::decode(body, to);
+      Ent e;
+      if (rec.key.part == to) {
+        e = rec.key.ent;
+      } else if (const auto it = by_key.find(rec.key); it != by_key.end()) {
+        e = it->second;
       }
-      const bool duplicate = key.part == to || by_key.count(key) > 0;
-      if (duplicate) {
+      if (e) {  // already held: a real copy or an earlier payload's ghost
         skipTags(body);
+        local.push_back(e);
         continue;
       }
-      Ent local;
-      if (topo == core::Topo::Vertex) {
-        local = p.mesh().createVertex(x, cls);
-      } else {
-        for (std::uint32_t k = 0; k < nv; ++k)
-          lv[k] = keys.resolve(to, vkeys[k]);
-        local = p.mesh().buildElement(topo, {lv.data(), nv}, cls);
-      }
-      unpackTags(p.mesh(), local, body);
-      by_key.emplace(key, local);
-      p.ghost_source_.emplace(local, Copy{key.part, key.ent});
+      e = creation::create(p.mesh(), rec, to, by_key, local, model_);
+      unpackTags(p.mesh(), e, body);
+      by_key.emplace(rec.key, e);
+      p.ghost_source_.emplace(e, Copy{rec.key.part, rec.key.ent});
       p.touchTables();
-      pcu::OutBuffer reply;
-      reply.pack<std::uint64_t>(key.ent.packed());
-      reply.pack<std::uint64_t>(local.packed());
-      net_.send(to, key.part, std::move(reply));
+      replies[static_cast<std::size_t>(to)].push_back(
+          creation::Reply{rec.key.part, rec.key.ent, e});
+      local.push_back(e);
     }
   });
+  creation::postReplies(net_, replies);
 
   // Owners record where their entities are ghosted (for tag sync).
   net_.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
     Part& p = *parts_[static_cast<std::size_t>(to)];
-    const Ent real = Ent::unpack(body.unpack<std::uint64_t>());
-    const Ent ghost = Ent::unpack(body.unpack<std::uint64_t>());
-    p.ghosted_on_[real].push_back(Copy{from, ghost});
+    creation::readReplies(body, [&](Ent real, Ent ghost) {
+      p.ghosted_on_[real].push_back(Copy{from, ghost});
+    });
     p.touchTables();
   });
 }
@@ -257,22 +234,29 @@ void PartedMesh::syncGhostTags() {
 
 void PartedMesh::syncGhostTagsBody() {
   pcu::trace::Scope trace_scope("dist:syncGhostTags");
+  // One payload per (real part, ghost part) pair, in ghosted_on_ order.
+  std::vector<pcu::OutBuffer> out(parts_.size());
   for (const auto& pp : parts_) {
     Part& p = *pp;
     const TagPlan tag_plan(p.mesh());
     for (const auto& [real, ghosts] : p.ghosted_on_) {
       for (const Copy& g : ghosts) {
-        pcu::OutBuffer b;
+        auto& b = out[static_cast<std::size_t>(g.part)];
         b.pack<std::uint64_t>(g.ent.packed());
         tag_plan.pack(real, b);
-        net_.send(p.id(), g.part, std::move(b));
       }
     }
+    for (std::size_t q = 0; q < out.size(); ++q)
+      if (out[q].size() > 0)
+        net_.send(p.id(), static_cast<PartId>(q),
+                  std::exchange(out[q], pcu::OutBuffer{}));
   }
   net_.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
     Part& p = *parts_[static_cast<std::size_t>(to)];
-    const Ent ghost = Ent::unpack(body.unpack<std::uint64_t>());
-    unpackTags(p.mesh(), ghost, body);
+    while (!body.done()) {
+      const Ent ghost = Ent::unpack(body.unpack<std::uint64_t>());
+      unpackTags(p.mesh(), ghost, body);
+    }
   });
 }
 

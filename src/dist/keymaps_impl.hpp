@@ -8,7 +8,7 @@
 
 #include <vector>
 
-#include "common/flatmap.hpp"
+#include "dist/creation.hpp"
 #include "dist/partedmesh.hpp"
 
 namespace dist {
@@ -16,14 +16,10 @@ namespace dist {
 struct PartedMesh::KeyMaps {
   /// Per part: canonical key -> local handle, for remote-owned shared
   /// entities plus entities created during the current operation.
-  /// SIMD-probed open addressing: resolve() runs once per vertex key of
-  /// every creation payload on the migration/ghosting hot path.
-  std::vector<common::FlatMap<GKey, Ent, GKeyHash>> by_key;
-
-  [[nodiscard]] Ent resolve(PartId self, const GKey& k) const {
-    if (k.part == self) return k.ent;
-    return by_key[static_cast<std::size_t>(self)].at(k);
-  }
+  /// SIMD-probed open addressing: creation::create() probes it once per
+  /// vertex and boundary reference of every creation record on the
+  /// migration/ghosting hot path.
+  std::vector<creation::KeyMap> by_key;
 };
 
 }  // namespace dist

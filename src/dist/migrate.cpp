@@ -9,10 +9,12 @@
 ///      the closure of a moving element), the destinations of its adjacent
 ///      elements, and reports them to the entity's owner. The union at the
 ///      owner is the entity's *new residence* (paper II-B).
-///   B. (per dimension, ascending) Owners send creation payloads — topology
-///      by vertex keys, coordinates, classification, tags — to residence
-///      parts lacking a copy; receivers create entities and reply with the
-///      new local handles.
+///   B. (per dimension, ascending) Owners send creation records
+///      (dist/creation.hpp: vertex and one-level boundary keys,
+///      coordinates, classification, tags) to residence parts lacking a
+///      copy; receivers create each entity directly from its resolved
+///      boundary and reply to each owner, in one payload, with the new
+///      local handles.
 ///   C. Owners broadcast the final copy lists and the new owning part to
 ///      every residence part; parts dropped from the residence receive a
 ///      release message instead.
@@ -25,28 +27,16 @@
 #include <stdexcept>
 
 #include "common/flatmap.hpp"
+#include "dist/creation.hpp"
 #include "dist/keymaps_impl.hpp"
 #include "dist/partedmesh.hpp"
 #include "dist/tagio.hpp"
-#include "gmi/model.hpp"
 #include "pcu/error.hpp"
 #include "pcu/trace.hpp"
 
 namespace dist {
 
 namespace {
-
-void packKey(pcu::OutBuffer& b, const GKey& k) {
-  b.pack<std::int32_t>(k.part);
-  b.pack<std::uint64_t>(k.ent.packed());
-}
-
-GKey unpackKey(pcu::InBuffer& b) {
-  GKey k;
-  k.part = b.unpack<std::int32_t>();
-  k.ent = core::Ent::unpack(b.unpack<std::uint64_t>());
-  return k;
-}
 
 void addUnique(std::vector<PartId>& v, PartId p) {
   if (std::find(v.begin(), v.end(), p) == v.end()) v.push_back(p);
@@ -236,48 +226,27 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
 
   // --- Phase B: creation payloads per dimension ----------------------------
   pcu::trace::begin("migrate:B-create");
-  std::array<Ent, core::kMaxDown> vbuf{};
   // One tag plan per part, rebuilt for every dimension's payloads: a
   // delivery may create tags on the receiving parts.
   std::vector<TagPlan> tag_plans;
+  // Every boundary entity of a round-d record exists on the receiver by
+  // then (held before, or created in an earlier round), so each payload is
+  // one record naming its references by full key.
   auto packCreation = [&](Part& p, Ent e, pcu::OutBuffer& b) {
-    packKey(b, keyOf(p, e));
-    b.pack<std::uint8_t>(static_cast<std::uint8_t>(e.topo()));
-    gmi::Entity* cls = p.mesh().classification(e);
-    b.pack<std::int32_t>(cls ? cls->dim() : -1);
-    b.pack<std::int32_t>(cls ? cls->tag() : -1);
-    if (e.topo() == core::Topo::Vertex) {
-      b.pack(p.mesh().point(e));
-    } else {
-      const int nv = p.mesh().downward(e, 0, vbuf.data());
-      b.pack<std::uint32_t>(static_cast<std::uint32_t>(nv));
-      for (int k = 0; k < nv; ++k)
-        packKey(b, keyOf(p, vbuf[static_cast<std::size_t>(k)]));
-    }
-    tag_plans[static_cast<std::size_t>(p.id())].pack(e, b);
+    creation::pack(
+        b, p.mesh(), tag_plans[static_cast<std::size_t>(p.id())], e,
+        [&](Ent x) { return keyOf(p, x); },
+        [](Ent) { return creation::kNoOrdinal; });
   };
+  std::vector<std::vector<creation::Reply>> replies(nparts);
   auto createFromPayload = [&](PartId to, pcu::InBuffer& body) {
-    const GKey key = unpackKey(body);
-    const auto topo = static_cast<core::Topo>(body.unpack<std::uint8_t>());
-    const auto cls_dim = body.unpack<std::int32_t>();
-    const auto cls_tag = body.unpack<std::int32_t>();
-    gmi::Entity* cls =
-        cls_dim >= 0 ? model_->find(cls_dim, cls_tag) : nullptr;
+    const creation::Record rec = creation::decode(body, to);
     Part& p = *parts_[static_cast<std::size_t>(to)];
-    Ent local;
-    if (topo == core::Topo::Vertex) {
-      const auto x = body.unpack<common::Vec3>();
-      local = p.mesh().createVertex(x, cls);
-    } else {
-      const auto nv = body.unpack<std::uint32_t>();
-      std::array<Ent, 8> lv{};
-      for (std::uint32_t k = 0; k < nv; ++k)
-        lv[k] = keys.resolve(to, unpackKey(body));
-      local = p.mesh().buildElement(topo, {lv.data(), nv}, cls);
-    }
+    auto& by_key = keys.by_key[static_cast<std::size_t>(to)];
+    const Ent local = creation::create(p.mesh(), rec, to, by_key, {}, model_);
     unpackTags(p.mesh(), local, body);
-    keys.by_key[static_cast<std::size_t>(to)][key] = local;
-    return std::pair{key, local};
+    by_key[rec.key] = local;
+    return creation::Reply{rec.key.part, rec.key.ent, local};
   };
 
   for (int d = 0; d <= dim; ++d) {
@@ -316,23 +285,19 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
         }
       }
     }
-    // Deliver creations; receivers reply with their new handles.
+    // Deliver creations; receivers reply with their new handles, one
+    // payload per (receiver, owner) pair.
     net_.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
-      const auto [key, local] = createFromPayload(to, body);
-      if (d < dim) {
-        pcu::OutBuffer reply;
-        reply.pack<std::uint64_t>(key.ent.packed());
-        reply.pack<std::uint64_t>(local.packed());
-        net_.send(to, key.part, std::move(reply));
-      }
+      const creation::Reply reply = createFromPayload(to, body);
+      if (d < dim) replies[static_cast<std::size_t>(to)].push_back(reply);
     });
+    creation::postReplies(net_, replies);
     // Deliver handle replies to owners.
     net_.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
-      const Ent e = Ent::unpack(body.unpack<std::uint64_t>());
-      const Ent handle = Ent::unpack(body.unpack<std::uint64_t>());
-      records[static_cast<std::size_t>(to)]
-          .at(e)
-          .new_copies.push_back(Copy{from, handle});
+      auto& recs = records[static_cast<std::size_t>(to)];
+      creation::readReplies(body, [&](Ent e, Ent handle) {
+        recs.at(e).new_copies.push_back(Copy{from, handle});
+      });
     });
   }
   pcu::trace::end("migrate:B-create");

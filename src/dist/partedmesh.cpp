@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "common/crc32.hpp"
+#include "common/smallvec.hpp"
 #include "core/order.hpp"
 #include "dist/integrity.hpp"
 #include "dist/tagio.hpp"
@@ -480,12 +481,45 @@ namespace {
   throw std::logic_error(os.str());
 }
 
+/// Residence set of a shared entity from its remote record, as
+/// Part::residence() builds it (own part plus every copy's part, sorted),
+/// without allocating.
+using ResidenceVec = common::SmallVec<PartId, 16>;
+
+void residenceOf(PartId self, const Remote& r, ResidenceVec& out) {
+  out.clear();
+  out.push_back(self);
+  for (const Copy& c : r.copies) out.push_back(c.part);
+  std::sort(out.begin(), out.end());
+}
+
 }  // namespace
 
 void PartedMesh::verify() const {
   const int dim = dim_;
+  // Residence rule support: per topology, slot-indexed marks of the
+  // downward closure of this part's non-ghost elements.
+  std::array<std::vector<char>, core::kTopoCount> in_closure;
+  std::array<Ent, core::kMaxDown> buf{};
+  ResidenceVec res;
+  ResidenceVec qres;
   for (const auto& pp : parts_) {
     const Part& p = *pp;
+    for (int d = 0; d < dim; ++d)
+      for (core::Topo t : core::toposOfDim(d))
+        in_closure[static_cast<std::size_t>(t)].assign(p.mesh().slots(t), 0);
+    if (dim >= 1) {
+      for (Ent elem : p.mesh().entities(dim)) {
+        if (p.isGhost(elem)) continue;
+        for (int d = 0; d < dim; ++d) {
+          const int n = p.mesh().downward(elem, d, buf.data());
+          for (int k = 0; k < n; ++k) {
+            const Ent b = buf[static_cast<std::size_t>(k)];
+            in_closure[static_cast<std::size_t>(b.topo())][b.index()] = 1;
+          }
+        }
+      }
+    }
     for (int d = 0; d <= dim; ++d) {
       for (Ent e : p.mesh().entities(d)) {
         const Remote* r = p.remote(e);
@@ -509,7 +543,7 @@ void PartedMesh::verify() const {
           for (std::size_t i = 0; i + 1 < r->copies.size(); ++i)
             if (!(r->copies[i].part < r->copies[i + 1].part))
               vfail("copy list not sorted/unique", p.id(), e);
-          const auto res = p.residence(e);
+          residenceOf(p.id(), *r, res);
           if (std::find(res.begin(), res.end(), r->owner) == res.end())
             vfail("owner not in residence set", p.id(), e);
           for (const Copy& c : r->copies) {
@@ -526,7 +560,9 @@ void PartedMesh::verify() const {
                 std::find(rq->copies.begin(), rq->copies.end(),
                           Copy{p.id(), e}) != rq->copies.end();
             if (!back) vfail("copy symmetry broken", p.id(), e);
-            if (q.residence(c.ent) != res)
+            residenceOf(q.id(), *rq, qres);
+            if (!std::equal(qres.begin(), qres.end(), res.begin(),
+                            res.end()))
               vfail("residence disagreement across copies", p.id(), e);
             // Geometric agreement.
             if (d == 0 && !(q.mesh().point(c.ent) == p.mesh().point(e)))
@@ -538,10 +574,7 @@ void PartedMesh::verify() const {
         // Residence rule: this part must host an adjacent non-ghost element
         // (entities exist exactly where adjacent elements are).
         if (d < dim) {
-          bool has_elem = false;
-          for (Ent u : p.mesh().adjacentSpan(e, dim))
-            if (!p.isGhost(u)) has_elem = true;
-          if (!has_elem)
+          if (!in_closure[static_cast<std::size_t>(e.topo())][e.index()])
             vfail("entity resides on part without adjacent element", p.id(),
                   e);
         } else {

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 #include <cassert>
-#include <unordered_map>
 
 #include "core/measure.hpp"
 #include "field/field.hpp"
@@ -15,7 +14,6 @@ namespace solver {
 
 using common::Vec3;
 using core::Ent;
-using core::EntHash;
 using dist::PartId;
 
 namespace {
@@ -59,7 +57,14 @@ double shapeGradients(const core::Mesh& mesh, Ent elem,
 /// All per-part solver state.
 struct PartData {
   std::vector<Ent> verts;
-  std::unordered_map<Ent, int, EntHash> idx;
+  /// Vertex pool slot -> its row in `verts`; -1 for slots not in `verts`.
+  std::vector<int> slot_row;
+  [[nodiscard]] int row(Ent v) const {
+    if (v.topo() != core::Topo::Vertex || v.index() >= slot_row.size() ||
+        slot_row[v.index()] < 0)
+      throw std::out_of_range("poisson: vertex not held by this part");
+    return slot_row[v.index()];
+  }
   // CSR stiffness.
   std::vector<int> row_ptr;
   std::vector<int> col;
@@ -92,7 +97,7 @@ class Context {
           msg.pack<double>(
               (data[static_cast<std::size_t>(p)].*vec)
                   [static_cast<std::size_t>(
-                      data[static_cast<std::size_t>(p)].idx.at(e))]);
+                      data[static_cast<std::size_t>(p)].row(e))]);
           net.send(p, rem.owner, std::move(msg));
         }
       }
@@ -101,7 +106,7 @@ class Context {
       const Ent owner_ent = Ent::unpack(body.unpack<std::uint64_t>());
       const double v = body.unpack<double>();
       auto& d = data[static_cast<std::size_t>(to)];
-      (d.*vec)[static_cast<std::size_t>(d.idx.at(owner_ent))] += v;
+      (d.*vec)[static_cast<std::size_t>(d.row(owner_ent))] += v;
     });
     // Owners broadcast totals.
     for (PartId p = 0; p < parts_; ++p) {
@@ -110,7 +115,7 @@ class Context {
         if (e.topo() != core::Topo::Vertex || rem.owner != p) continue;
         auto& d = data[static_cast<std::size_t>(p)];
         const double total =
-            (d.*vec)[static_cast<std::size_t>(d.idx.at(e))];
+            (d.*vec)[static_cast<std::size_t>(d.row(e))];
         for (const dist::Copy& c : rem.copies) {
           pcu::OutBuffer msg;
           msg.pack<std::uint64_t>(c.ent.packed());
@@ -123,7 +128,7 @@ class Context {
       const Ent local = Ent::unpack(body.unpack<std::uint64_t>());
       const double v = body.unpack<double>();
       auto& d = data[static_cast<std::size_t>(to)];
-      (d.*vec)[static_cast<std::size_t>(d.idx.at(local))] = v;
+      (d.*vec)[static_cast<std::size_t>(d.row(local))] = v;
     });
   }
 
@@ -182,8 +187,9 @@ PoissonReport solvePoisson(dist::PartedMesh& pm,
     auto& part = pm.part(p);
     auto& mesh = part.mesh();
     auto& d = ctx.data[static_cast<std::size_t>(p)];
+    d.slot_row.assign(mesh.slots(core::Topo::Vertex), -1);
     for (Ent v : mesh.entities(0)) {
-      d.idx.emplace(v, static_cast<int>(d.verts.size()));
+      d.slot_row[v.index()] = static_cast<int>(d.verts.size());
       d.verts.push_back(v);
     }
     const std::size_t n = d.verts.size();
@@ -214,7 +220,7 @@ PoissonReport solvePoisson(dist::PartedMesh& pm,
       for (Ent e : mesh.up(d.verts[i])) {
         const auto vs = mesh.verts(e);
         const Ent other = vs[0] == d.verts[i] ? vs[1] : vs[0];
-        cols[i].push_back(d.idx.at(other));
+        cols[i].push_back(d.row(other));
       }
       std::sort(cols[i].begin(), cols[i].end());
       d.row_ptr[i + 1] = d.row_ptr[i] + static_cast<int>(cols[i].size());
@@ -238,7 +244,7 @@ PoissonReport solvePoisson(dist::PartedMesh& pm,
       const auto vs = mesh.verts(elem);
       std::array<int, 4> li{};
       for (int a = 0; a < nv; ++a)
-        li[static_cast<std::size_t>(a)] = d.idx.at(vs[static_cast<std::size_t>(a)]);
+        li[static_cast<std::size_t>(a)] = d.row(vs[static_cast<std::size_t>(a)]);
       for (int a = 0; a < nv; ++a) {
         for (int bcol = 0; bcol < nv; ++bcol)
           entry(li[static_cast<std::size_t>(a)], li[static_cast<std::size_t>(bcol)]) +=

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/measure.hpp"
 #include "core/verify.hpp"
+#include "dist/creation.hpp"
 #include "dist/partedmesh.hpp"
 #include "dist/ptnmodel.hpp"
 #include "meshgen/boxmesh.hpp"
+#include "pcu/error.hpp"
 
 namespace {
 
@@ -471,6 +476,141 @@ TEST(OwnerRule, LeastLoadedPicksLighterPart) {
   }
   ASSERT_GT(shared_total, 0u);
   EXPECT_GT(owned_by_1, shared_total / 2);
+}
+
+/// --- creation records (the shared ghost/migration codec) -----------------
+
+/// A record header: key, topology code, classification.
+pcu::OutBuffer recordHeader(std::uint8_t topo) {
+  pcu::OutBuffer b;
+  dist::creation::packKey(b, dist::GKey{1, Ent(core::Topo::Tet, 7)});
+  b.pack<std::uint8_t>(topo);
+  b.pack<std::int32_t>(-1);
+  b.pack<std::int32_t>(-1);
+  return b;
+}
+
+void packFullRef(pcu::OutBuffer& b, core::Topo t, std::uint32_t i) {
+  dist::creation::packKey(b, dist::GKey{1, Ent(t, i)});
+}
+
+/// Decode must reject `b` with a structured protocol error whose detail
+/// contains `what` (never read past the record or overflow its arrays).
+void expectRejected(pcu::OutBuffer b, const std::string& what) {
+  pcu::InBuffer in(std::move(b).take());
+  try {
+    (void)dist::creation::decode(in, 3);
+    FAIL() << "decoder accepted a record with: " << what;
+  } catch (const pcu::Error& e) {
+    EXPECT_EQ(e.code(), pcu::ErrorCode::kProtocol);
+    EXPECT_EQ(e.rank(), 3);
+    EXPECT_NE(e.detail().find(what), std::string::npos) << e.detail();
+  }
+}
+
+TEST(CreationRecord, RejectsTopologyCodeOutOfRange) {
+  expectRejected(recordHeader(core::kTopoCount), "topology code 8 out of range");
+  expectRejected(recordHeader(0xff), "topology code 255 out of range");
+}
+
+TEST(CreationRecord, RejectsVertexCountThatDoesNotMatchTheTopology) {
+  // Nine vertex keys would overflow an eight-entry vertex table.
+  auto b = recordHeader(static_cast<std::uint8_t>(core::Topo::Tri));
+  b.pack<std::uint8_t>(9);
+  for (std::uint32_t k = 0; k < 9; ++k) packFullRef(b, core::Topo::Vertex, k);
+  expectRejected(std::move(b), "9 vertices for topology tri");
+  auto hex = recordHeader(static_cast<std::uint8_t>(core::Topo::Hex));
+  hex.pack<std::uint8_t>(200);
+  expectRejected(std::move(hex), "200 vertices for topology hex");
+}
+
+TEST(CreationRecord, RejectsBoundaryCountThatDoesNotMatchTheTopology) {
+  auto tet = recordHeader(static_cast<std::uint8_t>(core::Topo::Tet));
+  tet.pack<std::uint8_t>(4);
+  for (std::uint32_t k = 0; k < 4; ++k) packFullRef(tet, core::Topo::Vertex, k);
+  tet.pack<std::uint8_t>(13);  // past a 12-entry boundary table
+  expectRejected(std::move(tet), "13 boundary entities for topology tet");
+  // An edge's boundary is its vertex list: it carries no boundary refs.
+  auto edge = recordHeader(static_cast<std::uint8_t>(core::Topo::Edge));
+  edge.pack<std::uint8_t>(2);
+  packFullRef(edge, core::Topo::Vertex, 0);
+  packFullRef(edge, core::Topo::Vertex, 1);
+  edge.pack<std::uint8_t>(2);
+  expectRejected(std::move(edge), "2 boundary entities for topology edge");
+}
+
+TEST(CreationRecord, RejectsBadReferenceTagAndTruncation) {
+  auto b = recordHeader(static_cast<std::uint8_t>(core::Topo::Edge));
+  b.pack<std::uint8_t>(2);
+  b.pack<std::int32_t>(-7);
+  expectRejected(std::move(b), "bad reference tag -7");
+  auto cut = recordHeader(static_cast<std::uint8_t>(core::Topo::Quad));
+  cut.pack<std::uint8_t>(4);
+  packFullRef(cut, core::Topo::Vertex, 0);
+  expectRejected(std::move(cut), "truncated");
+}
+
+TEST(CreationRecord, RoundTripCreatesWithoutSearchAndRejectsUnknownRefs) {
+  core::Mesh src;
+  const Ent v0 = src.createVertex({0, 0, 0});
+  const Ent v1 = src.createVertex({1, 0, 0});
+  const Ent v2 = src.createVertex({0, 1, 0});
+  const Ent tri = src.buildElement(core::Topo::Tri, std::array{v0, v1, v2});
+  const core::TagPlan tags(src);
+  // Records in ascending dimension, boundaries named by ordinal.
+  std::vector<Ent> order{v0, v1, v2};
+  std::array<Ent, core::kMaxDown> edges{};
+  src.downward(tri, 1, edges.data());
+  order.insert(order.end(), edges.begin(), edges.begin() + 3);
+  order.push_back(tri);
+  auto ordinalOf = [&](Ent e) {
+    const auto it = std::find(order.begin(), order.end(), e);
+    return static_cast<std::uint32_t>(it - order.begin());
+  };
+  auto keyOf = [](Ent e) { return dist::GKey{0, e}; };
+  pcu::OutBuffer b;
+  for (Ent e : order) dist::creation::pack(b, src, tags, e, keyOf, ordinalOf);
+
+  core::Mesh dst;
+  const dist::creation::KeyMap keys;
+  std::vector<Ent> local;
+  pcu::InBuffer in(std::move(b).take());
+  for (Ent e : order) {
+    const auto rec = dist::creation::decode(in, 1);
+    EXPECT_EQ(rec.key.ent, e);
+    local.push_back(
+        dist::creation::create(dst, rec, 1, keys, local, nullptr));
+    core::skipTags(in);
+  }
+  EXPECT_TRUE(in.done());
+  EXPECT_EQ(dst.count(0), 3u);
+  EXPECT_EQ(dst.count(1), 3u);
+  EXPECT_EQ(dst.count(2), 1u);
+  core::verify(dst);
+  std::array<Ent, core::kMaxDown> got{};
+  dst.downward(local.back(), 1, got.data());
+  for (int k = 0; k < 3; ++k)
+    EXPECT_EQ(got[static_cast<std::size_t>(k)],
+              local[static_cast<std::size_t>(3 + k)]);
+
+  // The same face on a part that holds none of its boundary: a full key
+  // the key map does not know is a protocol error, not a search.
+  pcu::OutBuffer lone;
+  dist::creation::pack(lone, src, tags, tri, keyOf,
+                       [](Ent) { return dist::creation::kNoOrdinal; });
+  pcu::InBuffer lone_in(std::move(lone).take());
+  const auto rec = dist::creation::decode(lone_in, 2);
+  core::Mesh empty;
+  try {
+    (void)dist::creation::create(empty, rec, 2, keys, {}, nullptr);
+    FAIL() << "created a face over unresolved references";
+  } catch (const pcu::Error& e) {
+    EXPECT_EQ(e.code(), pcu::ErrorCode::kProtocol);
+    EXPECT_NE(e.detail().find("unresolved vertex reference in a tri record"),
+              std::string::npos)
+        << e.detail();
+  }
+  EXPECT_EQ(empty.count(2), 0u);
 }
 
 }  // namespace

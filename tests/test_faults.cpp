@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -23,6 +24,7 @@
 #include "common/rng.hpp"
 #include "core/measure.hpp"
 #include "dist/partedmesh.hpp"
+#include "dist/partio.hpp"
 #include "meshgen/boxmesh.hpp"
 #include "parma/balance.hpp"
 #include "part/partition.hpp"
@@ -677,6 +679,112 @@ TEST(VerifyGhosts, DetectsGhostTrackingBrokenOnOwner) {
   }
   ASSERT_TRUE(broke) << "no tracked ghost copies found";
   EXPECT_THROW(pm->verify(), std::logic_error);
+}
+
+/// --- verify() negative cases: each check names its invariant and entity --
+
+/// verify() must throw exactly `message` for entity `e` of part `p`.
+void expectVerifyFails(const dist::PartedMesh& pm, const std::string& message,
+                       PartId p, Ent e) {
+  const std::string want = "parallel verify failed: " + message + " [part " +
+                           std::to_string(p) + ", " +
+                           core::topoName(e.topo()) + " #" +
+                           std::to_string(e.index()) + "]";
+  try {
+    pm.verify();
+    FAIL() << "verify passed; expected: " << want;
+  } catch (const std::logic_error& err) {
+    EXPECT_EQ(std::string(err.what()), want);
+  }
+}
+
+/// The first vertex of part 0 (iteration order) with a remote copy on
+/// exactly one other part.
+Ent firstTwoPartVertex(const dist::PartedMesh& pm) {
+  for (Ent v : pm.part(0).mesh().entities(0)) {
+    const dist::Remote* r = pm.part(0).remote(v);
+    if (r != nullptr && r->copies.size() == 1) return v;
+  }
+  return {};
+}
+
+TEST(VerifyNegative, OrphanEdgeWithoutAdjacentElement) {
+  auto gen = meshgen::boxTets(3, 3, 3);
+  auto pm = makeMesh(gen, 3);
+  ASSERT_NO_THROW(pm->verify());
+  auto& mesh = pm->part(0).mesh();
+  const auto vs = mesh.all(0);
+  Ent orphan;
+  for (std::size_t i = 0; i < vs.size() && !orphan; ++i)
+    for (std::size_t j = i + 1; j < vs.size() && !orphan; ++j)
+      if (!mesh.findEntity(core::Topo::Edge, std::array{vs[i], vs[j]}))
+        orphan = mesh.buildElement(core::Topo::Edge, std::array{vs[i], vs[j]});
+  ASSERT_TRUE(orphan);
+  expectVerifyFails(*pm, "entity resides on part without adjacent element", 0,
+                    orphan);
+}
+
+TEST(VerifyNegative, EntityAdjacentOnlyToGhostElements) {
+  auto gen = meshgen::boxTets(3, 3, 3);
+  auto pm = makeMesh(gen, 3);
+  auto& part = pm->part(0);
+  const int dim = pm->dim();
+  // Relabel every element around one part-interior vertex as a ghost of
+  // some element of part 1: the vertex keeps only ghost elements.
+  Ent center;
+  for (Ent v : part.mesh().entities(0))
+    if (!part.isShared(v)) {
+      center = v;
+      break;
+    }
+  ASSERT_TRUE(center);
+  const Ent source = pm->part(1).elements().front();
+  for (Ent elem : part.mesh().adjacent(center, dim))
+    dist::CheckpointAccess::setGhost(part, elem, dist::Copy{1, source});
+  // The first vertex, in iteration order, left with only ghost elements.
+  Ent first;
+  for (Ent v : part.mesh().entities(0)) {
+    bool real = false;
+    for (Ent u : part.mesh().adjacent(v, dim)) real = real || !part.isGhost(u);
+    if (!real) {
+      first = v;
+      break;
+    }
+  }
+  ASSERT_TRUE(first);
+  expectVerifyFails(*pm, "entity resides on part without adjacent element", 0,
+                    first);
+}
+
+TEST(VerifyNegative, ResidenceDisagreementAcrossCopies) {
+  auto gen = meshgen::boxTets(3, 3, 3);
+  auto pm = makeMesh(gen, 3);
+  const Ent v = firstTwoPartVertex(*pm);
+  ASSERT_TRUE(v);
+  const dist::Copy peer = pm->part(0).remote(v)->copies.front();
+  ASSERT_NE(peer.part, 0);
+  // The peer copy claims one more resident part than part 0 lists.
+  const PartId extra = peer.part == 1 ? 2 : 1;
+  dist::Remote r = *pm->part(peer.part).remote(peer.ent);
+  r.copies.push_back(
+      dist::Copy{extra, pm->part(extra).mesh().all(0).front()});
+  std::sort(r.copies.begin(), r.copies.end(),
+            [](const dist::Copy& a, const dist::Copy& b) {
+              return a.part < b.part;
+            });
+  pm->part(peer.part).setRemote(peer.ent, std::move(r));
+  expectVerifyFails(*pm, "residence disagreement across copies", 0, v);
+}
+
+TEST(VerifyNegative, OwnerNotInResidenceSet) {
+  auto gen = meshgen::boxTets(3, 3, 3);
+  auto pm = makeMesh(gen, 3);
+  const Ent v = firstTwoPartVertex(*pm);
+  ASSERT_TRUE(v);
+  dist::Remote r = *pm->part(0).remote(v);
+  r.owner = r.copies.front().part == 1 ? 2 : 1;  // resides on 0 and the peer
+  pm->part(0).setRemote(v, std::move(r));
+  expectVerifyFails(*pm, "owner not in residence set", 0, v);
 }
 
 /// --- explicit transactional mode ----------------------------------------

@@ -15,16 +15,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "adapt/collapse.hpp"
+#include "adapt/refine.hpp"
+#include "adapt/sizefield.hpp"
 #include "common/rng.hpp"
 #include "core/order.hpp"
+#include "core/verify.hpp"
 #include "dist/digest.hpp"
 #include "dist/partedmesh.hpp"
 #include "meshgen/boxmesh.hpp"
@@ -95,6 +102,155 @@ TEST(CsrAdjacency, GeometryMovesKeepTheViewTopologyChangesRebuildIt) {
     const auto s = mesh.adjacentSpan(u, 3);
     ASSERT_EQ(legacy, sorted({s.begin(), s.end()}));
   }
+}
+
+// --- kernel oracles: stored-adjacency walks vs searches -------------------
+
+/// downward(region, 1) walks the edges stored on the region's faces; it
+/// must name exactly the edge a vertex search finds for each template
+/// edge, in template order.
+void checkRegionEdges(const core::Mesh& mesh) {
+  std::array<Ent, core::kMaxDown> buf{};
+  for (Ent r : mesh.all(3)) {
+    const int n = mesh.downward(r, 1, buf.data());
+    ASSERT_EQ(n, core::topoBoundaryCount(r.topo(), 1));
+    const auto vs = mesh.verts(r);
+    for (int i = 0; i < n; ++i) {
+      const auto idx = core::topoBoundaryVerts(r.topo(), 1, i);
+      const Ent want = mesh.findEntity(
+          core::Topo::Edge,
+          std::array{vs[static_cast<std::size_t>(idx[0])],
+                     vs[static_cast<std::size_t>(idx[1])]});
+      ASSERT_TRUE(want);
+      ASSERT_EQ(buf[static_cast<std::size_t>(i)], want)
+          << core::topoName(r.topo()) << " #" << r.index() << " edge " << i;
+    }
+  }
+}
+
+/// adjacentInto must equal adjacent() in contents AND order for every
+/// (entity, target dimension) pair: consumers' iteration order decides
+/// entity creation order downstream.
+void checkAdjacentIntoOrder(const core::Mesh& mesh) {
+  core::AdjVec adj;
+  for (int from = 0; from <= mesh.dim(); ++from) {
+    for (Ent e : mesh.all(from)) {
+      for (int to = 0; to <= mesh.dim(); ++to) {
+        const auto legacy = mesh.adjacent(e, to);
+        const int n = mesh.adjacentInto(e, to, adj);
+        ASSERT_EQ(std::vector<Ent>(adj.begin(), adj.begin() + n), legacy)
+            << core::topoName(e.topo()) << " #" << e.index() << " -> dim "
+            << to;
+      }
+    }
+  }
+}
+
+/// Destroy every element touching the first `k` vertices, sweep the
+/// boundary entities that became unused, then rebuild the elements from
+/// their vertex lists rotated by one step of `ring` (a symmetry of the
+/// element's canonical ordering): the rebuilt elements land in free-list
+/// slots, and faces they recreate take a new orientation relative to
+/// their neighbours. Returns how many elements were rebuilt.
+std::size_t churn(core::Mesh& mesh, int k, std::span<const int> ring) {
+  const auto verts = mesh.all(0);
+  std::vector<Ent> doomed;
+  for (int i = 0; i < k && i < static_cast<int>(verts.size()); ++i)
+    for (Ent r : mesh.adjacent(verts[static_cast<std::size_t>(i)], 3))
+      if (std::find(doomed.begin(), doomed.end(), r) == doomed.end())
+        doomed.push_back(r);
+  std::vector<std::pair<core::Topo, std::vector<Ent>>> rebuild;
+  std::vector<gmi::Entity*> cls;
+  for (Ent r : doomed) {
+    const auto vs = mesh.verts(r);
+    std::vector<Ent> rotated(vs.size());
+    for (std::size_t j = 0; j < vs.size(); ++j)
+      rotated[j] = vs[static_cast<std::size_t>(ring[j])];
+    rebuild.emplace_back(r.topo(), std::move(rotated));
+    cls.push_back(mesh.classification(r));
+    mesh.destroy(r);
+  }
+  for (int d = 2; d >= 1; --d)
+    for (Ent e : mesh.all(d))
+      if (mesh.up(e).empty()) mesh.destroy(e);
+  for (std::size_t i = 0; i < rebuild.size(); ++i)
+    mesh.buildElement(rebuild[i].first, rebuild[i].second, cls[i]);
+  core::verify(mesh);
+  return rebuild.size();
+}
+
+TEST(KernelOracle, TetsAfterRefineCoarsenChurn) {
+  auto gen = meshgen::boxTets(3, 3, 3);
+  auto& mesh = *gen.mesh;
+  adapt::refine(mesh, adapt::UniformSize(0.2));
+  adapt::coarsen(mesh, adapt::UniformSize(0.45));
+  adapt::refine(mesh, adapt::UniformSize(0.25));
+  // Even permutation of a tet's vertices: keeps the orientation.
+  constexpr std::array<int, 4> kTetRing{1, 2, 0, 3};
+  ASSERT_GT(churn(mesh, 10, kTetRing), 0u);
+  checkRegionEdges(mesh);
+  checkAdjacentIntoOrder(mesh);
+}
+
+TEST(KernelOracle, HexesAfterChurn) {
+  auto gen = meshgen::boxHexes(3, 3, 3);
+  auto& mesh = *gen.mesh;
+  // Quarter turn about the hex's vertical axis.
+  constexpr std::array<int, 8> kHexRing{1, 2, 3, 0, 5, 6, 7, 4};
+  const std::size_t hexes = mesh.count(3);
+  ASSERT_GT(churn(mesh, 12, kHexRing), 0u);
+  ASSERT_GT(churn(mesh, 5, kHexRing), 0u);
+  ASSERT_EQ(mesh.count(3), hexes);
+  checkRegionEdges(mesh);
+  checkAdjacentIntoOrder(mesh);
+}
+
+TEST(KernelOracle, MixedRegionsSharingFacesInAnyOrientation) {
+  core::Mesh mesh;
+  std::vector<Ent> v;
+  const std::array<common::Vec3, 12> xs{{{0, 0, 0}, {1, 0, 0}, {1, 1, 0},
+                                         {0, 1, 0}, {0, 0, 1}, {1, 0, 1},
+                                         {1, 1, 1}, {0, 1, 1}, {0.5, 0.5, 2},
+                                         {1.5, 1.5, 2}, {2, 0.5, 0},
+                                         {2, 0.5, 1}}};
+  for (const auto& x : xs) v.push_back(mesh.createVertex(x));
+  mesh.buildElement(core::Topo::Hex,
+                    std::array{v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]});
+  // Pyramid on the hex's top face, base ring rotated against the hex's.
+  mesh.buildElement(core::Topo::Pyramid,
+                    std::array{v[6], v[7], v[4], v[5], v[8]});
+  // Tet on a pyramid side face; prism on the hex's +x face.
+  mesh.buildElement(core::Topo::Tet, std::array{v[6], v[5], v[8], v[9]});
+  mesh.buildElement(core::Topo::Prism,
+                    std::array{v[1], v[2], v[10], v[5], v[6], v[11]});
+  ASSERT_EQ(mesh.count(3), 4u);
+  checkRegionEdges(mesh);
+  checkAdjacentIntoOrder(mesh);
+}
+
+TEST(KernelOracle, LargeStarSpillsTheDedupSetToTheHeap) {
+  // A fan of 2N tets around the centre vertex: its edge -> face level has
+  // 6N = 480 candidate entries, more than the stack table holds.
+  constexpr int kRing = 80;
+  core::Mesh mesh;
+  const Ent c = mesh.createVertex({0, 0, 0});
+  const Ent top = mesh.createVertex({0, 0, 1});
+  const Ent bottom = mesh.createVertex({0, 0, -1});
+  std::vector<Ent> ring;
+  for (int i = 0; i < kRing; ++i) {
+    const double a = 2.0 * 3.141592653589793 * i / kRing;
+    ring.push_back(mesh.createVertex({std::cos(a), std::sin(a), 0}));
+  }
+  for (int i = 0; i < kRing; ++i) {
+    const Ent a = ring[static_cast<std::size_t>(i)];
+    const Ent b = ring[static_cast<std::size_t>((i + 1) % kRing)];
+    mesh.buildElement(core::Topo::Tet, std::array{c, a, b, top});
+    mesh.buildElement(core::Topo::Tet, std::array{c, b, a, bottom});
+  }
+  ASSERT_EQ(mesh.adjacent(c, 3).size(), 2u * kRing);
+  ASSERT_EQ(mesh.adjacent(c, 2).size(), 3u * kRing);
+  checkRegionEdges(mesh);
+  checkAdjacentIntoOrder(mesh);
 }
 
 // --- gate 2: RCM bandwidth -----------------------------------------------

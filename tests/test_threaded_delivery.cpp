@@ -58,6 +58,27 @@ TEST_P(ThreadCounts, GhostingUnderThreadedDelivery) {
   std::size_t ghosts = 0;
   for (PartId p = 0; p < 4; ++p) ghosts += pm->part(p).ghostCount();
   EXPECT_GT(ghosts, 0u);
+  // Round trip through the batched tag sync: owners stamp every real
+  // element after ghosting, and each ghost must mirror its source's stamp.
+  for (PartId p = 0; p < 4; ++p) {
+    auto& mesh = pm->part(p).mesh();
+    auto* stamp = mesh.tags().create<int>("stamp");
+    for (Ent e : pm->part(p).elements())
+      mesh.tags().setScalar<int>(stamp, e,
+                                 1000 * p + static_cast<int>(e.index()));
+  }
+  pm->syncGhostTags();
+  pm->verify();
+  for (PartId p = 0; p < 4; ++p) {
+    const auto& part = pm->part(p);
+    auto* stamp = part.mesh().tags().find("stamp");
+    for (Ent e : part.mesh().entities(3)) {
+      if (!part.isGhost(e)) continue;
+      const dist::Copy src = part.ghostSource(e);
+      EXPECT_EQ(part.mesh().tags().getScalar<int>(stamp, e),
+                1000 * src.part + static_cast<int>(src.ent.index()));
+    }
+  }
   pm->unghost();
   pm->verify();
 }
