@@ -53,23 +53,6 @@ void BM_VertexToRegionsInto(benchmark::State& state) {
 }
 BENCHMARK(BM_VertexToRegionsInto)->Arg(6)->Arg(12)->Arg(24)->Arg(40);
 
-void BM_VertexToRegionsSpan(benchmark::State& state) {
-  // Same query as a zero-copy row of the CSR adjacency view (built once
-  // outside the timed loop; any topology change would invalidate it).
-  auto& gen = meshOfSize(static_cast<int>(state.range(0)));
-  const auto verts = gen.mesh->all(0);
-  gen.mesh->csr(0, 3);  // prime
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto adj = gen.mesh->adjacentSpan(verts[i], 3);
-    benchmark::DoNotOptimize(adj.data());
-    benchmark::DoNotOptimize(adj.size());
-    i = (i + 97) % verts.size();
-  }
-  state.SetLabel(std::to_string(gen.mesh->count(3)) + " tets");
-}
-BENCHMARK(BM_VertexToRegionsSpan)->Arg(6)->Arg(12)->Arg(24)->Arg(40);
-
 void BM_RegionToVertices(benchmark::State& state) {
   auto& gen = meshOfSize(static_cast<int>(state.range(0)));
   const auto elems = gen.mesh->all(3);

@@ -51,6 +51,7 @@ QualityStats meshQuality(const core::Mesh& mesh) {
 SmoothStats smooth(core::Mesh& mesh, const SmoothOptions& opts) {
   SmoothStats stats;
   const int dim = mesh.dim();
+  core::AdjVec cavity;
   for (int pass = 0; pass < opts.passes; ++pass) {
     for (Ent v : mesh.entities(0)) {
       gmi::Entity* cls = mesh.classification(v);
@@ -70,7 +71,7 @@ SmoothStats smooth(core::Mesh& mesh, const SmoothOptions& opts) {
       const Vec3 proposal = old + (target - old) * opts.relaxation;
 
       // Quality guard: the move must not lower the cavity's worst quality.
-      const auto cavity = mesh.adjacentSpan(v, dim);
+      mesh.adjacentInto(v, dim, cavity);
       double worst_before = 1.0;
       for (Ent e : cavity) worst_before = std::min(worst_before, quality(mesh, e));
       mesh.setPoint(v, proposal);

@@ -34,21 +34,6 @@ std::vector<MeshAccess::SectionRef> MeshAccess::sections(const Mesh& m) {
       out.push_back({base + ":down", tv, dv, vecBytes(pool.down)});
     out.push_back({base + ":alive", tv, dv, vecBytes(pool.alive)});
   }
-  for (int from = 0; from <= 3; ++from) {
-    for (int to = 0; to <= 3; ++to) {
-      const auto& slot =
-          m.csr_[static_cast<std::size_t>(from) * 4 + static_cast<std::size_t>(to)];
-      if (!slot || slot->version != tv) continue;  // stale: never served again
-      const std::string base = "csr:" + std::to_string(from) + "->" +
-                               std::to_string(to);
-      if (!slot->offsets.empty())
-        out.push_back({base + ":offsets", slot->version, 0,
-                       vecBytes(slot->offsets)});
-      if (!slot->items.empty())
-        out.push_back({base + ":items", slot->version, 0,
-                       vecBytes(slot->items)});
-    }
-  }
   return out;
 }
 
@@ -60,10 +45,6 @@ std::span<std::byte> MeshAccess::mutableSection(Mesh& m,
     return {const_cast<std::byte*>(s.bytes.data()), s.bytes.size()};
   }
   return {};
-}
-
-void MeshAccess::invalidateCsr(Mesh& m) {
-  for (auto& slot : m.csr_) slot.reset();
 }
 
 std::vector<std::byte> tagStream(const common::TagBase<Ent>* tag) {
@@ -160,8 +141,8 @@ void Ledger::seal(const Mesh& m) {
           it, name, makeSection(tagStream(tag), tag->version(), 0, false));
     seen.push_back(std::move(name));
   }
-  // Prune mesh-owned sections that vanished (destroyed tag, drained pool,
-  // stale CSR view); external sections belong to the caller.
+  // Prune mesh-owned sections that vanished (destroyed tag, drained pool);
+  // external sections belong to the caller.
   std::sort(seen.begin(), seen.end());
   for (auto it = sections_.begin(); it != sections_.end();) {
     if (!it->second.external &&

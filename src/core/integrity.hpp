@@ -14,8 +14,8 @@
 ///
 /// A Ledger divides a mesh's state into named *sections* — each entity
 /// pool's verts/down/alive arrays, the vertex coordinates, every tag's
-/// payload stream, each current CSR adjacency view — and records a
-/// CRC-32C per section plus per-block CRCs for byte-range localization.
+/// payload stream — and records a CRC-32C per section plus per-block CRCs
+/// for byte-range localization.
 /// Sections are re-hashed lazily: each is keyed on the version counters
 /// that every legitimate write path already bumps (Mesh::topoVersion /
 /// dataVersion, TagBase::version), so seal() skips unchanged sections and
@@ -63,21 +63,18 @@ struct Mismatch {
 
 /// Byte-level access to a mesh's hashable state, for the ledger and the
 /// deterministic memory-fault injector (dist/integrity.hpp). Friend of
-/// Mesh; the only non-const entry points are the fault-injection span and
-/// the CSR invalidation used by tier-1 repair.
+/// Mesh; the only non-const entry point is the fault-injection span.
 struct MeshAccess {
   /// One contiguous hashable section of a mesh.
   struct SectionRef {
     std::string name;
-    std::uint64_t va = 0;  ///< governing version counter (topo/tag/CSR)
+    std::uint64_t va = 0;  ///< governing version counter (topo/tag)
     std::uint64_t vb = 0;  ///< second governing counter (dataVersion) or 0
     std::span<const std::byte> bytes;
   };
 
   /// Enumerate the mesh's contiguous sections in deterministic order:
-  /// "coords", then "pool:<topo>:{verts,down,alive}" per non-empty pool,
-  /// then "csr:<from>-><to>:{offsets,items}" per *current* CSR view (stale
-  /// views are dead weight, never served again, and are skipped).
+  /// "coords", then "pool:<topo>:{verts,down,alive}" per non-empty pool.
   /// Excluded by design: upward adjacency (derived, heap-backed),
   /// classification (process-local pointers, guarded by verify()),
   /// free lists (derived bookkeeping).
@@ -86,10 +83,6 @@ struct MeshAccess {
   /// Writable bytes of one contiguous section, for fault injection; empty
   /// when no section has that name.
   static std::span<std::byte> mutableSection(Mesh& m, const std::string& name);
-
-  /// Drop every cached CSR view (tier-1 repair: the next adjacency query
-  /// rebuilds from the pools).
-  static void invalidateCsr(Mesh& m);
 };
 
 /// Canonical byte stream of one tag's payload: items sorted by packed
@@ -103,7 +96,7 @@ class Ledger {
   /// Record/refresh the hash of every current section. Sections whose
   /// governing versions are unchanged since the last seal are skipped
   /// (their hash is still valid); sections that vanished (destroyed tag,
-  /// stale CSR) are pruned.
+  /// drained pool) are pruned.
   void seal(const Mesh& m);
 
   /// Verify every section that should be byte-identical to its sealed

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "gmi/model.hpp"
-#include "pcu/trace.hpp"
 
 namespace core {
 
@@ -396,69 +395,6 @@ int Mesh::adjacentInto(Ent e, int d, AdjVec& out) const {
   }
   if (cur != &out) out = *cur;
   return static_cast<int>(out.size());
-}
-
-const Mesh::Csr& Mesh::csr(int from, int to) const {
-  assert(from >= 0 && from <= 3 && to >= 0 && to <= 3);
-  auto& slot = csr_[static_cast<std::size_t>(from) * 4 + static_cast<std::size_t>(to)];
-  if (!slot) slot = std::make_unique<Csr>();
-  if (slot->version != topo_version_) {
-    buildCsr(*slot, from, to);
-    slot->version = topo_version_;
-  }
-  return *slot;
-}
-
-void Mesh::buildCsr(Csr& c, int from, int to) const {
-  pcu::trace::Scope span("layout:csr_build");
-  c.base.fill(0);
-  std::uint32_t nrows = 0;
-  for (Topo t : toposOfDim(from)) {
-    c.base[static_cast<std::size_t>(t)] = nrows;
-    nrows += pool(t).slots();
-  }
-  c.offsets.assign(nrows + 1, 0);
-  c.items.clear();
-  std::array<Ent, kMaxDown> buf{};
-  if (from >= to) {
-    // Downward (and identity): each row comes straight from the entity's
-    // own boundary storage; emit rows in slot order, one pass.
-    std::uint32_t r = 0;
-    for (Topo t : toposOfDim(from)) {
-      const Pool& p = pool(t);
-      for (std::uint32_t i = 0; i < p.slots(); ++i, ++r) {
-        if (p.alive[i]) {
-          const int n = downward(Ent(t, i), to, buf.data());
-          c.items.insert(c.items.end(), buf.begin(), buf.begin() + n);
-        }
-        c.offsets[r + 1] = static_cast<std::uint32_t>(c.items.size());
-      }
-    }
-    return;
-  }
-  // Upward: transpose of (to -> from) by the standard two-pass CSR build
-  // (count, prefix-sum, fill). No dedup needed: a higher entity lists each
-  // boundary entity exactly once, so every (row, item) pair is unique.
-  for (Topo t : toposOfDim(to)) {
-    const Pool& p = pool(t);
-    for (std::uint32_t i = 0; i < p.slots(); ++i) {
-      if (!p.alive[i]) continue;
-      const int n = downward(Ent(t, i), from, buf.data());
-      for (int k = 0; k < n; ++k) c.offsets[c.rowOf(buf[k]) + 1] += 1;
-    }
-  }
-  for (std::uint32_t r = 0; r < nrows; ++r) c.offsets[r + 1] += c.offsets[r];
-  c.items.resize(c.offsets[nrows]);
-  std::vector<std::uint32_t> cursor(c.offsets.begin(), c.offsets.end() - 1);
-  for (Topo t : toposOfDim(to)) {
-    const Pool& p = pool(t);
-    for (std::uint32_t i = 0; i < p.slots(); ++i) {
-      if (!p.alive[i]) continue;
-      const Ent e(t, i);
-      const int n = downward(e, from, buf.data());
-      for (int k = 0; k < n; ++k) c.items[cursor[c.rowOf(buf[k])]++] = e;
-    }
-  }
 }
 
 Ent Mesh::findEntity(Topo t, std::span<const Ent> vs) const {

@@ -20,7 +20,6 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -83,7 +82,7 @@ class Mesh {
     model_ = other.model_;
     tags_ = other.tags_;
     sets_ = other.sets_;
-    ++topo_version_;  // invalidate any cached CSR adjacency views
+    ++topo_version_;  // new topology and data: the ledger re-hashes all
     ++data_version_;
   }
 
@@ -148,9 +147,8 @@ class Mesh {
   [[nodiscard]] const UpList& up(Ent e) const;
 
   /// General adjacency in either direction, deduplicated; `d` may be any
-  /// dimension. For d == dim(e) returns {e}. Allocates its result — hot
-  /// loops should use adjacentInto() (no allocation) or adjacentSpan()
-  /// (amortized CSR view) instead.
+  /// dimension. For d == dim(e) returns {e}. Allocates its result — loops
+  /// should use adjacentInto() instead.
   [[nodiscard]] std::vector<Ent> adjacent(Ent e, int d) const;
 
   /// No-allocation general adjacency: clears `out`, fills it with the
@@ -160,45 +158,6 @@ class Mesh {
   /// deduplicate through a hash set in O(1) per entity; the set lives on
   /// the stack and spills to the heap only for a very large star.
   int adjacentInto(Ent e, int d, AdjVec& out) const;
-
-  /// --- CSR adjacency view -----------------------------------------------
-
-  /// Flat compressed-sparse-row view of one (from-dim -> to-dim) adjacency:
-  /// row r = base[topo(e)] + e.index() spans the adjacent entities of
-  /// `e`. Rows are indexed by *pool slot* (dead slots own empty rows), so
-  /// lookup is pure arithmetic. Built lazily by csr()/adjacentSpan() and
-  /// invalidated by any topology change (creation/deletion/copyFrom).
-  /// Only callers that ask for a view build one: the distributed commit
-  /// gate (dist::PartedMesh::verify) marks closures itself and builds no
-  /// views, so the integrity ledger and the memflip `csr` family see only
-  /// views some caller built.
-  struct Csr {
-    std::array<std::uint32_t, kTopoCount> base{};  ///< row base per topo
-    std::vector<std::uint32_t> offsets;            ///< rows + 1
-    std::vector<Ent> items;                        ///< concatenated rows
-    std::uint64_t version = ~std::uint64_t{0};     ///< topoVersion at build
-
-    [[nodiscard]] std::uint32_t rowOf(Ent e) const {
-      return base[static_cast<std::size_t>(e.topo())] + e.index();
-    }
-    [[nodiscard]] std::span<const Ent> row(std::uint32_t r) const {
-      return {items.data() + offsets[r], offsets[r + 1] - offsets[r]};
-    }
-  };
-
-  /// The lazily built CSR table for (from -> to). The first call after a
-  /// topology change rebuilds it (traced as "layout:csr_build"); later
-  /// calls are free. NOT safe to call concurrently while stale — traversal
-  /// loops that share a mesh across threads must prime the view first.
-  const Csr& csr(int from, int to) const;
-
-  /// Adjacency of `e` as a span into the CSR view — zero-copy, amortized
-  /// O(1). Same contents as adjacent(e, d) up to order (CSR upward rows
-  /// are ordered by adjacent-entity iteration order, not discovery order).
-  [[nodiscard]] std::span<const Ent> adjacentSpan(Ent e, int d) const {
-    const Csr& c = csr(topoDim(e.topo()), d);
-    return c.row(c.rowOf(e));
-  }
 
   /// Monotone counter bumped by every topology mutation; equality of two
   /// observations proves no entity was created or destroyed in between.
@@ -287,8 +246,6 @@ class Mesh {
   Ent allocate(Topo t, std::span<const Ent> vs, std::span<const Ent> down,
                gmi::Entity* cls);
 
-  void buildCsr(Csr& c, int from, int to) const;
-
   std::array<Pool, kTopoCount> pools_;
   std::vector<Vec3> coords_;
   gmi::Model* model_;
@@ -296,11 +253,9 @@ class Mesh {
   std::unordered_map<std::string, Set> sets_;
   std::uint64_t topo_version_ = 0;
   std::uint64_t data_version_ = 0;
-  /// Cached CSR views, one per (from, to) pair; rebuilt when stale.
-  mutable std::array<std::unique_ptr<Csr>, 16> csr_;
 
   friend class EntIterAccess;
-  /// integrity.hpp: byte-level access to pools/coords/CSR for the sectioned
+  /// integrity.hpp: byte-level access to pools/coords for the sectioned
   /// checksum ledger and the deterministic memory-fault injector.
   friend struct integrity::MeshAccess;
 };

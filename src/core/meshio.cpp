@@ -7,12 +7,37 @@
 #include "core/tagio.hpp"
 #include "gmi/model.hpp"
 #include "pcu/buffer.hpp"
+#include "pcu/error.hpp"
 
 namespace core {
 
 namespace {
 
 constexpr std::uint64_t kMagic = 0x50554d4952455031ull;  // "PUMIREP1"
+
+/// Fewest bytes one record can occupy: classification (2 x i32) and tag
+/// count (u32) after a point (vertex) or a topology byte and at least two
+/// vertex indices (entity). Bounds a decoded count by the bytes left.
+constexpr std::size_t kRecordTail =
+    2 * sizeof(std::int32_t) + sizeof(std::uint32_t);
+constexpr std::size_t kMinVertexBytes = sizeof(Vec3) + kRecordTail;
+constexpr std::size_t kMinEntityBytes =
+    sizeof(std::uint8_t) + 2 * sizeof(std::uint32_t) + kRecordTail;
+
+[[noreturn]] void reject(const std::string& why) {
+  throw pcu::Error(pcu::ErrorCode::kProtocol, -1, "meshFromBytes: " + why);
+}
+
+/// Read a record count, rejecting one the remaining bytes cannot hold.
+std::uint64_t unpackCount(pcu::InBuffer& b, std::size_t min_record,
+                          const char* what) {
+  const auto n = b.unpack<std::uint64_t>();
+  if (n > b.remaining() / min_record)
+    reject(std::string(what) + " count " + std::to_string(n) +
+           " exceeds the " + std::to_string(b.remaining()) +
+           " bytes left in the stream");
+  return n;
+}
 
 void packCls(pcu::OutBuffer& b, gmi::Entity* cls) {
   b.pack<std::int32_t>(cls ? cls->dim() : -1);
@@ -91,7 +116,7 @@ std::unique_ptr<Mesh> meshFromBytes(std::vector<std::byte> bytes,
     throw std::runtime_error("meshFromBytes: not a pumi-repro mesh stream");
 
   auto mesh = std::make_unique<Mesh>(model);
-  const auto nverts = b.unpack<std::uint64_t>();
+  const auto nverts = unpackCount(b, kMinVertexBytes, "vertex");
   std::vector<Ent> verts;
   verts.reserve(nverts);
   for (std::uint64_t i = 0; i < nverts; ++i) {
@@ -103,14 +128,22 @@ std::unique_ptr<Mesh> meshFromBytes(std::vector<std::byte> bytes,
   }
 
   for (int d = 1; d <= 3; ++d) {
-    const auto count = b.unpack<std::uint64_t>();
+    const auto count = unpackCount(b, kMinEntityBytes, "entity");
     for (std::uint64_t i = 0; i < count; ++i) {
-      const auto topo = static_cast<Topo>(b.unpack<std::uint8_t>());
+      const auto code = b.unpack<std::uint8_t>();
+      if (code >= kTopoCount || topoDim(static_cast<Topo>(code)) != d)
+        reject("topology code " + std::to_string(code) +
+               " is not a dimension-" + std::to_string(d) + " type");
+      const auto topo = static_cast<Topo>(code);
       std::array<Ent, 8> vs{};
       const int nv = topoVertexCount(topo);
-      for (int k = 0; k < nv; ++k)
-        vs[static_cast<std::size_t>(k)] =
-            verts.at(b.unpack<std::uint32_t>());
+      for (int k = 0; k < nv; ++k) {
+        const auto vi = b.unpack<std::uint32_t>();
+        if (vi >= verts.size())
+          reject("vertex index " + std::to_string(vi) + " of " +
+                 std::to_string(verts.size()) + " vertices");
+        vs[static_cast<std::size_t>(k)] = verts[vi];
+      }
       gmi::Entity* cls = unpackCls(b, model);
       // Entities were written dimension-ascending, so every boundary
       // entity already exists; buildElement finds it and creates only e.

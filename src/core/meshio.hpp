@@ -30,7 +30,9 @@ namespace core {
 std::vector<std::byte> meshToBytes(const Mesh& mesh);
 
 /// Rebuild a mesh from meshToBytes output, classifying against `model`.
-/// Throws std::runtime_error on format mismatch.
+/// Throws std::runtime_error on format mismatch; a truncated stream, a
+/// count larger than the bytes left, or an unknown topology or tag type
+/// code throws pcu::Error(kProtocol) before anything is allocated for it.
 std::unique_ptr<Mesh> meshFromBytes(std::vector<std::byte> bytes,
                                     gmi::Model* model);
 

@@ -4,12 +4,24 @@
 #include <typeinfo>
 
 #include "common/smallvec.hpp"
+#include "pcu/error.hpp"
 
 namespace core {
 
 namespace {
 
 enum class TagType : std::uint8_t { Int = 0, Long = 1, Double = 2 };
+
+/// Read a tag record's type code, rejecting one no writer emits (its
+/// payload width is unknown, so the rest of the stream cannot be trusted).
+TagType unpackTagType(pcu::InBuffer& buf) {
+  const auto code = buf.unpack<std::uint8_t>();
+  if (code > static_cast<std::uint8_t>(TagType::Double))
+    throw pcu::Error(pcu::ErrorCode::kProtocol, -1,
+                     "unpackTags: unknown tag type code " +
+                         std::to_string(code));
+  return static_cast<TagType>(code);
+}
 
 template <typename T>
 void unpackTyped(core::Mesh& mesh, core::Ent e, const std::string& name,
@@ -81,7 +93,7 @@ void skipTags(pcu::InBuffer& buf) {
   const auto count = buf.unpack<std::uint32_t>();
   for (std::uint32_t i = 0; i < count; ++i) {
     (void)buf.unpackString();
-    const auto code = buf.unpack<TagType>();
+    const TagType code = unpackTagType(buf);
     (void)buf.unpack<std::uint32_t>();
     switch (code) {
       case TagType::Int:
@@ -101,7 +113,7 @@ void unpackTags(core::Mesh& mesh, core::Ent e, pcu::InBuffer& buf) {
   const auto count = buf.unpack<std::uint32_t>();
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::string name = buf.unpackString();
-    const auto code = buf.unpack<TagType>();
+    const TagType code = unpackTagType(buf);
     const auto components = buf.unpack<std::uint32_t>();
     switch (code) {
       case TagType::Int:

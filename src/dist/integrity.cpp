@@ -227,7 +227,6 @@ void Armor::auditAndRepair(const char* where) {
   }
   if (bad.empty()) return;
 
-  bool rebuilt = false;
   for (auto& [p, ms] : bad) {
     const std::size_t at = rep_.detected.size();
     for (const auto& m : ms)
@@ -238,22 +237,13 @@ void Armor::auditAndRepair(const char* where) {
       pcu::trace::counter("integrity:mismatches",
                           static_cast<std::int64_t>(ms.size()));
 
-    // The escalation ladder. Tier 1 applies only when every mismatch is in
-    // derived CSR state — rebuilt for free from the (clean) pools.
+    // The escalation ladder: the part's buddy-journal replica (tier 2),
+    // then the last checkpoint (tier 3).
     int tier = 0;
-    const bool all_csr =
-        std::all_of(ms.begin(), ms.end(), [](const auto& m) {
-          return m.section.rfind("csr:", 0) == 0;
-        });
-    if (all_csr) {
-      core::integrity::MeshAccess::invalidateCsr(pm_.part(p).mesh());
-      tier = 1;
-    } else if (repairFromJournal(p)) {
+    if (repairFromJournal(p)) {
       tier = 2;
-      rebuilt = true;
     } else if (repairFromCheckpoint(p)) {
       tier = 3;
-      rebuilt = true;
     }
     if (tier == 0) {
       rep_.parts_unrepaired.push_back(p);
@@ -280,23 +270,20 @@ void Armor::auditAndRepair(const char* where) {
     if (pcu::trace::enabled()) {
       pcu::trace::counter("integrity:repairs", 1);
       pcu::trace::counter(
-          tier == 1 ? "integrity:repair_csr"
-                    : (tier == 2 ? "integrity:repair_journal"
-                                 : "integrity:repair_checkpoint"),
+          tier == 2 ? "integrity:repair_journal"
+                    : "integrity:repair_checkpoint",
           1);
     }
   }
 
   // A rebuild re-indexed the part's entities and patched survivor mirrors:
   // gate on the structural invariants before trusting the repaired state.
-  if (rebuilt) {
-    try {
-      pm_.verify();
-    } catch (const std::exception& e) {
-      throw pcu::Error(pcu::ErrorCode::kIntegrity, -1,
-                       std::string(where) +
-                           ": post-repair verify failed: " + e.what());
-    }
+  try {
+    pm_.verify();
+  } catch (const std::exception& e) {
+    throw pcu::Error(pcu::ErrorCode::kIntegrity, -1,
+                     std::string(where) +
+                         ": post-repair verify failed: " + e.what());
   }
   // Re-key every ledger against the repaired bytes (raw layout differs
   // after a rebuild even though the content is fingerprint-identical), and
@@ -387,12 +374,10 @@ bool Armor::flipOne(pcu::faults::MemTarget target, std::uint64_t seed,
     return pcu::faults::memFlipKey(seed, rank, p,
                                    pcu::faults::ioPathHash(what), flip_index);
   };
-  auto meshSections = [&](const char* prefix, bool with_coords) {
+  auto meshSections = [&]() {
     std::vector<std::string> names;
     for (const auto& s : core::integrity::MeshAccess::sections(mesh))
-      if ((with_coords && s.name == "coords") ||
-          s.name.rfind(prefix, 0) == 0)
-        names.push_back(s.name);
+      names.push_back(s.name);
     return names;
   };
   auto flipInSection = [&](const std::vector<std::string>& names,
@@ -452,9 +437,7 @@ bool Armor::flipOne(pcu::faults::MemTarget target, std::uint64_t seed,
   auto tryFamily = [&](MT f) {
     switch (f) {
       case MT::kPool:
-        return flipInSection(meshSections("pool:", true), "pool");
-      case MT::kCsr:
-        return flipInSection(meshSections("csr:", false), "csr");
+        return flipInSection(meshSections(), "pool");
       case MT::kTag:
         return flipTag();
       case MT::kRemotes:
@@ -466,10 +449,9 @@ bool Armor::flipOne(pcu::faults::MemTarget target, std::uint64_t seed,
   };
   if (target != MT::kAny) return tryFamily(target);
   std::vector<MT> fams;
-  if (!meshSections("pool:", true).empty()) fams.push_back(MT::kPool);
+  if (!meshSections().empty()) fams.push_back(MT::kPool);
   if (!eligibleTags().empty()) fams.push_back(MT::kTag);
   if (!remoteFields(part.remotes_, part.ghost_source_, part.ghosted_on_).empty()) fams.push_back(MT::kRemotes);
-  if (!meshSections("csr:", false).empty()) fams.push_back(MT::kCsr);
   if (fams.empty()) return false;
   return tryFamily(fams[key("family") % fams.size()]);
 }

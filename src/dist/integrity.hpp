@@ -12,9 +12,8 @@
 ///     version-gated byte hashes, the remote/ghost tables through
 ///     canonical serialized streams — localizing any mismatch to an exact
 ///     (part, section, byte range);
-///   * repairs what it can, escalating through a ladder:
-///       tier 1  mismatch confined to CSR adjacency views: derived state —
-///               drop the views, the next query rebuilds from the pools;
+///   * repairs what it can, escalating through a ladder (tier numbers are
+///     stable report values; 1 is unused):
 ///       tier 2  refetch the part from its BuddyJournal replica (CRC-gated)
 ///               and rebuild it in place through partio::rebuildParts —
 ///               the routine evacuation uses — which patches survivor
@@ -31,7 +30,7 @@
 /// Flip placement is pure in (plan seed, rank, part, section, flip index)
 /// via pcu::faults::memFlipKey, so a seeded memflip matrix replays
 /// bit-identically. Flips land only in bytes the ledger covers (entity
-/// pools, coordinates, tag payloads, CSR arrays, remote/ghost records) —
+/// pools, coordinates, tag payloads, remote/ghost records) —
 /// never in derived heap structure — so every flip is either repaired to a
 /// fingerprint-identical mesh or reported with exact localization; none is
 /// silent.
@@ -55,7 +54,7 @@ struct Corruption {
   std::string section;         ///< ledger section name
   std::size_t first_byte = 0;  ///< localized byte range within the section's
   std::size_t last_byte = 0;   ///< canonical stream, inclusive
-  int repair_tier = 0;  ///< 1 CSR rebuild, 2 journal, 3 checkpoint, 0 none
+  int repair_tier = 0;  ///< 2 journal, 3 checkpoint, 0 none
   std::string where;    ///< boundary label ("migrate", "parma:round", ...)
 
   friend bool operator==(const Corruption& a, const Corruption& b) {

@@ -171,9 +171,9 @@ std::unique_ptr<PartedMesh> PartedMesh::distribute(
   for (auto& [e, r] : res) std::sort(r.begin(), r.end());
 
   // Entity creation order per dimension. By default each part's pools are
-  // laid out in locality (RCM) order — the CSR views and SoA pools reward
-  // neighbours that sit close in memory — with element order following the
-  // vertex order. PUMI_NO_REORDER=1 restores serial iteration order (the
+  // laid out in locality (RCM) order — adjacency walks over the SoA pools
+  // reward neighbours that sit close in memory — with element order
+  // following the vertex order. PUMI_NO_REORDER=1 restores serial iteration order (the
   // A/B baseline for the layout benches); the two layouts are digest- and
   // fingerprint-identical, only handle assignment differs.
   const bool reorder = std::getenv("PUMI_NO_REORDER") == nullptr;

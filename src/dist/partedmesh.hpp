@@ -271,8 +271,8 @@ class PartedMesh {
 
   /// --- silent-corruption armor (dist/integrity.hpp) ---------------------
   /// When integrity is active, every transactional commit point audits the
-  /// per-part checksum ledgers, repairs what it can (CSR rebuild, buddy-
-  /// journal refetch, checkpoint restore) and reseals, so a flipped bit in
+  /// per-part checksum ledgers, repairs what it can (buddy-journal
+  /// refetch, checkpoint restore) and reseals, so a flipped bit in
   /// live state is caught at the next boundary instead of propagating into
   /// checkpoints and journals. Activation: setIntegrity(true)/false to
   /// force, else on when a memflip fault plan is armed

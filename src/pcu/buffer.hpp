@@ -8,14 +8,17 @@
 /// contiguous byte stream; InBuffer unpacks them in the same order. These are
 /// the only (de)serialization primitives in the library: every distributed
 /// operation (migration, ghosting, ParMA diffusion) marshals through them.
+/// A read past the end of an InBuffer throws pcu::Error(kProtocol), so a
+/// truncated or hostile stream is an error, never an out-of-bounds read.
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <type_traits>
 #include <vector>
+
+#include "pcu/error.hpp"
 
 namespace pcu {
 
@@ -84,7 +87,7 @@ class InBuffer {
   T unpack() {
     static_assert(std::is_trivially_copyable_v<T>,
                   "unpack requires a trivially copyable type");
-    assert(pos_ + sizeof(T) <= bytes_.size() && "unpack past end of buffer");
+    need(sizeof(T), "unpack");
     T value;
     std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
@@ -93,7 +96,7 @@ class InBuffer {
 
   std::string unpackString() {
     const auto n = unpack<std::uint64_t>();
-    assert(pos_ + n <= bytes_.size() && "unpackString past end of buffer");
+    need(n, "unpackString");
     std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
     pos_ += n;
     return s;
@@ -104,8 +107,8 @@ class InBuffer {
     static_assert(std::is_trivially_copyable_v<T>,
                   "unpackVector requires trivially copyable elements");
     const auto n = unpack<std::uint64_t>();
-    assert(pos_ + n * sizeof(T) <= bytes_.size() &&
-           "unpackVector past end of buffer");
+    // Compare element counts, not byte counts: n * sizeof(T) may overflow.
+    if (n > remaining() / sizeof(T)) overrun("unpackVector", n, sizeof(T));
     std::vector<T> v(n);
     if (n == 0) return v;  // memcpy with an empty vector's null data() is UB
     std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(T));
@@ -116,7 +119,7 @@ class InBuffer {
   /// Consume `n` raw bytes (no length prefix) into a fresh buffer. Used to
   /// split a coalesced segment back into its logical sub-messages.
   std::vector<std::byte> unpackRaw(std::size_t n) {
-    assert(pos_ + n <= bytes_.size() && "unpackRaw past end of buffer");
+    need(n, "unpackRaw");
     std::vector<std::byte> out(bytes_.begin() + static_cast<std::ptrdiff_t>(pos_),
                                bytes_.begin() +
                                    static_cast<std::ptrdiff_t>(pos_ + n));
@@ -130,6 +133,17 @@ class InBuffer {
   [[nodiscard]] std::size_t size() const { return bytes_.size(); }
 
  private:
+  void need(std::uint64_t n, const char* what) const {
+    if (n > remaining()) overrun(what, n, 1);
+  }
+  [[noreturn]] void overrun(const char* what, std::uint64_t n,
+                            std::size_t unit) const {
+    throw Error(ErrorCode::kProtocol, -1,
+                std::string(what) + ": read of " + std::to_string(n) + " x " +
+                    std::to_string(unit) + " bytes past the end of the buffer (" +
+                    std::to_string(remaining()) + " left)");
+  }
+
   std::vector<std::byte> bytes_;
   std::size_t pos_ = 0;
 };

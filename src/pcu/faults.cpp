@@ -374,11 +374,9 @@ FaultPlan parsePlan(const std::string& spec) {
           p.memflip.target = MemTarget::kTag;
         } else if (target == "remotes") {
           p.memflip.target = MemTarget::kRemotes;
-        } else if (target == "csr") {
-          p.memflip.target = MemTarget::kCsr;
         } else {
           envspec::fail(env, "memflip target \"" + target +
-                                 "\" is not one of pool|tag|remotes|csr");
+                                 "\" is not one of pool|tag|remotes");
         }
       }
       p.memflip.phase = envspec::parseInt(env, "memflip phase", rest, 0,
@@ -440,7 +438,6 @@ const char* memTargetName(MemTarget t) {
     case MemTarget::kPool: return "pool";
     case MemTarget::kTag: return "tag";
     case MemTarget::kRemotes: return "remotes";
-    case MemTarget::kCsr: return "csr";
   }
   return "unknown";
 }

@@ -63,9 +63,9 @@
 ///   memflip=N@P[:target]  N bits flip in live part state at the P-th
 ///                      integrity boundary of the run. The optional target
 ///                      restricts the flips to one section family:
-///                      pool (entity pools), tag (tag payloads),
-///                      remotes (remote/ghost copy tables), csr (cached
-///                      adjacency arrays); absent = any section.
+///                      pool (entity pools and coordinates), tag (tag
+///                      payloads), remotes (remote/ghost copy tables);
+///                      absent = any section.
 ///
 /// Like the storage tokens, memflip arms neither message framing nor the
 /// transactional snapshot machinery (injects() and ioInjects() both ignore
@@ -140,7 +140,7 @@ struct RankJoin {
 
 /// Which section family a memflip restricts itself to. kAny flips anywhere
 /// the integrity ledger covers.
-enum class MemTarget : std::uint8_t { kAny, kPool, kTag, kRemotes, kCsr };
+enum class MemTarget : std::uint8_t { kAny, kPool, kTag, kRemotes };
 
 /// Spelling of a MemTarget as it appears in a memflip token.
 const char* memTargetName(MemTarget t);

@@ -4,6 +4,7 @@
 #include "meshgen/workloads.hpp"
 #include <unordered_set>
 
+#include "common/crc32.hpp"
 #include "part/coloring.hpp"
 
 namespace {
@@ -90,6 +91,24 @@ TEST(Coloring, DeterministicAcrossRuns) {
   const auto b = part::colorElements(*gen.mesh);
   EXPECT_EQ(a.color, b.color);
   EXPECT_EQ(a.colors, b.colors);
+}
+
+// Pinned colour vectors: the greedy pass only tests membership in each
+// element's conflict list, so the order in which adjacency is enumerated
+// must never change the colours.
+TEST(Coloring, PinnedColorVectors) {
+  auto gen = meshgen::boxTets(6, 6, 6);
+  const auto crcOf = [](const part::Coloring& c) {
+    return common::crc32c(reinterpret_cast<const std::byte*>(c.color.data()),
+                          c.color.size() * sizeof(int));
+  };
+  const auto by_vertex =
+      part::colorElements(*gen.mesh, ColorRelation::SharedVertex);
+  const auto by_face = part::colorElements(*gen.mesh, ColorRelation::SharedFace);
+  EXPECT_EQ(crcOf(by_vertex), 2410617492u);
+  EXPECT_EQ(crcOf(by_face), 2087998672u);
+  EXPECT_EQ(by_vertex.colors, 28);
+  EXPECT_EQ(by_face.colors, 4);
 }
 
 }  // namespace

@@ -138,16 +138,14 @@ std::string sectionWithPrefix(di::Armor& armor, PartId p,
   return {};
 }
 
-/// Give every part's mesh a vertex tag with values (so the `tag` flip
-/// family has eligible bytes) and a primed elements->verts CSR view (so
-/// the `csr` family does too).
-void primeTagAndCsr(dist::PartedMesh& pm, int dim) {
+/// Give every part's mesh a vertex tag with values, so the `tag` flip
+/// family has eligible bytes.
+void primeTags(dist::PartedMesh& pm) {
   for (PartId p = 0; p < pm.parts(); ++p) {
     core::Mesh& m = pm.part(p).mesh();
     auto tag = m.tags().create<double>("weight", 1);
     for (Ent v : m.entities(0))
       m.tags().setScalar<double>(tag, v, 1.0 + static_cast<double>(p));
-    (void)m.csr(dim, 0);
   }
 }
 
@@ -170,7 +168,6 @@ TEST(MemFaultSpec, ParsesEveryTargetFamily) {
       {"pool", faults::MemTarget::kPool},
       {"tag", faults::MemTarget::kTag},
       {"remotes", faults::MemTarget::kRemotes},
-      {"csr", faults::MemTarget::kCsr},
   };
   for (const auto& [name, target] : targets) {
     const auto p =
@@ -184,7 +181,8 @@ TEST(MemFaultSpec, MalformedTokensAreRejectedByName) {
   for (const char* bad :
        {"memflip=", "memflip=3", "memflip=@2", "memflip=3@", "memflip=0@1",
         "memflip=x@2", "memflip=3@y", "memflip=3@-1", "memflip=-1@2",
-        "memflip=3@2:disk", "memflip=3@2:", "memflip=3@2:POOL"}) {
+        "memflip=3@2:disk", "memflip=3@2:", "memflip=3@2:POOL",
+        "memflip=1@0:csr"}) {
     try {
       faults::parsePlan(bad);
       FAIL() << "accepted malformed PUMI_FAULTS token: " << bad;
@@ -346,46 +344,7 @@ TEST(Ledger, TagPayloadCorruptionIsDetectedAndWritesAreNot) {
   EXPECT_EQ(std::find(after.begin(), after.end(), "tag:w"), after.end());
 }
 
-TEST(Ledger, CsrViewsAreCoveredWhileCurrent) {
-  auto gen = meshgen::boxTris(4, 4);
-  core::Mesh& m = *gen.mesh;
-  (void)m.csr(2, 0);  // prime the elements->verts view
-  ci::Ledger led;
-  led.seal(m);
-  const auto span = ci::MeshAccess::mutableSection(m, "csr:2->0:items");
-  ASSERT_FALSE(span.empty());
-  span[3] ^= std::byte{0x04};
-  std::vector<ci::Mismatch> ms;
-  led.audit(m, ms);
-  ASSERT_EQ(ms.size(), 1u);
-  EXPECT_EQ(ms[0].section, "csr:2->0:items");
-}
-
 /// --- the armor's repair ladder (dist::integrity) -------------------------
-
-TEST(Armor, CsrCorruptionRebuildsDerivedStateWithoutReplicas) {
-  auto gen = meshgen::boxTris(4, 4);
-  auto pm = makeMesh(gen, 4);
-  pm->setIntegrity(true);
-  (void)pm->part(1).mesh().csr(2, 0);
-  di::Armor& armor = pm->armor();
-  armor.sealAndMaybeInject();
-  const std::uint64_t fp = pm->fingerprint();
-
-  const std::string sec = sectionWithPrefix(armor, 1, "csr:");
-  ASSERT_FALSE(sec.empty());
-  corruptSection(pm->part(1).mesh(), sec, 1);
-  EXPECT_NO_THROW(armor.auditAndRepair("test"))
-      << "CSR damage is tier 1: derived state, no replica needed";
-  const auto rep = armor.report();
-  ASSERT_EQ(rep.detected.size(), 1u);
-  EXPECT_EQ(rep.detected[0].part, 1);
-  EXPECT_EQ(rep.detected[0].section, sec);
-  EXPECT_EQ(rep.detected[0].repair_tier, 1);
-  EXPECT_EQ(rep.parts_repaired, std::vector<PartId>{1});
-  EXPECT_EQ(pm->fingerprint(), fp);
-  EXPECT_NO_THROW(pm->verify());
-}
 
 TEST(Armor, PoolCorruptionRepairsFromTheBuddyJournal) {
   auto gen = meshgen::boxTris(5, 5);
@@ -476,7 +435,7 @@ TEST_P(InjectorTarget, SeededBurstIsPlantedDetectedAndRepaired) {
   const std::string target = GetParam();
   auto gen = meshgen::boxTris(5, 5);
   auto pm = makeMesh(gen, 4);
-  primeTagAndCsr(*pm, 2);
+  primeTags(*pm);
   pm->setIntegrity(true);
   failover::BuddyJournal journal;
   di::Armor& armor = pm->armor();
@@ -506,7 +465,7 @@ TEST_P(InjectorTarget, SeededBurstIsPlantedDetectedAndRepaired) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Targets, InjectorTarget,
-                         ::testing::Values("pool", "tag", "remotes", "csr"),
+                         ::testing::Values("pool", "tag", "remotes"),
                          [](const auto& info) { return info.param; });
 
 TEST(Armor, ReportIsDeterministicAcrossReruns) {
@@ -515,7 +474,7 @@ TEST(Armor, ReportIsDeterministicAcrossReruns) {
   auto runOnce = [] {
     auto gen = meshgen::boxTris(5, 5);
     auto pm = makeMesh(gen, 4);
-    primeTagAndCsr(*pm, 2);
+    primeTags(*pm);
     pm->setIntegrity(true);
     failover::BuddyJournal journal;
     di::Armor& armor = pm->armor();
@@ -771,14 +730,15 @@ class MemflipMatrix : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(MemflipMatrix, EveryInjectedFlipIsRepairedOrPreciselyReported) {
   const auto [seed, three_d] = GetParam();
-  static const char* kTargets[] = {"pool", "tag", "remotes", "csr"};
+  // The fourth slot is an untargeted burst: the armor picks the family.
+  static const char* kTargets[] = {":pool", ":tag", ":remotes", ""};
   const std::string target = kTargets[seed % 4];
   const int phase = static_cast<int>(seed % 3);  // boundaries 0..2 all exist
   const int bits = 1 + static_cast<int>(seed % 4);
 
   auto gen = three_d ? meshgen::boxTets(2, 2, 2) : meshgen::boxTris(4, 4);
   auto pm = makeMesh(gen, 4);
-  primeTagAndCsr(*pm, three_d ? 3 : 2);
+  primeTags(*pm);
   pm->setIntegrity(true);
   const auto pristine = elementDigests(*pm);
 
@@ -788,7 +748,7 @@ TEST_P(MemflipMatrix, EveryInjectedFlipIsRepairedOrPreciselyReported) {
 
   PlanGuard g(faults::parsePlan(
       "seed=" + std::to_string(seed) + ",memflip=" + std::to_string(bits) +
-      "@" + std::to_string(phase) + ":" + target));
+      "@" + std::to_string(phase) + target));
   armor.sealAndMaybeInject();  // boundary 0
 
   common::Rng rng(seed);

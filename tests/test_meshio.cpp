@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "core/measure.hpp"
@@ -8,6 +9,8 @@
 #include "gmi/model.hpp"
 #include "meshgen/boxmesh.hpp"
 #include "meshgen/workloads.hpp"
+#include "pcu/buffer.hpp"
+#include "pcu/error.hpp"
 
 namespace {
 
@@ -100,6 +103,127 @@ TEST(MeshIo, RejectsGarbageAndMissingFiles) {
   std::fclose(f);
   EXPECT_THROW(core::readMesh(path, nullptr), std::runtime_error);
   std::remove(path.c_str());
+}
+
+// --- hostile streams: every malformed input is a pcu::Error, never a crash
+
+/// The stream header, taken from a real (empty) mesh stream.
+std::uint64_t streamMagic() {
+  core::Mesh empty;
+  return pcu::InBuffer(core::meshToBytes(empty)).unpack<std::uint64_t>();
+}
+
+/// The close of every record: no classification, then a tag count.
+void packTail(pcu::OutBuffer& b, std::uint32_t tags = 0) {
+  b.pack<std::int32_t>(-1);  // classification dim: none
+  b.pack<std::int32_t>(-1);  // classification tag
+  b.pack<std::uint32_t>(tags);
+}
+
+/// One unclassified, untagged vertex record.
+void packVertex(pcu::OutBuffer& b, const common::Vec3& x) {
+  b.pack(x);
+  packTail(b);
+}
+
+/// Two vertices and one dimension-1 record carrying topology byte `topo`
+/// over vertex indices 0 and `second`.
+std::vector<std::byte> edgeStream(std::uint8_t topo, std::uint32_t second = 1) {
+  pcu::OutBuffer b;
+  b.pack(streamMagic());
+  b.pack<std::uint64_t>(2);
+  packVertex(b, {0, 0, 0});
+  packVertex(b, {1, 0, 0});
+  b.pack<std::uint64_t>(1);
+  b.pack(topo);
+  b.pack<std::uint32_t>(0);
+  b.pack<std::uint32_t>(second);
+  packTail(b);
+  b.pack<std::uint64_t>(0);  // faces
+  b.pack<std::uint64_t>(0);  // regions
+  return std::move(b).take();
+}
+
+/// One vertex carrying a one-component tag record of type code `code`.
+std::vector<std::byte> taggedVertexStream(std::uint8_t code) {
+  pcu::OutBuffer b;
+  b.pack(streamMagic());
+  b.pack<std::uint64_t>(1);
+  b.pack(common::Vec3{0, 0, 0});
+  packTail(b, 1);
+  b.packString("w");
+  b.pack(code);
+  b.pack<std::uint32_t>(1);
+  b.packVector(std::vector<double>{2.5});
+  for (int d = 1; d <= 3; ++d) b.pack<std::uint64_t>(0);
+  return std::move(b).take();
+}
+
+void expectProtocolError(std::vector<std::byte> bytes, const char* what) {
+  try {
+    core::meshFromBytes(std::move(bytes), nullptr);
+    ADD_FAILURE() << "accepted " << what;
+  } catch (const pcu::Error& e) {
+    EXPECT_EQ(e.code(), pcu::ErrorCode::kProtocol) << what;
+  }
+}
+
+TEST(MeshIoHostile, EveryTruncationPrefixThrows) {
+  auto gen = meshgen::boxTets(2, 2, 2);
+  common::Rng rng(5);
+  meshgen::jiggle(*gen.mesh, 0.2, rng);
+  auto* weight = gen.mesh->tags().create<double>("weight");
+  for (Ent e : gen.mesh->entities(3))
+    gen.mesh->tags().setScalar<double>(weight, e, rng.uniform());
+  const auto bytes = core::meshToBytes(*gen.mesh);
+  ASSERT_NO_THROW(core::meshFromBytes(bytes, gen.model.get()));
+  std::size_t accepted = 0, wrong_error = 0, first_bad = bytes.size();
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    try {
+      core::meshFromBytes({bytes.begin(), bytes.begin() +
+                                              static_cast<std::ptrdiff_t>(n)},
+                          gen.model.get());
+      ++accepted;
+      first_bad = std::min(first_bad, n);
+    } catch (const pcu::Error&) {
+    } catch (const std::exception&) {
+      ++wrong_error;
+      first_bad = std::min(first_bad, n);
+    }
+  }
+  EXPECT_EQ(accepted, 0u) << "first bad prefix: " << first_bad;
+  EXPECT_EQ(wrong_error, 0u) << "first bad prefix: " << first_bad;
+}
+
+TEST(MeshIoHostile, TopologyCodeMustNameATypeOfTheRecordDimension) {
+  // Positive control: the same stream with an edge code decodes.
+  auto mesh = core::meshFromBytes(
+      edgeStream(static_cast<std::uint8_t>(core::Topo::Edge)), nullptr);
+  EXPECT_EQ(mesh->count(1), 1u);
+  expectProtocolError(edgeStream(9), "topology code 9");
+  expectProtocolError(edgeStream(200), "topology code 200");
+  expectProtocolError(edgeStream(static_cast<std::uint8_t>(core::Topo::Tri)),
+                      "a triangle among the edges");
+  expectProtocolError(
+      edgeStream(static_cast<std::uint8_t>(core::Topo::Edge), 2),
+      "vertex index 2 of 2 vertices");
+}
+
+TEST(MeshIoHostile, HugeVertexCountThrowsWithoutAllocating) {
+  pcu::OutBuffer b;
+  b.pack(streamMagic());
+  b.pack<std::uint64_t>(std::uint64_t{1} << 58);
+  packVertex(b, {0, 0, 0});
+  expectProtocolError(std::move(b).take(), "a 2^58 vertex count");
+}
+
+TEST(MeshIoHostile, UnknownTagTypeCodeThrows) {
+  auto mesh = core::meshFromBytes(taggedVertexStream(2), nullptr);  // double
+  auto* w = mesh->tags().find("w");
+  ASSERT_NE(w, nullptr);
+  EXPECT_EQ(mesh->tags().getScalar<double>(w, mesh->all(0).front()), 2.5);
+  expectProtocolError(taggedVertexStream(3), "tag type code 3");
+  expectProtocolError(taggedVertexStream(255), "tag type code 255");
 }
 
 TEST(MeshIo, MissingModelEntityThrows) {

@@ -5,6 +5,7 @@
 #include "adapt/refine.hpp"
 #include "adapt/split.hpp"
 #include "adapt/transfer.hpp"
+#include "common/crc32.hpp"
 #include "core/measure.hpp"
 #include "core/verify.hpp"
 #include "field/field.hpp"
@@ -79,6 +80,24 @@ TEST(Smooth, NeverWorsensWorstQuality) {
   const double worst_before = adapt::meshQuality(*gen.mesh).min;
   adapt::smooth(*gen.mesh, []{ adapt::SmoothOptions o; o.passes = 3; return o; }());
   EXPECT_GE(adapt::meshQuality(*gen.mesh).min, worst_before - 1e-12);
+}
+
+// Pinned result of one sweep: the quality guard takes a min over the
+// vertex's cavity, so the order in which the cavity is enumerated must
+// never change which moves are accepted or where the vertices land.
+TEST(Smooth, PinnedSingleSweep) {
+  auto gen = meshgen::boxTets(6, 6, 6);
+  common::Rng rng(21);
+  meshgen::jiggle(*gen.mesh, 0.25, rng);
+  adapt::SmoothOptions opts;
+  opts.passes = 1;
+  const auto stats = adapt::smooth(*gen.mesh, opts);
+  std::uint32_t crc = 0;
+  for (Ent v : gen.mesh->entities(0))
+    crc = common::crc32cOf(gen.mesh->point(v), crc);
+  EXPECT_EQ(crc, 199385536u);
+  EXPECT_EQ(stats.moved, 101u);
+  EXPECT_EQ(stats.rejected, 24u);
 }
 
 TEST(Transfer, LinearFieldExactThroughRefinement) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <string>
+#include <thread>
+
 #include "adapt/sizefield.hpp"
 #include "core/measure.hpp"
 #include "core/verify.hpp"
@@ -9,6 +14,7 @@
 #include "meshgen/boxmesh.hpp"
 #include "parma/balance.hpp"
 #include "parma/metrics.hpp"
+#include "part/coloring.hpp"
 #include "part/partition.hpp"
 #include "solver/poisson.hpp"
 
@@ -145,6 +151,36 @@ TEST(ThreadedDelivery, SameGlobalCountsAsSequential) {
   dist::refineParted(*pm_thr, size, {.max_passes = 6});
   for (int d = 0; d <= 3; ++d)
     EXPECT_EQ(pm_thr->globalCount(d), pm_seq->globalCount(d)) << "dim " << d;
+}
+
+// Const mesh queries have no hidden write path (no lazily filled cache), so
+// threads may share one const mesh without priming anything first.
+TEST(ConstMeshQueries, ConcurrentColoringOfOneSharedMesh) {
+  auto gen = meshgen::boxTets(3, 3, 3);
+  const core::Mesh& mesh = *gen.mesh;
+  using part::ColorRelation;
+  struct Result {
+    part::Coloring by_vertex, by_face;
+    std::string error;
+  };
+  std::array<Result, 2> results;
+  auto work = [&mesh](Result& r) {
+    try {
+      r.by_vertex = part::colorElements(mesh, ColorRelation::SharedVertex);
+      part::verifyColoring(mesh, r.by_vertex, ColorRelation::SharedVertex);
+      r.by_face = part::colorElements(mesh, ColorRelation::SharedFace);
+      part::verifyColoring(mesh, r.by_face, ColorRelation::SharedFace);
+    } catch (const std::exception& e) {
+      r.error = e.what();
+    }
+  };
+  std::thread a(work, std::ref(results[0]));
+  std::thread b(work, std::ref(results[1]));
+  a.join();
+  b.join();
+  for (const Result& r : results) EXPECT_EQ(r.error, "");
+  EXPECT_EQ(results[0].by_vertex.color, results[1].by_vertex.color);
+  EXPECT_EQ(results[0].by_face.color, results[1].by_face.color);
 }
 
 }  // namespace

@@ -56,7 +56,7 @@ summary = {"description": (
     "(the tier-2 repair source; replication proper is priced by the "
     "failover bench). repair replays the 20-seed memflip matrix: "
     "deterministic flip bursts planted in live sealed state "
-    "mid-workload, target family (pool/tag/remotes/csr) and boundary "
+    "mid-workload, target family (pool/tag/remotes/any) and boundary "
     "phase cycled from the seed; every seed must end digest-identical "
     "to its pristine mesh with zero unrepaired parts. Produced by "
     "tools/bench_integrity.sh."),
