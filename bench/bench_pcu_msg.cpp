@@ -199,7 +199,7 @@ void BM_PingPongReliable(benchmark::State& state) {
   const double drop =
       static_cast<double>(state.range(1)) / 1000.0;
   pcu::arq::resetStats();
-  pcu::Comm::setReliable(true);
+  pcu::arq::setReliable(true);
   faults::FaultPlan plan;
   if (drop > 0.0) {
     plan.seed = 12;
@@ -223,7 +223,7 @@ void BM_PingPongReliable(benchmark::State& state) {
     });
   }
   faults::clearPlan();
-  pcu::Comm::setReliable(false);
+  pcu::arq::setReliable(false);
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 16 *
                           static_cast<std::int64_t>(payload));
   const auto st = pcu::arq::stats();

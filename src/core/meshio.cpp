@@ -50,9 +50,9 @@ gmi::Entity* unpackCls(pcu::InBuffer& b, gmi::Model* model) {
   if (dim < 0) return nullptr;
   gmi::Entity* cls = model ? model->find(dim, tag) : nullptr;
   if (model != nullptr && cls == nullptr)
-    throw std::runtime_error("readMesh: model entity (" +
-                             std::to_string(dim) + "," + std::to_string(tag) +
-                             ") not found");
+    throw pcu::Error(pcu::ErrorCode::kValidation, -1,
+                     "meshFromBytes: model entity (" + std::to_string(dim) +
+                         "," + std::to_string(tag) + ") not found");
   return cls;
 }
 
@@ -113,7 +113,7 @@ std::unique_ptr<Mesh> meshFromBytes(std::vector<std::byte> bytes,
   pcu::InBuffer b(std::move(bytes));
 
   if (b.unpack<std::uint64_t>() != kMagic)
-    throw std::runtime_error("meshFromBytes: not a pumi-repro mesh stream");
+    reject("not a pumi-repro mesh stream");
 
   auto mesh = std::make_unique<Mesh>(model);
   const auto nverts = unpackCount(b, kMinVertexBytes, "vertex");
@@ -143,6 +143,10 @@ std::unique_ptr<Mesh> meshFromBytes(std::vector<std::byte> bytes,
           reject("vertex index " + std::to_string(vi) + " of " +
                  std::to_string(verts.size()) + " vertices");
         vs[static_cast<std::size_t>(k)] = verts[vi];
+        for (int j = 0; j < k; ++j)
+          if (vs[static_cast<std::size_t>(j)] == verts[vi])
+            reject("vertex index " + std::to_string(vi) +
+                   " repeats in one record");
       }
       gmi::Entity* cls = unpackCls(b, model);
       // Entities were written dimension-ascending, so every boundary
@@ -153,8 +157,7 @@ std::unique_ptr<Mesh> meshFromBytes(std::vector<std::byte> bytes,
       unpackTags(*mesh, e, b);
     }
   }
-  if (!b.done())
-    throw std::runtime_error("meshFromBytes: trailing bytes in mesh stream");
+  if (!b.done()) reject("trailing bytes in mesh stream");
   return mesh;
 }
 

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -24,10 +25,9 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
-
-#include <map>
 
 #include "pcu/arq.hpp"
 #include "pcu/buffer.hpp"
@@ -113,27 +113,30 @@ class PartMap {
 /// While a fault plan or checksum-verify mode is active
 /// (pcu::faults::framingEnabled()) every physical message is framed with a
 /// per-(from,to)-channel sequence number and payload CRC — one seq/CRC per
-/// coalesced segment. Delivery then verifies each destination's batch
-/// before any handler runs: corruption, duplication and loss are surfaced
-/// as structured pcu::Error values, and per-channel FIFO order is restored
-/// under injected reordering. Because the transport is bulk-synchronous,
-/// loss is detected deterministically at the phase boundary (a sequence gap
-/// against the sender's counter) — no timeout needed at this layer.
+/// coalesced segment. Each destination keeps one record per inbound
+/// channel: the send counter, the receive expectation and, in reliable
+/// mode, the unacknowledged frames. Delivery verifies each destination's
+/// batch against those records before any handler runs (verifyBatch).
+/// Because the transport is bulk-synchronous, loss is detected
+/// deterministically at the phase boundary (a sequence short of the
+/// sender's counter) — no timeout needed at this layer.
 ///
+/// Strict and reliable delivery are two policies of that one pass. Strict
+/// surfaces corruption, duplication and loss as structured pcu::Error
+/// values and restores per-channel FIFO order under injected reordering.
 /// With reliable delivery on (pcu::arq::enabled()) the phase boundary
-/// *recovers* instead of aborting: every framed segment keeps a clean copy
-/// in a resend buffer until its receiver verifies it, and verification
-/// re-fetches corrupt segments, silently drops duplicates, and pulls every
-/// missing sequence number from the buffer — each retransmission attempt
-/// re-running the fault plan's decision under an attempt salt, so only a
-/// permanent fault exhausts the bounded budget and surfaces as
-/// pcu::Error(kMessageLost). The transactional layer bumps a fault epoch
-/// between operation replays (bumpFaultEpoch) so a retried operation does
-/// not deterministically replay the exact faults that aborted it.
+/// *recovers* instead: corrupt segments are re-fetched, duplicates
+/// silently dropped, and every missing sequence number pulled from the
+/// channel's resend queue through pcu::arq::retransmit — the same
+/// attempt-salted loop pcu::Comm runs, so only a permanent fault exhausts
+/// the bounded budget and surfaces as pcu::Error(kMessageLost). The
+/// transactional layer bumps a fault epoch between operation replays
+/// (bumpFaultEpoch) so a retried operation does not deterministically
+/// replay the exact faults that aborted it.
 class Network {
  public:
   explicit Network(PartMap map)
-      : map_(map), boxes_(map.parts()), recv_seq_(boxes_.size()) {}
+      : map_(map), boxes_(map.parts()), inbound_(boxes_.size()) {}
 
   [[nodiscard]] const PartMap& partMap() const { return map_; }
   [[nodiscard]] int parts() const { return map_.parts(); }
@@ -260,12 +263,12 @@ class Network {
   /// Add one part (empty mailbox) to the transport.
   void addPart() {
     boxes_.emplace_back();
-    recv_seq_.emplace_back();
+    inbound_.emplace_back();
     map_.setParts(static_cast<int>(boxes_.size()));
   }
 
-  /// Forget every pending message (staged or flushed), all channel
-  /// sequence state and the reliable-mode resend buffer. Used by the
+  /// Forget every pending message (staged or flushed) and every channel
+  /// record (sequence state and resend queue). Used by the
   /// transactional abort path (PartedMesh) so a rolled-back operation
   /// leaves the transport exactly as if it had never run.
   void resetTransport() {
@@ -274,9 +277,7 @@ class Network {
     group_of_.clear();
     last_key_ = kNoKey;
     for (auto& box : boxes_) box.clear();
-    send_seq_.clear();
-    for (auto& chan : recv_seq_) chan.clear();
-    resend_.clear();
+    for (auto& chans : inbound_) chans.clear();
   }
 
   /// Advance the fault-decision epoch. resetTransport() clears the channel
@@ -347,6 +348,32 @@ class Network {
     std::uint64_t seq = 0;
   };
 
+  /// One framed (from -> to) channel, held in its destination's record
+  /// (inbound_). Active only while faults::framingEnabled().
+  struct Channel {
+    PartId from = 0;
+    std::uint64_t sent = 0;       ///< send counter
+    std::uint64_t delivered = 0;  ///< receive expectation
+    /// Reliable mode: clean framed segments kept until the receiver
+    /// verifies the phase. One copy, one CRC, whole coalesced segments —
+    /// never re-split for resend.
+    pcu::arq::ResendQueue unacked;
+  };
+
+  /// The (from -> to) channel record, created on first use; records stay
+  /// ordered by sender. Caller holds mutex_.
+  Channel& channelLocked(PartId from, PartId to) {
+    auto& chans = inbound_[static_cast<std::size_t>(to)];
+    auto it = std::lower_bound(
+        chans.begin(), chans.end(), from,
+        [](const Channel& c, PartId f) { return c.from < f; });
+    if (it == chans.end() || it->from != from) {
+      it = chans.emplace(it);
+      it->from = from;
+    }
+    return *it;
+  }
+
   /// One logical payload as posted by send() from a worker thread, before
   /// it is merged into the staged groups.
   struct StagedMsg {
@@ -394,13 +421,13 @@ class Network {
            static_cast<std::uint32_t>(to);
   }
 
-  /// Salt parameter for fault decisions: epoch 0 / attempt 0 degenerates
-  /// to the unsalted historical stream (arq::saltSeq(seq, 0) == seq), so
-  /// every seeded test written before reliability existed replays
-  /// bit-identically. Retransmission attempts occupy [1, budget]; epochs
-  /// shift by 2^20 to stay clear of them. Caller holds mutex_.
-  [[nodiscard]] std::uint64_t epochSalt(std::uint64_t attempt) const {
-    return fault_epoch_ * (std::uint64_t{1} << 20) + attempt;
+  /// Salt base for fault decisions: epoch 0 degenerates to the unsalted
+  /// historical stream (arq::saltSeq(seq, 0) == seq), so every seeded test
+  /// written before reliability existed replays bit-identically.
+  /// arq::retransmit adds attempts [1, budget] on top; epochs shift by
+  /// 2^20 to stay clear of them. Caller holds mutex_.
+  [[nodiscard]] std::uint64_t epochSalt() const {
+    return fault_epoch_ * (std::uint64_t{1} << 20);
   }
 
   /// Stage one logical payload, coalescing it into the open (from, to)
@@ -487,15 +514,15 @@ class Network {
       segment.packBytes(b.data(), b.size());
     }
     bodies.clear();
-    const std::uint64_t seq = send_seq_[channelKey(from, to)]++;
+    Channel& chan = channelLocked(from, to);
+    const std::uint64_t seq = chan.sent++;
     auto framed = pcu::faults::frame(seq, std::move(segment).take());
     if (pcu::arq::enabled())
       // Keep the clean framed segment until its receiver verifies it: the
-      // phase-boundary recovery pulls retransmissions from here. One copy,
-      // one CRC, whole coalesced segments — never re-split for resend.
-      resend_[channelKey(from, to)][seq] = framed;
+      // phase-boundary recovery pulls retransmissions from here.
+      chan.unacked.push(seq, std::vector<std::byte>(framed));
     switch (pcu::faults::decide(from, to, kNetChannelTag,
-                                pcu::arq::saltSeq(seq, epochSalt(0)))) {
+                                pcu::arq::saltSeq(seq, epochSalt()))) {
       case pcu::faults::Action::kDeliver:
         break;
       case pcu::faults::Action::kCorrupt:
@@ -519,11 +546,6 @@ class Network {
     box.push_back(Pending{from, std::move(framed), {}, seq});
   }
 
-  /// Flush the stage, swap out the pending boxes and, while framing is
-  /// active, verify every destination's batch before any handler runs.
-  /// Verification is single-threaded and happens up front in both delivery
-  /// modes, so a bad batch aborts the phase deterministically with no
-  /// handler side effects.
   /// Every phase on a part map that still pins a part to a dead rank fails:
   /// the dead rank's parts are unreachable until evacuation re-owns them.
   void checkDeadRanks() const {
@@ -597,217 +619,154 @@ class Network {
                          " at phase boundary " + std::to_string(phase));
   }
 
+  /// Flush the stage, swap out the pending boxes and, while framing is
+  /// active, verify every destination's batch before any handler runs.
+  /// Verification is single-threaded and happens up front in both delivery
+  /// modes, so a bad batch aborts the phase deterministically with no
+  /// handler side effects.
   std::vector<std::deque<Pending>> takeVerified() {
     maybeFireRankFault();
     std::vector<std::deque<Pending>> taken(boxes_.size());
-    const bool framed = pcu::faults::framingEnabled();
-    std::vector<std::unordered_map<PartId, std::uint64_t>> posted;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       flushStageLocked();
       taken.swap(boxes_);
-      if (framed) {
-        // Snapshot the per-channel send counters: bulk synchrony means
-        // everything posted before this point must be in `taken`, so a
-        // receiver-side sequence short of the snapshot is a lost message.
-        posted.resize(taken.size());
-        for (const auto& [key, count] : send_seq_) {
-          const auto to = static_cast<std::size_t>(
-              static_cast<std::uint32_t>(key & 0xffffffffu));
-          if (to < posted.size())
-            posted[to][static_cast<PartId>(key >> 32)] = count;
-        }
-      }
     }
-    if (framed)
+    // Bulk synchrony: everything posted before this point is in `taken`,
+    // so each channel's send counter is exactly what must arrive.
+    if (pcu::faults::framingEnabled()) {
+      const bool reliable = pcu::arq::enabled();
       for (std::size_t to = 0; to < taken.size(); ++to)
-        verifyBatch(static_cast<PartId>(to), taken[to], posted[to]);
+        verifyBatch(static_cast<PartId>(to), taken[to], reliable);
+    }
     return taken;
   }
 
-  /// Verify one destination's batch: unframe (magic + CRC), restore
-  /// per-channel FIFO order, reject duplicates, and check the batch is
-  /// contiguous up to the sender-side counter snapshot. Leaves plain
-  /// payloads in the box on success. In reliable mode the batch is
-  /// salvaged (recoverBatch) instead of aborted.
-  void verifyBatch(PartId to, std::deque<Pending>& box,
-                   const std::unordered_map<PartId, std::uint64_t>& posted) {
-    if (pcu::arq::enabled()) {
-      recoverBatch(to, box, posted);
-      return;
-    }
-    for (auto& msg : box)
-      msg.bytes = pcu::faults::unframe(std::move(msg.bytes), msg.seq,
-                                       static_cast<int>(to),
-                                       static_cast<int>(msg.from),
-                                       kNetChannelTag);
-    // Group the box slots by source channel, sources in deterministic order.
-    std::unordered_map<PartId, std::vector<std::size_t>> slots;
-    std::vector<PartId> sources;
+  /// Verify one destination's batch: unframe (magic + CRC) every frame,
+  /// then walk the destination's channels in sender order, checking that
+  /// each delivers exactly the sequence numbers posted since the last
+  /// phase. Leaves plain payloads in the box. The policy decides three
+  /// points:
+  ///  - a corrupt frame: strict throws kCorruptPayload (before any
+  ///    sequence check); reliable drops it and re-fetches it as missing;
+  ///  - a stale or repeated seq: strict throws kDuplicateMessage; reliable
+  ///    drops it;
+  ///  - a missing seq: strict throws kMessageLost (a gap at once; a
+  ///    shortfall against the send counter after every channel is
+  ///    checked); reliable pulls it from the channel's resend queue
+  ///    (pcu::arq::retransmit).
+  /// Strict keeps the box order, restoring each channel's FIFO inside the
+  /// slots the channel occupies. Reliable rebuilds the box in (sender,
+  /// seq) order — the cross-channel interleave is normalized, which the
+  /// handlers tolerate by the same contract that makes threaded delivery
+  /// legal — and acknowledges each verified channel prefix.
+  void verifyBatch(PartId to, std::deque<Pending>& box, bool reliable) {
+    const int rank = static_cast<int>(to);
+    struct Ref {
+      PartId from;
+      std::uint64_t seq;
+      std::size_t slot;
+    };
+    std::vector<Ref> refs;
+    refs.reserve(box.size());
     for (std::size_t i = 0; i < box.size(); ++i) {
-      auto& idx = slots[box[i].from];
-      if (idx.empty()) sources.push_back(box[i].from);
-      idx.push_back(i);
-    }
-    std::sort(sources.begin(), sources.end());
-    auto& expected_map = recv_seq_[static_cast<std::size_t>(to)];
-    for (PartId from : sources) {
-      auto& idx = slots[from];
-      // Sort this channel's messages by verified sequence number back into
-      // the slots the channel occupies: per-channel FIFO is restored while
-      // the cross-channel interleave of the box is preserved.
-      std::vector<Pending> chan;
-      chan.reserve(idx.size());
-      for (std::size_t i : idx) chan.push_back(std::move(box[i]));
-      std::sort(chan.begin(), chan.end(),
-                [](const Pending& a, const Pending& b) {
-                  return a.seq < b.seq;
-                });
-      std::uint64_t expect = expected_map[from];
-      for (const auto& m : chan) {
-        if (m.seq < expect)
-          throw pcu::Error(pcu::ErrorCode::kDuplicateMessage,
-                           static_cast<int>(to), static_cast<int>(from),
-                           kNetChannelTag,
-                           "channel seq " + std::to_string(m.seq) +
-                               " already delivered");
-        if (m.seq > expect)
-          throw pcu::Error(pcu::ErrorCode::kMessageLost, static_cast<int>(to),
-                           static_cast<int>(from), kNetChannelTag,
-                           "sequence gap: expected " + std::to_string(expect) +
-                               ", got " + std::to_string(m.seq));
-        ++expect;
-      }
-      expected_map[from] = expect;
-      for (std::size_t k = 0; k < idx.size(); ++k)
-        box[idx[k]] = std::move(chan[k]);
-    }
-    // A fully-dropped channel (or dropped batch tail) leaves no frame to
-    // flag a gap; the sender-side counter snapshot catches it.
-    std::vector<PartId> senders;
-    senders.reserve(posted.size());
-    for (const auto& [from, count] : posted) {
-      (void)count;
-      senders.push_back(from);
-    }
-    std::sort(senders.begin(), senders.end());
-    for (PartId from : senders) {
-      const std::uint64_t need = posted.at(from);
-      const std::uint64_t got = expected_map[from];
-      if (got < need)
-        throw pcu::Error(pcu::ErrorCode::kMessageLost, static_cast<int>(to),
-                         static_cast<int>(from), kNetChannelTag,
-                         std::to_string(need - got) +
-                             " message(s) posted but never delivered");
-    }
-  }
-
-  /// Reliable-mode phase boundary: instead of aborting on the first bad
-  /// frame, salvage the whole batch. Corrupt frames are discarded (their
-  /// seq field cannot be trusted) and re-fetched as missing; duplicate
-  /// sequence numbers are silently dropped; every sequence the sender
-  /// counters say was posted but did not survive is pulled from the resend
-  /// buffer under attempt-salted fault decisions. The rebuilt box is
-  /// ordered (sender, seq) — per-channel FIFO exactly as posted; the
-  /// cross-channel interleave is normalized, which the handlers tolerate
-  /// by the same contract that makes threaded delivery legal.
-  void recoverBatch(PartId to, std::deque<Pending>& box,
-                    const std::unordered_map<PartId, std::uint64_t>& posted) {
-    const pcu::arq::Config cfg = pcu::arq::config();
-    auto& expected_map = recv_seq_[static_cast<std::size_t>(to)];
-    std::unordered_map<PartId, std::map<std::uint64_t, Pending>> chans;
-    for (auto& msg : box) {
+      auto& msg = box[i];
       try {
-        msg.bytes = pcu::faults::unframe(std::move(msg.bytes), msg.seq,
-                                         static_cast<int>(to),
+        msg.bytes = pcu::faults::unframe(std::move(msg.bytes), msg.seq, rank,
                                          static_cast<int>(msg.from),
                                          kNetChannelTag);
       } catch (const pcu::Error&) {
+        if (!reliable) throw;
         pcu::arq::noteCorruptDropped();
         continue;  // recovered below as a missing sequence number
       }
-      if (msg.seq < expected_map[msg.from]) {
-        pcu::arq::noteDuplicateDropped();
-        continue;
+      refs.push_back(Ref{msg.from, msg.seq, i});
+    }
+    std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
+      return std::tie(a.from, a.seq, a.slot) < std::tie(b.from, b.seq, b.slot);
+    });
+    // Pull one lost or corrupt segment back from the resend queue.
+    auto recover = [&](Channel& chan, std::uint64_t seq) {
+      const int peer = static_cast<int>(chan.from);
+      std::vector<std::byte> framed;
+      std::uint64_t salt = 0;
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        salt = epochSalt();
+        const auto* kept = chan.unacked.find(seq);
+        if (kept == nullptr)
+          throw pcu::Error(pcu::ErrorCode::kMessageLost, rank, peer,
+                           kNetChannelTag,
+                           "channel seq " + std::to_string(seq) +
+                               " lost and absent from the resend buffer");
+        framed = *kept;
       }
-      const PartId from = msg.from;
-      const std::uint64_t seq = msg.seq;
-      if (!chans[from].try_emplace(seq, std::move(msg)).second)
-        pcu::arq::noteDuplicateDropped();
-    }
-    box.clear();
-    std::vector<PartId> senders;
-    senders.reserve(posted.size());
-    for (const auto& [from, count] : posted) {
-      (void)count;
-      senders.push_back(from);
-    }
-    std::sort(senders.begin(), senders.end());
-    for (PartId from : senders) {
-      const std::uint64_t need = posted.at(from);
-      auto& have = chans[from];
-      for (std::uint64_t seq = expected_map[from]; seq < need; ++seq) {
-        auto hit = have.find(seq);
-        if (hit != have.end())
-          box.push_back(std::move(hit->second));
-        else
-          box.push_back(recoverSegment(to, from, seq, cfg));
-      }
-      expected_map[from] = need;
-      // Acknowledge the verified prefix: the resend buffer can forget it.
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto cit = resend_.find(channelKey(from, to));
-      if (cit != resend_.end()) {
-        cit->second.erase(cit->second.begin(), cit->second.lower_bound(need));
-        if (cit->second.empty()) resend_.erase(cit);
-        pcu::arq::noteAcked();
-      }
-    }
-  }
-
-  /// Pull one lost/corrupt segment back from the resend buffer, modelling
-  /// each retransmission crossing the same faulty transport (attempt-salted
-  /// decisions). Throws pcu::Error(kMessageLost) when the budget runs out.
-  Pending recoverSegment(PartId to, PartId from, std::uint64_t seq,
-                         const pcu::arq::Config& cfg) {
-    std::vector<std::byte> framed;
-    std::uint64_t salt0 = 0;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      salt0 = epochSalt(0);
-      auto cit = resend_.find(channelKey(from, to));
-      auto fit = cit != resend_.end() ? cit->second.find(seq)
-                                      : std::map<std::uint64_t,
-                                                 std::vector<std::byte>>::
-                                            iterator{};
-      if (cit == resend_.end() || fit == cit->second.end())
-        throw pcu::Error(pcu::ErrorCode::kMessageLost, static_cast<int>(to),
-                         static_cast<int>(from), kNetChannelTag,
-                         "channel seq " + std::to_string(seq) +
-                             " lost and absent from the resend buffer");
-      framed = fit->second;
-    }
-    for (int attempt = 1; attempt <= cfg.retry_budget; ++attempt) {
-      pcu::arq::noteRetransmit();
-      const auto action = pcu::faults::decide(
-          from, to, kNetChannelTag,
-          pcu::arq::saltSeq(seq, salt0 + static_cast<std::uint64_t>(attempt)));
-      if (action == pcu::faults::Action::kCorrupt ||
-          action == pcu::faults::Action::kDrop)
-        continue;  // this retransmission was lost too
+      pcu::arq::retransmit(pcu::faults::current(), peer, rank, kNetChannelTag,
+                           seq, salt);
       std::uint64_t got = 0;
-      auto payload =
-          pcu::faults::unframe(std::move(framed), got, static_cast<int>(to),
-                               static_cast<int>(from), kNetChannelTag);
-      pcu::arq::noteRecovered();
-      return Pending{from, std::move(payload), {}, got};
+      auto payload = pcu::faults::unframe(std::move(framed), got, rank, peer,
+                                          kNetChannelTag);
+      return Pending{chan.from, std::move(payload), {}, got};
+    };
+    std::deque<Pending> rebuilt;       // reliable: (sender, seq) order
+    std::vector<Pending> kept;         // strict: one channel, seq order
+    std::vector<std::size_t> slots;    // strict: the slots it occupies
+    std::optional<pcu::Error> shortfall;
+    auto r = refs.begin();
+    for (Channel& chan : inbound_[static_cast<std::size_t>(to)]) {
+      const int peer = static_cast<int>(chan.from);
+      std::uint64_t expect = chan.delivered;
+      kept.clear();
+      slots.clear();
+      for (; r != refs.end() && r->from == chan.from; ++r) {
+        if (r->seq < expect) {
+          if (!reliable)
+            throw pcu::Error(pcu::ErrorCode::kDuplicateMessage, rank, peer,
+                             kNetChannelTag,
+                             "channel seq " + std::to_string(r->seq) +
+                                 " already delivered");
+          pcu::arq::noteDuplicateDropped();
+          continue;
+        }
+        if (r->seq > expect && !reliable)
+          throw pcu::Error(pcu::ErrorCode::kMessageLost, rank, peer,
+                           kNetChannelTag,
+                           "sequence gap: expected " + std::to_string(expect) +
+                               ", got " + std::to_string(r->seq));
+        for (; expect < r->seq; ++expect)
+          rebuilt.push_back(recover(chan, expect));
+        ++expect;
+        if (reliable) {
+          rebuilt.push_back(std::move(box[r->slot]));
+        } else {
+          kept.push_back(std::move(box[r->slot]));
+          slots.push_back(r->slot);
+        }
+      }
+      // A fully-dropped channel (or dropped batch tail) leaves no frame to
+      // flag a gap; the send counter catches it.
+      if (expect < chan.sent && !reliable && !shortfall)
+        shortfall.emplace(pcu::ErrorCode::kMessageLost, rank, peer,
+                          kNetChannelTag,
+                          std::to_string(chan.sent - expect) +
+                              " message(s) posted but never delivered");
+      if (reliable)
+        for (; expect < chan.sent; ++expect)
+          rebuilt.push_back(recover(chan, expect));
+      chan.delivered = expect;
+      if (reliable) {
+        // Acknowledge the verified prefix: the resend queue can forget it.
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (chan.unacked.ack(expect)) pcu::arq::noteAcked();
+      } else {
+        std::sort(slots.begin(), slots.end());
+        for (std::size_t k = 0; k < slots.size(); ++k)
+          box[slots[k]] = std::move(kept[k]);
+      }
     }
-    throw pcu::Error(pcu::ErrorCode::kMessageLost, static_cast<int>(to),
-                     static_cast<int>(from), kNetChannelTag,
-                     "retransmission budget exhausted after " +
-                         std::to_string(cfg.retry_budget) +
-                         " attempts (channel seq " + std::to_string(seq) +
-                         ")");
+    assert(r == refs.end() && "frame from a sender without a channel record");
+    if (shortfall) throw *shortfall;
+    if (reliable) box.swap(rebuilt);
   }
 
   /// Hand one destination part its pending messages, splitting each
@@ -860,18 +819,12 @@ class Network {
   pcu::CommStats stats_;
   bool coalesce_ = true;
   int delivery_threads_ = 0;
-  // Framed-channel state (active only while faults::framingEnabled()).
-  // send_seq_ is guarded by mutex_ (handlers send concurrently in threaded
-  // delivery); recv_seq_ is touched only by the single-threaded
-  // verification pass in takeVerified().
-  std::unordered_map<std::uint64_t, std::uint64_t> send_seq_;
-  std::vector<std::unordered_map<PartId, std::uint64_t>> recv_seq_;
-  /// Reliable-mode resend buffer: clean framed segments kept per channel
-  /// until their receiver verifies the phase (guarded by mutex_). Cleared
-  /// by resetTransport().
-  std::unordered_map<std::uint64_t,
-                     std::map<std::uint64_t, std::vector<std::byte>>>
-      resend_;
+  /// Framed-channel records per destination part, each ordered by sender.
+  /// Written under mutex_ by the stage flush (send counters, resend
+  /// queues); the single-threaded verification pass in takeVerified() owns
+  /// the receive expectations and locks only to touch a resend queue.
+  /// Cleared by resetTransport().
+  std::vector<std::vector<Channel>> inbound_;
   /// Fault-decision epoch (see bumpFaultEpoch); guarded by mutex_.
   std::uint64_t fault_epoch_ = 0;
   /// Rank-fault state (driver thread only: touched at phase boundaries).

@@ -1,10 +1,13 @@
 #include "pcu/arq.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <tuple>
 
 #include "pcu/envspec.hpp"
+#include "pcu/error.hpp"
 #include "pcu/faults.hpp"
 
 namespace pcu::arq {
@@ -164,5 +167,104 @@ void noteCorruptDropped() {
   g_corrupt_dropped.fetch_add(1, std::memory_order_relaxed);
 }
 void noteAcked() { g_acked.fetch_add(1, std::memory_order_relaxed); }
+
+std::deque<ResendQueue::Frame>::const_iterator ResendQueue::lowerBound(
+    std::uint64_t seq) const {
+  return std::lower_bound(
+      frames_.begin(), frames_.end(), seq,
+      [](const Frame& f, std::uint64_t s) { return f.seq < s; });
+}
+
+void ResendQueue::push(std::uint64_t seq, std::vector<std::byte> framed) {
+  if (frames_.empty() || frames_.back().seq < seq) {
+    frames_.push_back(Frame{seq, std::move(framed)});
+    return;
+  }
+  const auto it = frames_.begin() + (lowerBound(seq) - frames_.cbegin());
+  if (it->seq == seq)
+    it->bytes = std::move(framed);
+  else
+    frames_.insert(it, Frame{seq, std::move(framed)});
+}
+
+bool ResendQueue::ack(std::uint64_t upto) {
+  if (frames_.empty()) return false;
+  while (!frames_.empty() && frames_.front().seq < upto) frames_.pop_front();
+  return true;
+}
+
+const std::vector<std::byte>* ResendQueue::find(std::uint64_t seq) const {
+  const auto it = lowerBound(seq);
+  return it != frames_.end() && it->seq == seq ? &it->bytes : nullptr;
+}
+
+void ResendStore::store(int src, int dst, int tag, std::uint64_t seq,
+                        std::vector<std::byte> framed) {
+  auto& shard = shards_[static_cast<std::size_t>(dst)];
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  shard.chans[channelKey(src, tag)].push(seq, std::move(framed));
+}
+
+void ResendStore::ack(int src, int dst, int tag, std::uint64_t upto) {
+  auto& shard = shards_[static_cast<std::size_t>(dst)];
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto it = shard.chans.find(channelKey(src, tag));
+  if (it == shard.chans.end()) return;
+  it->second.ack(upto);
+  if (it->second.empty()) shard.chans.erase(it);
+}
+
+std::vector<std::byte> ResendStore::fetch(int dst, int src, int tag,
+                                          std::uint64_t seq) {
+  auto& shard = shards_[static_cast<std::size_t>(dst)];
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto it = shard.chans.find(channelKey(src, tag));
+  if (it == shard.chans.end()) return {};
+  const auto* bytes = it->second.find(seq);
+  return bytes != nullptr ? *bytes : std::vector<std::byte>{};
+}
+
+std::vector<ResendStore::PendingFrame> ResendStore::pending(
+    int dst, int src, int tag,
+    const std::function<std::uint64_t(int)>& expected) {
+  auto& shard = shards_[static_cast<std::size_t>(dst)];
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  std::vector<PendingFrame> out;
+  for (const auto& [key, frames] : shard.chans) {
+    const int chan_src = static_cast<int>(key >> 32);
+    const int chan_tag = static_cast<int>(static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(key & 0xffffffffu)));
+    if (chan_tag != tag) continue;
+    if (src >= 0 && chan_src != src) continue;
+    frames.forEachFrom(expected(chan_src),
+                       [&](std::uint64_t seq, const std::vector<std::byte>& b) {
+                         out.push_back(PendingFrame{chan_src, seq, b});
+                       });
+  }
+  std::sort(out.begin(), out.end(),
+            [](const PendingFrame& a, const PendingFrame& b) {
+              return std::tie(a.src, a.seq) < std::tie(b.src, b.seq);
+            });
+  return out;
+}
+
+void retransmit(const faults::Domain& domain, int src, int dst, int tag,
+                std::uint64_t seq, std::uint64_t salt_base) {
+  const int budget = config().retry_budget;
+  for (int attempt = 1; attempt <= budget; ++attempt) {
+    noteRetransmit();
+    const auto action = domain.decide(
+        src, dst, tag,
+        saltSeq(seq, salt_base + static_cast<std::uint64_t>(attempt)));
+    if (action == faults::Action::kCorrupt || action == faults::Action::kDrop)
+      continue;  // this retransmission was lost too
+    noteRecovered();
+    return;
+  }
+  throw Error(ErrorCode::kMessageLost, dst, src, tag,
+              "retransmission budget exhausted after " +
+                  std::to_string(budget) + " attempts (channel seq " +
+                  std::to_string(seq) + ")");
+}
 
 }  // namespace pcu::arq

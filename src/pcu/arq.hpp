@@ -2,16 +2,17 @@
 #define PUMI_PCU_ARQ_HPP
 
 /// \file arq.hpp
-/// \brief Reliable-delivery (ARQ) configuration and accounting.
+/// \brief Reliable-delivery (ARQ) configuration, accounting, and the
+/// framed-channel core both transports share.
 ///
 /// Tier 1 of the recovery stack: when reliability is on (PUMI_RELIABLE in
-/// the environment, or pcu::Comm::setReliable / arq::setReliable), the
-/// framed messaging paths stop treating injected faults as fatal and
-/// recover instead:
+/// the environment, or arq::setReliable / arq::setConfig), the framed
+/// messaging paths stop treating injected faults as fatal and recover
+/// instead:
 ///
-///  - every framed send keeps a clean copy of the frame in a per-group
-///    retransmit store until the receiver acknowledges delivery (in-order
-///    receipt prunes the channel's stored prefix);
+///  - every framed send keeps a clean copy of the frame in a resend queue
+///    until the receiver acknowledges delivery (in-order receipt prunes the
+///    channel's stored prefix);
 ///  - a dropped frame leaves a loss beacon behind, so the receiver pulls
 ///    the retransmission immediately instead of waiting out a timeout;
 ///  - receivers also scan the store on a capped exponential-backoff timer
@@ -24,9 +25,11 @@
 ///    bounded retry budget and converts to a structured
 ///    pcu::Error(kMessageLost) naming the channel and sequence number.
 ///
-/// dist::Network recovers the same way at its bulk-synchronous phase
-/// boundary (see network.hpp). Reliability implies framing: enabling it
-/// turns pcu::faults::framingEnabled() on even without a fault plan.
+/// Both transports share the core below: pcu::Comm recovers per receive
+/// from its group's ResendStore, dist::Network at its phase boundary from
+/// one ResendQueue per channel (no beacons or timer needed there), and
+/// both retransmit through arq::retransmit. Reliability implies framing:
+/// enabling it turns pcu::faults::framingEnabled() on even without a plan.
 ///
 /// PUMI_RELIABLE syntax: "1"/"on"/"true" (defaults), "0"/"off"/"false",
 /// or comma-separated key=value:
@@ -37,8 +40,19 @@
 /// Malformed specs are rejected with pcu::Error(kValidation) naming the
 /// bad token (same strict parser as PUMI_FAULTS).
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <mutex>
 #include <string>
+#include <vector>
+
+#include "common/flatmap.hpp"
+
+namespace pcu::faults {
+class Domain;
+}
 
 namespace pcu::arq {
 
@@ -109,6 +123,99 @@ void noteRecovered();
 void noteDuplicateDropped();
 void noteCorruptDropped();
 void noteAcked();
+
+/// --- the shared framed-channel core -------------------------------------
+
+/// One channel's unacknowledged clean frames, in ascending sequence order:
+/// the unit both transports keep for resend. Frames are appended as the
+/// channel's send counter advances and dropped from the front on
+/// acknowledgement. Not synchronized; the owner guards it.
+class ResendQueue {
+ public:
+  /// Keep a clean copy of frame `seq` (replacing an equal seq).
+  void push(std::uint64_t seq, std::vector<std::byte> framed);
+  /// Drop every frame below `upto`; true when the queue held any frame.
+  bool ack(std::uint64_t upto);
+  /// The stored frame `seq`, or nullptr when absent (never kept or acked).
+  [[nodiscard]] const std::vector<std::byte>* find(std::uint64_t seq) const;
+  /// Call f(seq, bytes) for every frame at or above `from`, in seq order.
+  template <typename F>
+  void forEachFrom(std::uint64_t from, F&& f) const {
+    for (auto it = lowerBound(from); it != frames_.end(); ++it)
+      f(it->seq, it->bytes);
+  }
+  [[nodiscard]] bool empty() const { return frames_.empty(); }
+
+ private:
+  struct Frame {
+    std::uint64_t seq;
+    std::vector<std::byte> bytes;
+  };
+  [[nodiscard]] std::deque<Frame>::const_iterator lowerBound(
+      std::uint64_t seq) const;
+  std::deque<Frame> frames_;
+};
+
+/// Sender-side store of clean framed copies for receiver-pulled
+/// retransmission, shared by every rank of one pcu::Group. Each framed send
+/// deposits its frame here before fault injection can touch it; the
+/// receiver pulls the clean copy when it detects loss (a beacon or an RTO
+/// scan) and prunes the channel's prefix on every in-order delivery (the
+/// "ack").
+///
+/// Receiver-pulled rather than sender-driven on purpose: under the
+/// bulk-synchronous patterns this library runs, a sender may be blocked in
+/// a collective when its frame is lost, so it could never service a
+/// retransmit *request*; a shared store the receiver reads directly cannot
+/// deadlock. Sharded by destination rank so concurrent ranks do not
+/// contend on one mutex; within a shard, one ResendQueue per (source, tag).
+class ResendStore {
+ public:
+  explicit ResendStore(int ranks) : shards_(static_cast<std::size_t>(ranks)) {}
+
+  /// Keep a clean framed copy of (src -> dst, tag, seq).
+  void store(int src, int dst, int tag, std::uint64_t seq,
+             std::vector<std::byte> framed);
+  /// Receiver acknowledgement: drop channel frames with seq < upto.
+  void ack(int src, int dst, int tag, std::uint64_t upto);
+  /// Copy of one stored frame; empty when absent (never stored or pruned;
+  /// a stored frame is never empty).
+  std::vector<std::byte> fetch(int dst, int src, int tag, std::uint64_t seq);
+  struct PendingFrame {
+    int src;
+    std::uint64_t seq;
+    std::vector<std::byte> bytes;
+  };
+  /// Every stored frame addressed to `dst` on `tag` (any source when
+  /// src < 0) whose seq is not below the receiver's expectation (queried
+  /// per source channel): the RTO scan's pull candidates, in (source, seq)
+  /// order.
+  std::vector<PendingFrame> pending(
+      int dst, int src, int tag,
+      const std::function<std::uint64_t(int)>& expected);
+
+ private:
+  static std::uint64_t channelKey(int src, int tag) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
+            << 32) |
+           static_cast<std::uint32_t>(tag);
+  }
+  struct Shard {
+    std::mutex mutex;
+    common::FlatMap<std::uint64_t, ResendQueue> chans;  ///< channelKey ->
+  };
+  std::vector<Shard> shards_;
+};
+
+/// Model retransmission of frame `seq` on channel (src -> dst, tag) across
+/// the faulty network: up to config().retry_budget attempts, each re-running
+/// `domain`'s decision under saltSeq(seq, salt_base + attempt); the first
+/// neither dropped nor corrupted gets through, and the caller delivers its
+/// clean copy. Counts attempts and the recovery; throws
+/// pcu::Error(kMessageLost) for (dst, src, tag) naming the budget when all
+/// fail. `salt_base`: 0 for pcu::Comm, the fault epoch for dist::Network.
+void retransmit(const faults::Domain& domain, int src, int dst, int tag,
+                std::uint64_t seq, std::uint64_t salt_base);
 
 }  // namespace pcu::arq
 

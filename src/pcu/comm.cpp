@@ -85,64 +85,6 @@ bool Mailbox::probe(int source, int tag) {
                      [&](const Raw& s) { return matches(s, source, tag); });
 }
 
-void RetransmitStore::store(int src, int dst, int tag, std::uint64_t seq,
-                            const std::vector<std::byte>& framed) {
-  auto& shard = shards_[static_cast<std::size_t>(dst)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.chans[(static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
-               << 32) |
-              static_cast<std::uint32_t>(tag)][seq] = framed;
-}
-
-void RetransmitStore::ack(int src, int dst, int tag, std::uint64_t upto) {
-  auto& shard = shards_[static_cast<std::size_t>(dst)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-      static_cast<std::uint32_t>(tag);
-  auto it = shard.chans.find(key);
-  if (it == shard.chans.end()) return;
-  it->second.erase(it->second.begin(), it->second.lower_bound(upto));
-  if (it->second.empty()) shard.chans.erase(it);
-}
-
-std::optional<std::vector<std::byte>> RetransmitStore::fetch(
-    int dst, int src, int tag, std::uint64_t seq) {
-  auto& shard = shards_[static_cast<std::size_t>(dst)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-      static_cast<std::uint32_t>(tag);
-  auto it = shard.chans.find(key);
-  if (it == shard.chans.end()) return std::nullopt;
-  auto fit = it->second.find(seq);
-  if (fit == it->second.end()) return std::nullopt;
-  return fit->second;
-}
-
-std::vector<RetransmitStore::PendingFrame> RetransmitStore::pending(
-    int dst, int src, int tag,
-    const std::function<std::uint64_t(int)>& expected) {
-  auto& shard = shards_[static_cast<std::size_t>(dst)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  std::vector<PendingFrame> out;
-  for (const auto& [key, frames] : shard.chans) {
-    const int chan_src = static_cast<int>(key >> 32);
-    const int chan_tag = static_cast<int>(static_cast<std::int32_t>(
-        static_cast<std::uint32_t>(key & 0xffffffffu)));
-    if (chan_tag != tag) continue;
-    if (src != kAnySource && chan_src != src) continue;
-    const std::uint64_t from_seq = expected(chan_src);
-    for (auto it = frames.lower_bound(from_seq); it != frames.end(); ++it)
-      out.push_back(PendingFrame{chan_src, it->first, it->second});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const PendingFrame& a, const PendingFrame& b) {
-              return std::tie(a.src, a.seq) < std::tie(b.src, b.seq);
-            });
-  return out;
-}
-
 }  // namespace detail
 
 Group::Group(int size, Machine machine, std::shared_ptr<faults::Domain> domain)
@@ -233,7 +175,8 @@ void Comm::postFramed(int dest, int tag, std::vector<std::byte> payload) {
   if (reliable) {
     // Deposit the clean frame before the fault decision can touch it: the
     // receiver pulls from here on loss/corruption and prunes on delivery.
-    group_->arq_store_.store(rank_, dest, tag, seq, framed);
+    group_->arq_store_.store(rank_, dest, tag, seq,
+                             std::vector<std::byte>(framed));
     arq::noteStored();
   }
   switch (group_->domain_->decide(rank_, dest, tag, seq)) {
@@ -288,45 +231,56 @@ void Comm::throwRankFailed(int source, int tag) const {
                   " declared dead; communicator revoked");
 }
 
-detail::Mailbox::Raw Comm::popWatchdog(int source, int tag) {
+bool Comm::popWatchdog(int source, int tag,
+                       std::chrono::steady_clock::time_point start,
+                       long rto_us, detail::Mailbox::Raw& out) {
   const int wd = group_->domain_->watchdogMs();
   auto& det = group_->detector_;
-  const int dl = group_->domain_->deadlineMs();
-  if (dl > 0 && !det.armed()) det.arm(dl);
-  detail::Mailbox::Raw raw;
-  if (!det.armed()) {
-    // Historical path: one blocking pop, bounded only by the watchdog.
-    if (!group_->boxes_[rank_].pop(source, tag, wd * 1000L, raw))
-      throw Error(ErrorCode::kTimeout, rank_, source, tag,
-                  "recv watchdog fired after " + std::to_string(wd) +
-                      "ms; last phase: " + trace::lastPhase(rank_));
-    return raw;
-  }
-  // Failure detection armed: wait in bounded slices so this rank keeps
-  // heartbeating while blocked, observes a revocation promptly, and can
-  // itself declare a silent peer dead once the deadline passes.
+  if (const int dl = group_->domain_->deadlineMs(); dl > 0 && !det.armed())
+    det.arm(dl);
   const long deadline_us = static_cast<long>(det.deadlineMs()) * 1000;
-  const long slice_us = std::max(500L, deadline_us / 8);
-  const auto start = std::chrono::steady_clock::now();
-  for (;;) {
-    det.beat(rank_);
-    if (det.revoked()) throwRankFailed(source, tag);
-    if (group_->boxes_[rank_].pop(source, tag, slice_us, raw)) return raw;
-    const auto elapsed_us =
+  // The watchdog and the deadline run from `start`, or from now when unset;
+  // the unguarded pop reads no clock.
+  if (start == std::chrono::steady_clock::time_point{} &&
+      (wd > 0 || det.armed()))
+    start = std::chrono::steady_clock::now();
+  auto elapsedUs = [&] {
+    return static_cast<long>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - start)
-            .count();
-    if (wd > 0 && elapsed_us >= wd * 1000L)
-      throw Error(ErrorCode::kTimeout, rank_, source, tag,
-                  "recv watchdog fired after " + std::to_string(wd) +
-                      "ms; last phase: " + trace::lastPhase(rank_));
-    if (elapsed_us >= deadline_us) {
+            .count());
+  };
+  for (;;) {
+    // Bound each wait by the heartbeat slice while failure detection is
+    // armed (so this rank keeps heartbeating while blocked and observes a
+    // revocation promptly), by the RTO slice, and by what remains of the
+    // watchdog; 0 waits forever.
+    long wait_us = rto_us;
+    if (det.armed()) {
+      det.beat(rank_);
+      if (det.revoked()) throwRankFailed(source, tag);
+      const long slice_us = std::max(500L, deadline_us / 8);
+      wait_us = wait_us > 0 ? std::min(wait_us, slice_us) : slice_us;
+    }
+    if (wd > 0) {
+      const long remain_us = wd * 1000L - elapsedUs();
+      if (remain_us <= 0)
+        throw Error(ErrorCode::kTimeout, rank_, source, tag,
+                    "recv watchdog fired after " + std::to_string(wd) +
+                        "ms; last phase: " + trace::lastPhase(rank_));
+      wait_us = wait_us > 0 ? std::min(wait_us, remain_us) : remain_us;
+    }
+    if (group_->boxes_[rank_].pop(source, tag, wait_us, out)) return true;
+    // A silent peer past the deadline is suspected (declared dead once the
+    // detector agrees).
+    if (det.armed() && elapsedUs() >= deadline_us) {
       if (source == kAnySource)
         det.suspectAny();
       else
         det.suspectRank(source);
       if (det.revoked()) throwRankFailed(source, tag);
     }
+    if (rto_us > 0) return false;
   }
 }
 
@@ -340,12 +294,10 @@ Message Comm::recvImpl(int source, int tag, bool traced) {
   if (group_->domain_->framingEnabled()) {
     // Our own held-back messages must not deadlock us while we block.
     flushDelayed();
-    if (tag >= 0)
-      return group_->domain_->reliableEnabled()
-                 ? recvReliable(source, tag, traced)
-                 : recvFramed(source, tag, traced);
+    if (tag >= 0) return recvFramed(source, tag, traced);
   }
-  auto raw = popWatchdog(source, tag);
+  detail::Mailbox::Raw raw;
+  popWatchdog(source, tag, {}, 0, raw);
   Message m;
   m.source = raw.source;
   m.tag = raw.tag;
@@ -377,140 +329,52 @@ std::optional<Message> Comm::serveStash(int source, int tag, bool traced) {
 }
 
 Message Comm::recvFramed(int source, int tag, bool traced) {
-  for (;;) {
-    if (auto m = serveStash(source, tag, traced)) return std::move(*m);
-    auto raw = popWatchdog(source, tag);
-    std::uint64_t seq = 0;
-    auto payload =
-        faults::unframe(std::move(raw.bytes), seq, rank_, raw.source, tag);
-    auto& expected = recv_seq_[channelKey(raw.source, tag)];
-    if (seq < expected)
-      throw Error(ErrorCode::kDuplicateMessage, rank_, raw.source, tag,
-                  "channel seq " + std::to_string(seq) +
-                      " already delivered (expected " +
-                      std::to_string(expected) + ")");
-    Message m;
-    m.source = raw.source;
-    m.tag = raw.tag;
-    m.body = InBuffer(std::move(payload));
-    if (seq > expected) {
-      // Arrived early (reordered): stash it and keep waiting for the
-      // in-sequence message. If that one was dropped, the watchdog turns
-      // this wait into a diagnosed kTimeout instead of a hang.
-      reorder_stash_.push_back(Stashed{std::move(m), seq});
-      continue;
-    }
-    ++expected;
-    if (traced && trace::enabled())
-      trace::recvAs(rank_, m.source, static_cast<std::int64_t>(m.body.size()),
-                    "pcu");
-    return m;
-  }
-}
-
-void Comm::pullRetransmit(int src, int tag, std::uint64_t seq,
-                          std::vector<std::byte> framed) {
-  // Model each retransmission crossing the same faulty network: re-run the
-  // plan's deterministic decision under an attempt salt. A transient plan
-  // soon delivers; a permanent one (p = 1) faults every attempt and the
-  // bounded budget converts to a structured error. kDuplicate and kDelay
-  // collapse to one immediate delivery — the pull is synchronous, so
-  // neither changes what the receiver observes.
-  const arq::Config cfg = arq::config();
-  for (int attempt = 1; attempt <= cfg.retry_budget; ++attempt) {
-    arq::noteRetransmit();
-    const auto action = group_->domain_->decide(
-        src, rank_, tag, arq::saltSeq(seq, static_cast<std::uint64_t>(attempt)));
-    if (action == faults::Action::kCorrupt || action == faults::Action::kDrop)
-      continue;  // this retransmission was lost too
-    group_->boxes_[rank_].push(src, tag, std::move(framed));
-    arq::noteRecovered();
-    return;
-  }
-  throw Error(ErrorCode::kMessageLost, rank_, src, tag,
-              "retransmission budget exhausted after " +
-                  std::to_string(cfg.retry_budget) +
-                  " attempts (channel seq " + std::to_string(seq) + ")");
-}
-
-Message Comm::recvReliable(int source, int tag, bool traced) {
-  const arq::Config cfg = arq::config();
-  auto& box = group_->boxes_[rank_];
+  const bool reliable = group_->domain_->reliableEnabled();
+  const arq::Config cfg = reliable ? arq::config() : arq::Config{};
   auto& store = group_->arq_store_;
-  auto& det = group_->detector_;
-  if (const int dl = group_->domain_->deadlineMs(); dl > 0 && !det.armed())
-    det.arm(dl);
-  const long deadline_us = static_cast<long>(det.deadlineMs()) * 1000;
-  const int wd = group_->domain_->watchdogMs();
   const auto start = std::chrono::steady_clock::now();
-  long interval_us = cfg.rto_us;
+  // The strict policy blocks until a frame arrives; the reliable one wakes
+  // every RTO interval to scan the store, backing off while idle.
+  long rto_us = reliable ? cfg.rto_us : 0;
   // What this receiver has delivered so far on (src, tag): frames below
   // this are duplicates, frames at it are next in line.
   auto expectedOf = [&](int src) {
     auto it = recv_seq_.find(channelKey(src, tag));
     return it == recv_seq_.end() ? std::uint64_t{0} : it->second;
   };
+  // Pull a clean copy of a lost frame back into this rank's mailbox.
+  auto pull = [&](int src, std::uint64_t seq, std::vector<std::byte> bytes) {
+    arq::retransmit(*group_->domain_, src, rank_, tag, seq, 0);
+    group_->boxes_[rank_].push(src, tag, std::move(bytes));
+  };
   // Pull every store frame on the channel(s) not yet delivered; true when
   // at least one came through (it will surface via the mailbox).
   auto pullChannel = [&](int src) {
     bool recovered = false;
     for (auto& f : store.pending(rank_, src, tag, expectedOf)) {
-      pullRetransmit(f.src, tag, f.seq, std::move(f.bytes));
+      pull(f.src, f.seq, std::move(f.bytes));
       recovered = true;
     }
     return recovered;
   };
   for (;;) {
     if (auto m = serveStash(source, tag, traced)) return std::move(*m);
-    if (det.armed()) {
-      det.beat(rank_);
-      if (det.revoked()) throwRankFailed(source, tag);
-    }
-    // Bound the wait by the backoff interval (the RTO scan), the heartbeat
-    // slice while failure detection is armed, and, when the watchdog is
-    // armed, by its deadline.
-    long wait_us = interval_us;
-    if (det.armed()) wait_us = std::min(wait_us, std::max(500L, deadline_us / 8));
-    if (wd > 0) {
-      const auto elapsed_us =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count();
-      const long remain_us = wd * 1000L - static_cast<long>(elapsed_us);
-      if (remain_us <= 0)
-        throw Error(ErrorCode::kTimeout, rank_, source, tag,
-                    "recv watchdog fired after " + std::to_string(wd) +
-                        "ms; last phase: " + trace::lastPhase(rank_));
-      wait_us = std::min(wait_us, remain_us);
-    }
     detail::Mailbox::Raw raw;
-    if (!box.pop(source, tag, wait_us, raw)) {
-      if (det.armed()) {
-        const auto elapsed_us =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        if (elapsed_us >= deadline_us) {
-          if (source == kAnySource)
-            det.suspectAny();
-          else
-            det.suspectRank(source);
-          if (det.revoked()) throwRankFailed(source, tag);
-        }
-      }
+    if (!popWatchdog(source, tag, start, rto_us, raw)) {
       // RTO fired: scan the store for undelivered frames (covers delayed
       // and reordered traffic whose beacon never existed), then back off.
       if (!pullChannel(source))
-        interval_us = std::min(interval_us * 2, static_cast<long>(cfg.max_rto_us));
+        rto_us = std::min(rto_us * 2, static_cast<long>(cfg.max_rto_us));
       continue;
     }
-    if (faults::isLossBeacon(raw.bytes)) {
+    if (reliable && faults::isLossBeacon(raw.bytes)) {
       // The injector dropped (raw.source, tag, seq): recover it from the
       // store right now — this is what keeps the retransmit tax small.
       const std::uint64_t seq = faults::beaconSeq(raw.bytes);
       if (seq >= expectedOf(raw.source))
-        if (auto bytes = store.fetch(rank_, raw.source, tag, seq))
-          pullRetransmit(raw.source, tag, seq, std::move(*bytes));
+        if (auto bytes = store.fetch(rank_, raw.source, tag, seq);
+            !bytes.empty())
+          pull(raw.source, seq, std::move(bytes));
       continue;
     }
     std::uint64_t seq = 0;
@@ -519,6 +383,7 @@ Message Comm::recvReliable(int source, int tag, bool traced) {
       payload = faults::unframe(std::move(raw.bytes), seq, rank_, raw.source,
                                 tag);
     } catch (const Error&) {
+      if (!reliable) throw;
       // Corrupt frame: its seq field cannot be trusted, so discard it and
       // re-fetch everything undelivered on the source channel.
       arq::noteCorruptDropped();
@@ -527,6 +392,11 @@ Message Comm::recvReliable(int source, int tag, bool traced) {
     }
     auto& expected = recv_seq_[channelKey(raw.source, tag)];
     if (seq < expected) {
+      if (!reliable)
+        throw Error(ErrorCode::kDuplicateMessage, rank_, raw.source, tag,
+                    "channel seq " + std::to_string(seq) +
+                        " already delivered (expected " +
+                        std::to_string(expected) + ")");
       // Sequence-based dedup: injected duplicates and double-recovered
       // frames vanish here instead of raising kDuplicateMessage.
       arq::noteDuplicateDropped();
@@ -537,22 +407,26 @@ Message Comm::recvReliable(int source, int tag, bool traced) {
     m.tag = raw.tag;
     m.body = InBuffer(std::move(payload));
     if (seq > expected) {
+      // Arrived early (reordered): stash it and keep waiting for the
+      // in-sequence message. A strict receiver whose awaited frame was
+      // dropped turns this wait into a diagnosed kTimeout via the
+      // watchdog; a reliable one pulls it from the store.
       reorder_stash_.push_back(Stashed{std::move(m), seq});
       continue;
     }
     ++expected;
-    // In-order delivery acknowledges the channel prefix: the sender-side
-    // store prunes everything below `expected`.
-    store.ack(raw.source, rank_, tag, expected);
-    arq::noteAcked();
+    if (reliable) {
+      // In-order delivery acknowledges the channel prefix: the sender-side
+      // store prunes everything below `expected`.
+      store.ack(raw.source, rank_, tag, expected);
+      arq::noteAcked();
+    }
     if (traced && trace::enabled())
       trace::recvAs(rank_, m.source, static_cast<std::int64_t>(m.body.size()),
                     "pcu");
     return m;
   }
 }
-
-void Comm::setReliable(bool on) { arq::setReliable(on); }
 
 bool Comm::probe(int source, int tag) {
   return group_->boxes_[rank_].probe(source, tag);

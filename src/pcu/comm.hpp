@@ -17,17 +17,18 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flatmap.hpp"
+#include "pcu/arq.hpp"
 #include "pcu/buffer.hpp"
 #include "pcu/failure.hpp"
 #include "pcu/faults.hpp"
@@ -124,55 +125,6 @@ class Mailbox {
   std::deque<Raw> local_;   ///< consumer side, owner thread only
 };
 
-/// Sender-side store of clean framed copies for receiver-pulled
-/// retransmission (reliable mode, pcu::arq). Each framed send deposits its
-/// frame here before fault injection can touch it; the receiver pulls the
-/// clean copy when it detects loss (a beacon or an RTO scan) and prunes
-/// the channel's prefix on every in-order delivery (the "ack").
-///
-/// Receiver-pulled rather than sender-driven on purpose: under the
-/// bulk-synchronous patterns this library runs, a sender may be blocked in
-/// a collective when its frame is lost, so it could never service a
-/// retransmit *request*; a shared store the receiver reads directly cannot
-/// deadlock. Sharded by destination rank so concurrent ranks do not
-/// contend on one mutex.
-class RetransmitStore {
- public:
-  explicit RetransmitStore(int ranks)
-      : shards_(static_cast<std::size_t>(ranks)) {}
-
-  /// Keep a clean framed copy of (src -> dst, tag, seq).
-  void store(int src, int dst, int tag, std::uint64_t seq,
-             const std::vector<std::byte>& framed);
-  /// Receiver acknowledgement: drop channel frames with seq < upto.
-  void ack(int src, int dst, int tag, std::uint64_t upto);
-  /// Fetch one stored frame; nullopt when absent (never stored or pruned).
-  std::optional<std::vector<std::byte>> fetch(int dst, int src, int tag,
-                                              std::uint64_t seq);
-  struct PendingFrame {
-    int src;
-    std::uint64_t seq;
-    std::vector<std::byte> bytes;
-  };
-  /// Every stored frame addressed to `dst` on `tag` (any source when
-  /// src == kAnySource) whose seq is not below the receiver's expectation
-  /// (queried per source channel): the RTO scan's pull candidates, in
-  /// (source, seq) order.
-  std::vector<PendingFrame> pending(
-      int dst, int src, int tag,
-      const std::function<std::uint64_t(int)>& expected);
-
- private:
-  struct Shard {
-    std::mutex mutex;
-    /// channelKey(src, tag) -> seq -> clean framed bytes.
-    std::unordered_map<std::uint64_t,
-                       std::map<std::uint64_t, std::vector<std::byte>>>
-        chans;
-  };
-  std::vector<Shard> shards_;
-};
-
 }  // namespace detail
 
 class Comm;
@@ -199,7 +151,7 @@ class Group {
   Machine machine_;
   std::shared_ptr<faults::Domain> domain_;
   std::vector<detail::Mailbox> boxes_;
-  detail::RetransmitStore arq_store_{size_};
+  arq::ResendStore arq_store_{size_};
   failure::Detector detector_{size_};
   // Rendezvous used by split() to carve disjoint subgroups without any
   // message traffic (the same shared-state pattern as shrink()/grow(), so
@@ -235,6 +187,12 @@ class Group {
 
 /// One rank's handle into a Group. All member calls are made by the owning
 /// rank's thread only; distinct Comms may be used concurrently.
+///
+/// Framed user-tag traffic has one receive path (recvFramed) with two
+/// policies: strict delivery raises a structured pcu::Error on a corrupt,
+/// repeated or (by watchdog) missing frame; reliable delivery (pcu::arq)
+/// recovers each of them from the group's arq::ResendStore through
+/// arq::retransmit, the same core dist::Network recovers with.
 class Comm {
  public:
   Comm(std::shared_ptr<Group> group, int rank);
@@ -251,7 +209,8 @@ class Comm {
   /// (pcu::faults::framingEnabled()), user-tag messages are framed with a
   /// sequence number and CRC: recv() then verifies integrity, restores
   /// per-channel FIFO order under injected reordering, and throws a
-  /// structured pcu::Error on corruption, duplication, or watchdog timeout.
+  /// structured pcu::Error on corruption, duplication, or watchdog timeout
+  /// (or, with reliable delivery on, recovers instead).
   void send(int dest, int tag, const OutBuffer& buf);
   void send(int dest, int tag, std::vector<std::byte> bytes);
   /// Post one *physical* message whose payload packs `logical_count`
@@ -407,12 +366,6 @@ class Comm {
     return group_->domain_->framingEnabled();
   }
 
-  /// Switch reliable delivery (pcu::arq) on or off for the whole process —
-  /// convenience forwarder to arq::setReliable, kept here because the ARQ
-  /// layer lives inside Comm's framed send/recv paths. Only call at
-  /// quiescent points (no in-flight messages).
-  static void setReliable(bool on);
-
  private:
   // Internal tags for collectives; user tags are >= 0.
   enum InternalTag : int {
@@ -442,26 +395,27 @@ class Comm {
                             std::size_t physical_bytes);
   /// Raw mailbox push, no accounting.
   void push(int dest, int tag, std::vector<std::byte> bytes);
-  /// Blocking pop with the faults watchdog applied; throws
-  /// Error(kTimeout) naming the channel and this rank's last-known phase.
-  detail::Mailbox::Raw popWatchdog(int source, int tag);
+  /// Blocking pop from this rank's mailbox: heartbeats and watches for
+  /// revocation while failure detection is armed, suspects a silent peer
+  /// past the deadline, and throws Error(kTimeout) naming the channel and
+  /// this rank's last-known phase once the watchdog (measured from
+  /// `start`, or from the call when it is unset) fires. With rto_us > 0 it
+  /// also gives up after that long and returns false: the reliable
+  /// receive's store-scan tick.
+  bool popWatchdog(int source, int tag,
+                   std::chrono::steady_clock::time_point start, long rto_us,
+                   detail::Mailbox::Raw& out);
   Message recvImpl(int source, int tag, bool traced);
-  /// Framed receive: verify, deduplicate, restore per-channel order.
+  /// Framed receive: verify, deduplicate, restore per-channel order. The
+  /// strict policy throws a structured pcu::Error on a corrupt or repeated
+  /// frame. The reliable policy (the group's domain has reliability on,
+  /// pcu::arq) recovers instead: corrupt frames are discarded and
+  /// re-fetched, duplicates silently dropped, lost frames pulled from the
+  /// group's resend store (loss beacons make that immediate; a
+  /// capped-backoff RTO scan covers delayed traffic). Only a retransmit
+  /// budget exhausted under a permanent fault converts to
+  /// Error(kMessageLost).
   Message recvFramed(int source, int tag, bool traced);
-  /// Reliable framed receive (arq::enabled()): same ordering contract as
-  /// recvFramed, but corruption/duplication/loss are *recovered* — corrupt
-  /// frames discarded and re-fetched, duplicates silently dropped, lost
-  /// frames pulled from the group's retransmit store (loss beacons make
-  /// that immediate; a capped-backoff RTO scan covers delayed traffic).
-  /// Only a retransmit budget exhausted under a permanent fault converts
-  /// to Error(kMessageLost).
-  Message recvReliable(int source, int tag, bool traced);
-  /// Model retransmission attempts of one stored frame across the faulty
-  /// network (attempt-salted fault decisions); pushes the clean frame into
-  /// this rank's mailbox on success. Throws Error(kMessageLost) when the
-  /// retry budget is exhausted.
-  void pullRetransmit(int src, int tag, std::uint64_t seq,
-                      std::vector<std::byte> framed);
   /// Serve a stashed reordered message that has become current; nullopt
   /// when none matches.
   std::optional<Message> serveStash(int source, int tag, bool traced);
@@ -480,8 +434,8 @@ class Comm {
   CommStats stats_;
   // Framed-channel state; touched only while framing is enabled. All
   // members are used by the owning rank's thread only.
-  std::unordered_map<std::uint64_t, std::uint64_t> send_seq_;
-  std::unordered_map<std::uint64_t, std::uint64_t> recv_seq_;
+  common::FlatMap<std::uint64_t, std::uint64_t> send_seq_;
+  common::FlatMap<std::uint64_t, std::uint64_t> recv_seq_;
   struct Stashed {
     Message msg;
     std::uint64_t seq;

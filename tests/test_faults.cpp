@@ -17,12 +17,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/measure.hpp"
+#include "core/meshio.hpp"
+#include "dist/network.hpp"
 #include "dist/partedmesh.hpp"
 #include "dist/partio.hpp"
 #include "meshgen/boxmesh.hpp"
@@ -546,6 +549,26 @@ TEST(DistChaos, BalanceSkipsFaultedRoundsAndKeepsMeshValid) {
   EXPECT_EQ(pm->globalCount(3), n3);
 }
 
+/// Seeded rounds of migrate, ghost, sync and unghost, ending ghosted and
+/// synced; returns every part's serialized mesh.
+std::vector<std::vector<std::byte>> seededRoundsBytes(
+    const meshgen::Generated& gen) {
+  auto pm = makeMesh(gen, 4);
+  common::Rng rng(23);
+  for (int round = 0; round < 3; ++round) {
+    pm->migrate(randomPlan(*pm, rng, 0.2));
+    pm->ghostLayers(1);
+    pm->syncGhostTags();
+    pm->unghost();
+  }
+  pm->ghostLayers(1);
+  pm->syncGhostTags();
+  std::vector<std::vector<std::byte>> bytes;
+  for (PartId q = 0; q < pm->parts(); ++q)
+    bytes.push_back(core::meshToBytes(pm->part(q).mesh()));
+  return bytes;
+}
+
 TEST(DistChaos, ChecksumOnlyModeIsTransparentToMigration) {
   auto gen = meshgen::boxTris(6, 6);
   auto pm = makeMesh(gen, 4);
@@ -554,12 +577,135 @@ TEST(DistChaos, ChecksumOnlyModeIsTransparentToMigration) {
 
   faults::FaultPlan p;
   p.checksum_only = true;
-  PlanGuard g(p);
-  for (int round = 0; round < 3; ++round) {
-    pm->migrate(randomPlan(*pm, rng, 0.2));
-    pm->verify();
+  {
+    PlanGuard g(p);
+    for (int round = 0; round < 3; ++round) {
+      pm->migrate(randomPlan(*pm, rng, 0.2));
+      pm->verify();
+    }
+    EXPECT_EQ(pm->globalCount(2), n2);
   }
-  EXPECT_EQ(pm->globalCount(2), n2);
+
+  // Framing must change nothing a handler can observe: the same seeded
+  // rounds leave every part byte-identical with and without it, which pins
+  // that verification hands each destination its batch in box order.
+  for (const bool three_d : {false, true}) {
+    const auto mesh = three_d ? meshgen::boxTets(3, 3, 3)
+                              : meshgen::boxTris(6, 6);
+    const auto plain = seededRoundsBytes(mesh);
+    std::vector<std::vector<std::byte>> framed;
+    {
+      PlanGuard g(p);
+      framed = seededRoundsBytes(mesh);
+    }
+    ASSERT_EQ(framed.size(), plain.size());
+    for (std::size_t q = 0; q < plain.size(); ++q)
+      EXPECT_TRUE(framed[q] == plain[q])
+          << (three_d ? "tets" : "tris") << " part " << q;
+  }
+}
+
+/// --- hand-driven transport -----------------------------------------------
+
+/// One phase on a bare 4-part transport: every ordered pair of distinct
+/// parts is a channel carrying three uncoalesced payloads (one framed
+/// message each), posted sender by sender. Returns, per destination, the
+/// delivered payloads as "from.i" tokens in handler order.
+std::vector<std::string> driveNetworkPhase(dist::Network& net) {
+  constexpr int kParts = 4;
+  for (PartId from = 0; from < kParts; ++from)
+    for (PartId to = 0; to < kParts; ++to)
+      for (int i = 0; i < 3 && to != from; ++i) {
+        pcu::OutBuffer b;
+        b.pack<int>(static_cast<int>(from));
+        b.pack<int>(i);
+        net.send(from, to, std::move(b));
+      }
+  std::vector<std::string> got(kParts);
+  net.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
+    const int sender = body.unpack<int>();
+    const int i = body.unpack<int>();
+    EXPECT_EQ(sender, static_cast<int>(from));
+    auto& s = got[static_cast<std::size_t>(to)];
+    if (!s.empty()) s += ' ';
+    s += std::to_string(sender) + "." + std::to_string(i);
+  });
+  return got;
+}
+
+std::unique_ptr<dist::Network> makeBareNetwork() {
+  auto net =
+      std::make_unique<dist::Network>(dist::PartMap(4, pcu::Machine::flat(4)));
+  net->setCoalescing(false);
+  return net;
+}
+
+/// Runs one phase under `plan` and returns the structured error it raised.
+Error strictPhaseError(const faults::FaultPlan& plan) {
+  auto net = makeBareNetwork();
+  PlanGuard g(plan);
+  try {
+    driveNetworkPhase(*net);
+  } catch (const Error& e) {
+    return e;
+  }
+  ADD_FAILURE() << "phase under a certain fault delivered";
+  return Error(ErrorCode::kNone, -1, "");
+}
+
+TEST(NetStrict, CertainDropNamesTheFirstSilentChannel) {
+  faults::FaultPlan p;
+  p.seed = 3;
+  p.drop = 1.0;
+  const Error e = strictPhaseError(p);
+  EXPECT_EQ(e.code(), ErrorCode::kMessageLost) << e.what();
+  EXPECT_EQ(e.rank(), 0);
+  EXPECT_EQ(e.peer(), 1);
+  EXPECT_EQ(e.tag(), dist::kNetChannelTag);
+  EXPECT_EQ(e.detail(), "3 message(s) posted but never delivered");
+}
+
+TEST(NetStrict, CertainCorruptionNamesTheFirstFrameInBoxOrder) {
+  faults::FaultPlan p;
+  p.seed = 3;
+  p.corrupt = 1.0;
+  const Error e = strictPhaseError(p);
+  EXPECT_EQ(e.code(), ErrorCode::kCorruptPayload) << e.what();
+  EXPECT_EQ(e.rank(), 0);
+  EXPECT_EQ(e.peer(), 1);
+  EXPECT_EQ(e.tag(), dist::kNetChannelTag);
+}
+
+TEST(NetStrict, CertainDuplicationNamesTheRepeatedSequence) {
+  faults::FaultPlan p;
+  p.seed = 3;
+  p.duplicate = 1.0;
+  const Error e = strictPhaseError(p);
+  EXPECT_EQ(e.code(), ErrorCode::kDuplicateMessage) << e.what();
+  EXPECT_EQ(e.rank(), 0);
+  EXPECT_EQ(e.peer(), 1);
+  EXPECT_EQ(e.tag(), dist::kNetChannelTag);
+  EXPECT_EQ(e.detail(), "channel seq 0 already delivered");
+}
+
+TEST(NetStrict, CertainDelayRestoresChannelOrderInBoxSlots) {
+  // Every frame is held behind the message at the back of its box, which
+  // reorders each channel. Verification puts every channel back in FIFO
+  // order inside the box slots the channel occupies, so the cross-channel
+  // interleave of the box survives.
+  auto net = makeBareNetwork();
+  faults::FaultPlan p;
+  p.seed = 3;
+  p.delay = 1.0;
+  PlanGuard g(p);
+  const auto got = driveNetworkPhase(*net);
+  EXPECT_EQ(got[0], "1.0 1.1 2.0 2.1 2.2 3.0 3.1 3.2 1.2");
+  EXPECT_EQ(got[1], "0.0 0.1 2.0 2.1 2.2 3.0 3.1 3.2 0.2");
+  EXPECT_EQ(got[2], "0.0 0.1 1.0 1.1 1.2 3.0 3.1 3.2 0.2");
+  EXPECT_EQ(got[3], "0.0 0.1 1.0 1.1 1.2 2.0 2.1 2.2 0.2");
+  // A second phase continues every channel's sequence where it stopped.
+  const auto again = driveNetworkPhase(*net);
+  EXPECT_EQ(again, got);
 }
 
 /// --- plan validation (satellite a) ---------------------------------------

@@ -226,6 +226,43 @@ TEST(MeshIoHostile, UnknownTagTypeCodeThrows) {
   expectProtocolError(taggedVertexStream(255), "tag type code 255");
 }
 
+TEST(MeshIoHostile, RepeatedVertexBadMagicAndTrailingBytesThrow) {
+  // Edge records (0,0) then (0,1): the degenerate first record must not
+  // decode into a one-edge mesh.
+  pcu::OutBuffer b;
+  b.pack(streamMagic());
+  b.pack<std::uint64_t>(2);
+  packVertex(b, {0, 0, 0});
+  packVertex(b, {1, 0, 0});
+  b.pack<std::uint64_t>(2);
+  for (const std::uint32_t second : {0u, 1u}) {
+    b.pack(static_cast<std::uint8_t>(core::Topo::Edge));
+    b.pack<std::uint32_t>(0);
+    b.pack<std::uint32_t>(second);
+    packTail(b);
+  }
+  b.pack<std::uint64_t>(0);  // faces
+  b.pack<std::uint64_t>(0);  // regions
+  expectProtocolError(std::move(b).take(), "edge (0,0)");
+  auto bad_magic = edgeStream(static_cast<std::uint8_t>(core::Topo::Edge));
+  bad_magic[0] ^= std::byte{0x01};
+  expectProtocolError(std::move(bad_magic), "a bad magic word");
+  auto trailing = edgeStream(static_cast<std::uint8_t>(core::Topo::Edge));
+  trailing.push_back(std::byte{0});
+  expectProtocolError(std::move(trailing), "a trailing byte");
+}
+
+TEST(MeshIoHostile, MissingModelEntityIsAValidationError) {
+  auto gen = meshgen::boxTets(1, 1, 1);
+  gmi::Model empty;  // wrong model: no entities
+  try {
+    core::meshFromBytes(core::meshToBytes(*gen.mesh), &empty);
+    ADD_FAILURE() << "classified against a model without the entity";
+  } catch (const pcu::Error& e) {
+    EXPECT_EQ(e.code(), pcu::ErrorCode::kValidation) << e.what();
+  }
+}
+
 TEST(MeshIo, MissingModelEntityThrows) {
   auto gen = meshgen::boxTets(1, 1, 1);
   const std::string path = tmpPath("box1.pumi");

@@ -16,11 +16,13 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "dist/checkpoint.hpp"
+#include "dist/network.hpp"
 #include "dist/pario.hpp"
 #include "dist/partedmesh.hpp"
 #include "meshgen/boxmesh.hpp"
@@ -279,10 +281,117 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.three_d ? "_tets" : "_tris");
     });
 
+/// --- tier 1 over a bare transport -----------------------------------------
+
+/// One phase on a bare 4-part transport: every ordered pair of distinct
+/// parts is a channel carrying three uncoalesced payloads (one framed
+/// message each). Returns, per destination, the delivered payloads as
+/// "from.i" tokens in handler order.
+std::vector<std::string> driveNetworkPhase(dist::Network& net) {
+  constexpr int kParts = 4;
+  for (PartId from = 0; from < kParts; ++from)
+    for (PartId to = 0; to < kParts; ++to)
+      for (int i = 0; i < 3 && to != from; ++i) {
+        pcu::OutBuffer b;
+        b.pack<int>(static_cast<int>(from));
+        b.pack<int>(i);
+        net.send(from, to, std::move(b));
+      }
+  std::vector<std::string> got(kParts);
+  net.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
+    const int sender = body.unpack<int>();
+    const int i = body.unpack<int>();
+    EXPECT_EQ(sender, static_cast<int>(from));
+    auto& s = got[static_cast<std::size_t>(to)];
+    if (!s.empty()) s += ' ';
+    s += std::to_string(sender) + "." + std::to_string(i);
+  });
+  return got;
+}
+
+std::unique_ptr<dist::Network> makeBareNetwork() {
+  auto net =
+      std::make_unique<dist::Network>(dist::PartMap(4, pcu::Machine::flat(4)));
+  net->setCoalescing(false);
+  return net;
+}
+
+TEST(NetReliable, TransientPlanDeliversEachPayloadOnceInSenderOrder) {
+  // A mixed plan totalling p = 0.3: every payload still arrives exactly
+  // once, each destination in (sender, seq) order, and the recovery
+  // counters match the deterministic decision stream exactly.
+  auto net = makeBareNetwork();
+  ReliableGuard rel;
+  faults::FaultPlan p;
+  p.seed = 5;
+  p.corrupt = p.drop = p.duplicate = p.delay = 0.075;
+  PlanGuard g(p);
+  for (int phase = 0; phase < 2; ++phase) {
+    const auto got = driveNetworkPhase(*net);
+    EXPECT_EQ(got[0], "1.0 1.1 1.2 2.0 2.1 2.2 3.0 3.1 3.2") << phase;
+    EXPECT_EQ(got[1], "0.0 0.1 0.2 2.0 2.1 2.2 3.0 3.1 3.2") << phase;
+    EXPECT_EQ(got[2], "0.0 0.1 0.2 1.0 1.1 1.2 3.0 3.1 3.2") << phase;
+    EXPECT_EQ(got[3], "0.0 0.1 0.2 1.0 1.1 1.2 2.0 2.1 2.2") << phase;
+  }
+  const auto st = arq::stats();
+  // The transport keeps its resend copies without counting them, and a
+  // phase boundary has no loss beacons to leave.
+  EXPECT_EQ(st.frames_stored, 0u);
+  EXPECT_EQ(st.beacons_sent, 0u);
+  EXPECT_EQ(st.retransmits, 11u);
+  EXPECT_EQ(st.recovered, 9u);
+  EXPECT_EQ(st.duplicates_dropped, 6u);
+  EXPECT_EQ(st.corrupt_dropped, 3u);
+  EXPECT_EQ(st.acked, 24u);
+}
+
+TEST(NetReliable, CertainDropExhaustsTheBudgetOnTheFirstChannel) {
+  auto net = makeBareNetwork();
+  ReliableGuard rel;
+  faults::FaultPlan p;
+  p.seed = 5;
+  p.drop = 1.0;
+  PlanGuard g(p);
+  try {
+    driveNetworkPhase(*net);
+    FAIL() << "phase with every transmission dropped delivered";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kMessageLost) << e.what();
+    EXPECT_EQ(e.rank(), 0);
+    EXPECT_EQ(e.peer(), 1);
+    EXPECT_EQ(e.tag(), dist::kNetChannelTag);
+    EXPECT_EQ(e.detail(),
+              "retransmission budget exhausted after 16 attempts (channel "
+              "seq 0)");
+  }
+  const auto st = arq::stats();
+  EXPECT_EQ(st.retransmits, 16u);
+  EXPECT_EQ(st.recovered, 0u);
+}
+
 TEST(DistReliable, TwentySeedsMixedChaosZeroAborts) {
   // The headline acceptance criterion: >= 20 seeds of the full mixed plan
   // at p = 2%, reliability on — migrate/ghostLayers/syncGhostTags all
   // verify()-clean with zero aborts.
+  //
+  // Each seed's recovery work is deterministic, so its counters are pinned:
+  // {retransmits, recovered, duplicates dropped, corrupt dropped, acked,
+  // operations retried}. The transport counts no stored frames or beacons.
+  struct Pinned {
+    std::uint64_t retransmits, recovered, duplicates, corrupt, acked, ops;
+  };
+  const Pinned pinned[20] = {
+      {2, 2, 2, 0, 144, 0}, {11, 11, 3, 4, 253, 0},
+      {6, 6, 4, 1, 159, 0}, {7, 7, 4, 4, 211, 0},
+      {3, 3, 3, 1, 152, 0}, {7, 7, 4, 2, 249, 0},
+      {4, 4, 2, 0, 140, 0}, {9, 8, 2, 5, 263, 0},
+      {10, 7, 0, 5, 118, 0}, {7, 7, 3, 5, 247, 0},
+      {5, 5, 3, 4, 161, 0}, {12, 12, 6, 7, 241, 0},
+      {8, 7, 1, 4, 159, 0}, {13, 10, 2, 4, 230, 0},
+      {6, 5, 0, 2, 156, 0}, {9, 9, 3, 7, 255, 0},
+      {4, 4, 5, 3, 176, 0}, {10, 10, 2, 6, 243, 0},
+      {4, 4, 2, 2, 135, 0}, {11, 10, 4, 5, 264, 0},
+  };
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     auto gen =
         (seed % 2 == 0) ? meshgen::boxTets(3, 3, 3) : meshgen::boxTris(5, 5);
@@ -299,6 +408,16 @@ TEST(DistReliable, TwentySeedsMixedChaosZeroAborts) {
       pm->verify();
     }) << "seed "
        << seed;
+    const auto st = arq::stats();
+    const Pinned& want = pinned[seed - 1];
+    EXPECT_EQ(st.frames_stored, 0u) << "seed " << seed;
+    EXPECT_EQ(st.beacons_sent, 0u) << "seed " << seed;
+    EXPECT_EQ(st.retransmits, want.retransmits) << "seed " << seed;
+    EXPECT_EQ(st.recovered, want.recovered) << "seed " << seed;
+    EXPECT_EQ(st.duplicates_dropped, want.duplicates) << "seed " << seed;
+    EXPECT_EQ(st.corrupt_dropped, want.corrupt) << "seed " << seed;
+    EXPECT_EQ(st.acked, want.acked) << "seed " << seed;
+    EXPECT_EQ(pm->opsRetried(), want.ops) << "seed " << seed;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "adapt/sizefield.hpp"
+#include "common/rng.hpp"
 #include "core/measure.hpp"
 #include "core/verify.hpp"
 #include "dist/padapt.hpp"
@@ -16,6 +17,8 @@
 #include "parma/metrics.hpp"
 #include "part/coloring.hpp"
 #include "part/partition.hpp"
+#include "pcu/arq.hpp"
+#include "pcu/faults.hpp"
 #include "solver/poisson.hpp"
 
 namespace {
@@ -137,6 +140,51 @@ TEST_P(ThreadCounts, SolverUnderThreadedDelivery) {
     for (Ent v : mesh.entities(0))
       EXPECT_NEAR(u.getScalar(v), exact(mesh.point(v)), 1e-8);
   }
+}
+
+TEST_P(ThreadCounts, ReliableChaosUnderThreadedDelivery) {
+  // The transport's resend queues are written while stages flush and read
+  // while batches verify; under threaded delivery the handlers of every
+  // destination post concurrently in between. A transient plan of every
+  // fault kind must still let every operation commit.
+  const int threads = GetParam();
+  auto gen = meshgen::boxTets(3, 3, 3);
+  auto pm = parted(gen, 4, threads);
+  pcu::faults::FaultPlan plan;
+  plan.seed = 13;
+  plan.corrupt = plan.drop = plan.duplicate = plan.delay = 0.05;
+  struct ChaosScope {
+    explicit ChaosScope(const pcu::faults::FaultPlan& p) {
+      pcu::arq::resetStats();
+      pcu::arq::setReliable(true);
+      pcu::faults::setPlan(p);
+    }
+    ~ChaosScope() {
+      pcu::faults::clearPlan();
+      pcu::arq::setReliable(false);
+    }
+  };
+  common::Rng rng(31);
+  {
+    ChaosScope chaos(plan);
+    for (int round = 0; round < 3; ++round) {
+      dist::MigrationPlan moves(4);
+      for (PartId p = 0; p < 4; ++p)
+        for (Ent e : pm->part(p).elements()) {
+          if (rng.uniform() >= 0.2) continue;
+          const auto dest = static_cast<PartId>(rng.below(4));
+          if (dest != p) moves[static_cast<std::size_t>(p)][e] = dest;
+        }
+      EXPECT_NO_THROW(pm->migrate(moves)) << "round " << round;
+      EXPECT_NO_THROW(pm->ghostLayers(1)) << "round " << round;
+      EXPECT_NO_THROW(pm->syncGhostTags()) << "round " << round;
+      EXPECT_NO_THROW(pm->unghost()) << "round " << round;
+    }
+  }
+  EXPECT_GT(pcu::arq::stats().recovered, 0u) << "no fault was recovered";
+  pm->verify();
+  for (int d = 0; d <= 3; ++d)
+    EXPECT_EQ(pm->globalCount(d), gen.mesh->count(d));
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ThreadCounts, ::testing::Values(2, 4, 8));
