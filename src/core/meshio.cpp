@@ -39,9 +39,9 @@ std::uint64_t unpackCount(pcu::InBuffer& b, std::size_t min_record,
   return n;
 }
 
-void packCls(pcu::OutBuffer& b, gmi::Entity* cls) {
-  b.pack<std::int32_t>(cls ? cls->dim() : -1);
-  b.pack<std::int32_t>(cls ? cls->tag() : -1);
+void putCls(pcu::SizedWriter& out, gmi::Entity* cls) {
+  out.put<std::int32_t>(cls ? cls->dim() : -1);
+  out.put<std::int32_t>(cls ? cls->tag() : -1);
 }
 
 gmi::Entity* unpackCls(pcu::InBuffer& b, gmi::Model* model) {
@@ -59,43 +59,59 @@ gmi::Entity* unpackCls(pcu::InBuffer& b, gmi::Model* model) {
 }  // namespace
 
 std::vector<std::byte> meshToBytes(const Mesh& mesh) {
-  pcu::OutBuffer b;
-  b.pack(kMagic);
-  const TagPlan tags(mesh);
+  const TagPlan plan(mesh);
+  const TagPlan::SlotView tags(plan, mesh);
+
+  // Size the stream exactly, then write it in one pass: magic, then per
+  // dimension a count and its records. A record is a vertex's point or an
+  // entity's topology byte and vertex indices, then its classification and
+  // its tag record (a u32 count plus what SlotView::valueBytes sums).
+  constexpr std::size_t kCls = 2 * sizeof(std::int32_t);
+  constexpr std::size_t kTagCount = sizeof(std::uint32_t);
+  std::size_t size = sizeof(kMagic) + 4 * sizeof(std::uint64_t) +
+                     tags.valueBytes() +
+                     mesh.count(0) * (sizeof(Vec3) + kCls + kTagCount);
+  for (int t = 1; t < kTopoCount; ++t) {
+    const auto topo = static_cast<Topo>(t);
+    size += mesh.countTopo(topo) *
+            (sizeof(std::uint8_t) +
+             sizeof(std::uint32_t) *
+                 static_cast<std::size_t>(topoVertexCount(topo)) +
+             kCls + kTagCount);
+  }
+  pcu::SizedWriter out(size);
+  out.put(kMagic);
 
   // Vertices: coordinates + classification + tags, indexed by iteration
-  // order. The index is dense over vertex pool slots (iteration visits
-  // them in ascending slot order, so the last vertex sizes it).
+  // order. The index is dense over vertex pool slots.
   constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
-  std::vector<std::uint32_t> vindex;
-  vindex.reserve(mesh.count(0));
-  b.pack<std::uint64_t>(mesh.count(0));
+  std::vector<std::uint32_t> vindex(mesh.slots(Topo::Vertex), kAbsent);
+  out.put<std::uint64_t>(mesh.count(0));
   std::uint32_t nv = 0;
   for (Ent v : mesh.entities(0)) {
-    vindex.resize(std::size_t{v.index()} + 1, kAbsent);
     vindex[v.index()] = nv++;
-    b.pack(mesh.point(v));
-    packCls(b, mesh.classification(v));
-    tags.pack(v, b);
+    out.put(mesh.point(v));
+    putCls(out, mesh.classification(v));
+    tags.write(v, out);
   }
 
   // Entities of every higher dimension, ascending, by canonical vertices.
   for (int d = 1; d <= 3; ++d) {
-    b.pack<std::uint64_t>(mesh.count(d));
+    out.put<std::uint64_t>(mesh.count(d));
     for (Ent e : mesh.entities(d)) {
-      b.pack<std::uint8_t>(static_cast<std::uint8_t>(e.topo()));
+      out.put<std::uint8_t>(static_cast<std::uint8_t>(e.topo()));
       for (Ent v : mesh.verts(e)) {
         if (v.topo() != Topo::Vertex || v.index() >= vindex.size() ||
             vindex[v.index()] == kAbsent)
           throw std::out_of_range("meshToBytes: entity names a dead vertex");
-        b.pack<std::uint32_t>(vindex[v.index()]);
+        out.put<std::uint32_t>(vindex[v.index()]);
       }
-      packCls(b, mesh.classification(e));
-      tags.pack(e, b);
+      putCls(out, mesh.classification(e));
+      tags.write(e, out);
     }
   }
 
-  return std::move(b).take();
+  return std::move(out).take();
 }
 
 void writeMesh(const Mesh& mesh, const std::string& path) {

@@ -37,6 +37,10 @@ using Values = common::TagData<Ent, T, EntHash>;
 
 }  // namespace
 
+/// Marks an empty slot of a SlotView row (a zero-length value is present
+/// with count 0).
+constexpr std::uint64_t kNoValue = ~std::uint64_t{0};
+
 template <typename T>
 bool TagPlan::findTyped(const void* table, Ent e, Value& out) {
   const auto& values = static_cast<const Values<T>*>(table)->values;
@@ -48,11 +52,31 @@ bool TagPlan::findTyped(const void* table, Ent e, Value& out) {
 }
 
 template <typename T>
+std::size_t TagPlan::indexTyped(const Entry& entry, const Mesh& mesh,
+                                SlotRows& rows) {
+  const auto& values = static_cast<const Values<T>*>(entry.table)->values;
+  std::size_t bytes = 0;
+  for (const auto& [e, v] : values) {
+    if (!mesh.alive(e)) continue;  // no record ever names it
+    auto& row = rows[static_cast<std::size_t>(e.topo())];
+    if (row.empty()) row.assign(mesh.slots(e.topo()), Value{nullptr, kNoValue});
+    row[e.index()] = {reinterpret_cast<const std::byte*>(v.data()), v.size()};
+    bytes += entry.recordBytes(v.size());
+  }
+  return bytes;
+}
+
+std::size_t TagPlan::Entry::recordBytes(std::uint64_t count) const {
+  return sizeof(std::uint64_t) + name.size() + sizeof(code) +
+         sizeof(components) + sizeof(std::uint64_t) + count * elem_bytes;
+}
+
+template <typename T>
 void TagPlan::add(const common::TagBase<Ent>& tag, std::uint8_t code) {
   const auto& typed = dynamic_cast<const Values<T>&>(tag);
   entries_.push_back({tag.name(), code,
                       static_cast<std::uint32_t>(tag.components()), sizeof(T),
-                      &typed, &findTyped<T>});
+                      &typed, &findTyped<T>, &indexTyped<T>});
 }
 
 TagPlan::TagPlan(const Mesh& mesh, const std::string& only) {
@@ -67,26 +91,52 @@ TagPlan::TagPlan(const Mesh& mesh, const std::string& only) {
   }
 }
 
+// The one definition of the record format: a u32 count, then per value
+// its tag's name, type code and component count and the value vector.
+template <typename Sink>
+void TagPlan::writeRecord(std::span<const Found> found, Sink&& sink) {
+  auto put = [&sink](const auto& x) { sink(&x, sizeof(x)); };
+  put(static_cast<std::uint32_t>(found.size()));
+  for (const auto& [entry, v] : found) {
+    put(static_cast<std::uint64_t>(entry->name.size()));
+    sink(entry->name.data(), entry->name.size());
+    put(entry->code);
+    put(entry->components);
+    put(v.count);
+    sink(v.bytes, v.count * entry->elem_bytes);
+  }
+}
+
 void TagPlan::pack(Ent e, pcu::OutBuffer& buf) const {
   // One lookup per tag: remember what was found so the count can lead the
   // record. Meshes carry a handful of transportable tags.
-  struct Found {
-    const Entry* entry;
-    Value v;
-  };
   common::SmallVec<Found, 8> found;
   for (const Entry& entry : entries_) {
     Value v;
     if (entry.find(entry.table, e, v)) found.push_back({&entry, v});
   }
-  buf.pack<std::uint32_t>(found.size());
-  for (const auto& [entry, v] : found) {
-    buf.packString(entry->name);
-    buf.pack(entry->code);
-    buf.pack<std::uint32_t>(entry->components);
-    buf.pack<std::uint64_t>(v.count);
-    buf.packBytes(v.bytes, v.count * entry->elem_bytes);
+  writeRecord({found.data(), found.size()},
+              [&buf](const void* p, std::size_t n) { buf.packBytes(p, n); });
+}
+
+TagPlan::SlotView::SlotView(const TagPlan& plan, const Mesh& mesh)
+    : plan_(plan), rows_(plan.entries_.size()) {
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    const Entry& entry = plan.entries_[i];
+    value_bytes_ += entry.index(entry, mesh, rows_[i]);
   }
+}
+
+void TagPlan::SlotView::write(Ent e, pcu::SizedWriter& out) const {
+  const auto t = static_cast<std::size_t>(e.topo());
+  common::SmallVec<Found, 8> found;
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    const auto& row = rows_[i][t];
+    if (e.index() < row.size() && row[e.index()].count != kNoValue)
+      found.push_back({&plan_.entries_[i], row[e.index()]});
+  }
+  writeRecord({found.data(), found.size()},
+              [&out](const void* p, std::size_t n) { out.putBytes(p, n); });
 }
 
 void skipTags(pcu::InBuffer& buf) {

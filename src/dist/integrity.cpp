@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "common/crc32.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/partio.hpp"
+#include "pcu/buffer.hpp"
 #include "pcu/error.hpp"
 #include "pcu/trace.hpp"
 
@@ -17,22 +17,6 @@ namespace dist {
 namespace integrity {
 
 namespace {
-
-/// The external streams are sequences of u64 words whose count is known up
-/// front: size the buffer once, then fill it in place.
-class WordStream {
- public:
-  explicit WordStream(std::size_t words) : out_(words * 8) {}
-  void put(std::uint64_t v) {
-    std::memcpy(out_.data() + at_, &v, 8);
-    at_ += 8;
-  }
-  std::vector<std::byte> take() && { return std::move(out_); }
-
- private:
-  std::vector<std::byte> out_;
-  std::size_t at_ = 0;
-};
 
 std::uint64_t u64(PartId p) {
   return static_cast<std::uint64_t>(static_cast<std::uint32_t>(p));
@@ -72,36 +56,26 @@ void pushCopyFields(std::vector<FieldFlip>& fields, Copy* c) {
        40});  // 32 index bits + 8 topo bits; padding excluded by design
 }
 
-template <class Map>
-std::vector<Ent> sortedKeys(const Map& m) {
-  std::vector<Ent> keys;
-  keys.reserve(m.size());
-  for (const auto& [e, v] : m) keys.push_back(e);
-  std::sort(keys.begin(), keys.end(),
-            [](Ent a, Ent b) { return a.packed() < b.packed(); });
-  return keys;
-}
-
-/// The meaningful fields of a part's boundary/ghost tables in sorted-key
+/// The meaningful fields of a part's boundary/ghost tables in handle
 /// order. The returned lambdas point into the live maps: use before any
 /// insertion (a rehash would invalidate them). The maps are passed in from
 /// Armor's friend context (this helper has no access of its own).
 std::vector<FieldFlip> remoteFields(
-    common::FlatMap<Ent, Remote, EntHash>& remotes,
+    const core::Mesh& m, common::FlatMap<Ent, Remote, EntHash>& remotes,
     common::FlatMap<Ent, Copy, EntHash>& ghost_source,
     common::FlatMap<Ent, std::vector<Copy>, EntHash>& ghosted_on) {
   std::vector<FieldFlip> fields;
-  for (Ent e : sortedKeys(remotes)) {
-    Remote* r = &remotes.find(e)->second;
+  partio::forEachInSlotOrder(m, remotes, [&fields](auto& kv) {
+    Remote* r = &kv.second;
     fields.push_back({[r](int b) { flipPartId(&r->owner, b); }, 32});
     for (Copy& c : r->copies) pushCopyFields(fields, &c);
-  }
-  for (Ent g : sortedKeys(ghost_source)) {
-    pushCopyFields(fields, &ghost_source.find(g)->second);
-  }
-  for (Ent e : sortedKeys(ghosted_on)) {
-    for (Copy& c : ghosted_on.find(e)->second) pushCopyFields(fields, &c);
-  }
+  });
+  partio::forEachInSlotOrder(m, ghost_source, [&fields](auto& kv) {
+    pushCopyFields(fields, &kv.second);
+  });
+  partio::forEachInSlotOrder(m, ghosted_on, [&fields](auto& kv) {
+    for (Copy& c : kv.second) pushCopyFields(fields, &c);
+  });
   return fields;
 }
 
@@ -109,33 +83,33 @@ std::vector<FieldFlip> remoteFields(
 
 /// --- canonical streams of the external (non-mesh) sections -----------------
 
+// Each stream is sized first, then written in one slot-order walk.
 std::vector<std::byte> remotesStream(const Part& p) {
   const auto& remotes = p.remotes();
   std::size_t words = 0;
   for (const auto& [e, r] : remotes) words += 3 + 2 * r.copies.size();
-  WordStream out(words);
-  for (Ent e : sortedKeys(remotes)) {
-    const Remote& r = remotes.find(e)->second;
-    out.put(e.packed());
+  pcu::SizedWriter out(words * 8);
+  partio::forEachInSlotOrder(p.mesh(), remotes, [&out](const auto& kv) {
+    const Remote& r = kv.second;
+    out.put(kv.first.packed());
     out.put(u64(r.owner));
-    out.put(r.copies.size());
+    out.put<std::uint64_t>(r.copies.size());
     for (const Copy& c : r.copies) {
       out.put(u64(c.part));
       out.put(c.ent.packed());
     }
-  }
+  });
   return std::move(out).take();
 }
 
 std::vector<std::byte> ghostSourceStream(const Part& p) {
   const auto& sources = CheckpointAccess::ghostSource(p);
-  WordStream out(3 * sources.size());
-  for (Ent g : sortedKeys(sources)) {
-    const Copy& c = sources.find(g)->second;
-    out.put(g.packed());
-    out.put(u64(c.part));
-    out.put(c.ent.packed());
-  }
+  pcu::SizedWriter out(3 * 8 * sources.size());
+  partio::forEachInSlotOrder(p.mesh(), sources, [&out](const auto& kv) {
+    out.put(kv.first.packed());
+    out.put(u64(kv.second.part));
+    out.put(kv.second.ent.packed());
+  });
   return std::move(out).take();
 }
 
@@ -143,16 +117,15 @@ std::vector<std::byte> ghostedOnStream(const Part& p) {
   const auto& ghosted = CheckpointAccess::ghostedOn(p);
   std::size_t words = 0;
   for (const auto& [e, copies] : ghosted) words += 2 + 2 * copies.size();
-  WordStream out(words);
-  for (Ent e : sortedKeys(ghosted)) {
-    const auto& copies = ghosted.find(e)->second;
-    out.put(e.packed());
-    out.put(copies.size());
-    for (const Copy& c : copies) {
+  pcu::SizedWriter out(words * 8);
+  partio::forEachInSlotOrder(p.mesh(), ghosted, [&out](const auto& kv) {
+    out.put(kv.first.packed());
+    out.put<std::uint64_t>(kv.second.size());
+    for (const Copy& c : kv.second) {
       out.put(u64(c.part));
       out.put(c.ent.packed());
     }
-  }
+  });
   return std::move(out).take();
 }
 
@@ -420,7 +393,8 @@ bool Armor::flipOne(pcu::faults::MemTarget target, std::uint64_t seed,
     return true;
   };
   auto flipRemotes = [&]() {
-    const std::vector<FieldFlip> fields = remoteFields(part.remotes_, part.ghost_source_, part.ghosted_on_);
+    const std::vector<FieldFlip> fields = remoteFields(
+        part.mesh(), part.remotes_, part.ghost_source_, part.ghosted_on_);
     if (fields.empty()) return false;
     std::uint64_t total = 0;
     for (const FieldFlip& f : fields) total += static_cast<std::uint64_t>(f.bits);
@@ -451,7 +425,10 @@ bool Armor::flipOne(pcu::faults::MemTarget target, std::uint64_t seed,
   std::vector<MT> fams;
   if (!meshSections().empty()) fams.push_back(MT::kPool);
   if (!eligibleTags().empty()) fams.push_back(MT::kTag);
-  if (!remoteFields(part.remotes_, part.ghost_source_, part.ghosted_on_).empty()) fams.push_back(MT::kRemotes);
+  if (!remoteFields(part.mesh(), part.remotes_, part.ghost_source_,
+                    part.ghosted_on_)
+           .empty())
+    fams.push_back(MT::kRemotes);
   if (fams.empty()) return false;
   return tryFamily(fams[key("family") % fams.size()]);
 }

@@ -86,8 +86,9 @@ struct IntegrityReport {
 
 /// Canonical byte streams of a part's boundary and ghost tables — the
 /// armor's external ledger sections "remotes", "ghost-src" and "ghost-on".
-/// Records are sorted by entity handle, so a stream is deterministic
-/// regardless of hash-map layout; every field is a u64 word.
+/// Records are in entity handle order (partio::forEachInSlotOrder), so a
+/// stream is deterministic regardless of hash-map layout; every field is a
+/// u64 word.
 std::vector<std::byte> remotesStream(const Part& p);
 std::vector<std::byte> ghostSourceStream(const Part& p);
 std::vector<std::byte> ghostedOnStream(const Part& p);

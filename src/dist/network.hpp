@@ -517,12 +517,14 @@ class Network {
     Channel& chan = channelLocked(from, to);
     const std::uint64_t seq = chan.sent++;
     auto framed = pcu::faults::frame(seq, std::move(segment).take());
+    const auto action = pcu::faults::decide(
+        from, to, kNetChannelTag, pcu::arq::saltSeq(seq, epochSalt()));
     if (pcu::arq::enabled())
       // Keep the clean framed segment until its receiver verifies it: the
       // phase-boundary recovery pulls retransmissions from here.
-      chan.unacked.push(seq, std::vector<std::byte>(framed));
-    switch (pcu::faults::decide(from, to, kNetChannelTag,
-                                pcu::arq::saltSeq(seq, epochSalt()))) {
+      chan.unacked.push(seq, std::vector<std::byte>(framed),
+                        pcu::faults::mayLose(action));
+    switch (action) {
       case pcu::faults::Action::kDeliver:
         break;
       case pcu::faults::Action::kCorrupt:

@@ -61,55 +61,46 @@ Ent EntResolver::at(PartId part, std::uint64_t ref,
 
 std::vector<std::byte> buildMeta(const Part& p, const OrdinalMap& ord,
                                  const std::vector<OrdinalMap>& all) {
-  auto refIn = [&all](PartId part, Ent e) {
-    return all[static_cast<std::size_t>(part)].at(e);
+  const auto& remotes = p.remotes();
+  const auto& ghosts = CheckpointAccess::ghostSource(p);
+  const auto& ghosted = CheckpointAccess::ghostedOn(p);
+  constexpr std::size_t kRef = sizeof(std::uint64_t);
+  constexpr std::size_t kCount = sizeof(std::uint64_t);
+  constexpr std::size_t kCopy = sizeof(std::int32_t) + kRef;
+  std::size_t size = sizeof(kMetaMagic) + 3 * kCount +
+                     ghosts.size() * (kRef + kCopy);
+  for (const auto& [e, r] : remotes)
+    size += kRef + sizeof(std::int32_t) + kCount + r.copies.size() * kCopy;
+  for (const auto& [e, cps] : ghosted)
+    size += kRef + kCount + cps.size() * kCopy;
+
+  pcu::SizedWriter out(size);
+  auto putCopy = [&out, &all](const Copy& c) {
+    out.put<std::int32_t>(c.part);
+    out.put<std::uint64_t>(all[static_cast<std::size_t>(c.part)].at(c.ent));
   };
-  pcu::OutBuffer b;
-  b.pack(kMetaMagic);
-
-  std::vector<std::pair<std::uint64_t, const Remote*>> remotes;
-  remotes.reserve(p.remotes().size());
-  for (const auto& [e, r] : p.remotes()) remotes.emplace_back(ord.at(e), &r);
-  std::sort(remotes.begin(), remotes.end());
-  b.pack<std::uint64_t>(remotes.size());
-  for (const auto& [ref, r] : remotes) {
-    b.pack<std::uint64_t>(ref);
-    b.pack<std::int32_t>(r->owner);
-    b.pack<std::uint64_t>(r->copies.size());
-    for (const Copy& c : r->copies) {
-      b.pack<std::int32_t>(c.part);
-      b.pack<std::uint64_t>(refIn(c.part, c.ent));
-    }
-  }
-
-  std::vector<std::pair<std::uint64_t, Copy>> ghosts;
-  ghosts.reserve(CheckpointAccess::ghostSource(p).size());
-  for (const auto& [e, src] : CheckpointAccess::ghostSource(p))
-    ghosts.emplace_back(ord.at(e), src);
-  std::sort(ghosts.begin(), ghosts.end(),
-            [](const auto& a, const auto& b2) { return a.first < b2.first; });
-  b.pack<std::uint64_t>(ghosts.size());
-  for (const auto& [ref, src] : ghosts) {
-    b.pack<std::uint64_t>(ref);
-    b.pack<std::int32_t>(src.part);
-    b.pack<std::uint64_t>(refIn(src.part, src.ent));
-  }
-
-  std::vector<std::pair<std::uint64_t, const std::vector<Copy>*>> ghosted;
-  ghosted.reserve(CheckpointAccess::ghostedOn(p).size());
-  for (const auto& [e, cps] : CheckpointAccess::ghostedOn(p))
-    ghosted.emplace_back(ord.at(e), &cps);
-  std::sort(ghosted.begin(), ghosted.end());
-  b.pack<std::uint64_t>(ghosted.size());
-  for (const auto& [ref, cps] : ghosted) {
-    b.pack<std::uint64_t>(ref);
-    b.pack<std::uint64_t>(cps->size());
-    for (const Copy& c : *cps) {
-      b.pack<std::int32_t>(c.part);
-      b.pack<std::uint64_t>(refIn(c.part, c.ent));
-    }
-  }
-  return std::move(b).take();
+  const core::Mesh& m = p.mesh();
+  out.put(kMetaMagic);
+  out.put<std::uint64_t>(remotes.size());
+  forEachInSlotOrder(m, remotes, [&](const auto& kv) {
+    const Remote& r = kv.second;
+    out.put<std::uint64_t>(ord.at(kv.first));
+    out.put<std::int32_t>(r.owner);
+    out.put<std::uint64_t>(r.copies.size());
+    for (const Copy& c : r.copies) putCopy(c);
+  });
+  out.put<std::uint64_t>(ghosts.size());
+  forEachInSlotOrder(m, ghosts, [&](const auto& kv) {
+    out.put<std::uint64_t>(ord.at(kv.first));
+    putCopy(kv.second);
+  });
+  out.put<std::uint64_t>(ghosted.size());
+  forEachInSlotOrder(m, ghosted, [&](const auto& kv) {
+    out.put<std::uint64_t>(ord.at(kv.first));
+    out.put<std::uint64_t>(kv.second.size());
+    for (const Copy& c : kv.second) putCopy(c);
+  });
+  return std::move(out).take();
 }
 
 void applyMeta(Part& part, PartId p, std::vector<std::byte> meta,

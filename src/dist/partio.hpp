@@ -17,11 +17,13 @@
 /// layer consumes every other's bytes (evacuation and repair fall back to
 /// the newest checkpoint for parts the journal lacks).
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "dist/partedmesh.hpp"
@@ -99,6 +101,46 @@ class OrdinalMap {
 /// entity -> entref for every entity of `m`, in one pass over its pools.
 OrdinalMap buildOrdinals(const core::Mesh& m);
 
+/// Visit every entry of an Ent-keyed table in ascending Ent::packed()
+/// order, with one pass over the table and one over `m`'s pool slots
+/// instead of a sort. packed() is (topo << 32) | index and topologies are
+/// grouped by dimension, so for live keys this is also entref (ordinal)
+/// order. A key no pool slot of `m` can hold — an index at or past
+/// slots(topo), or a topology code past the enum — is never written into a
+/// slot row: such keys are sorted among themselves and visited at their
+/// place in handle order, so the walk equals a sort by handle for any
+/// table contents.
+template <class Map, class F>
+void forEachInSlotOrder(const core::Mesh& m, Map& table, F&& f) {
+  using Entry = std::remove_reference_t<decltype(*table.begin())>;
+  std::array<std::vector<Entry*>, core::kTopoCount> rows;
+  std::vector<Entry*> stray;
+  for (Entry& kv : table) {
+    const Ent e = kv.first;
+    const auto t = static_cast<std::size_t>(e.topo());
+    if (t < rows.size() && e.index() < m.slots(e.topo())) {
+      auto& row = rows[t];
+      if (row.empty()) row.assign(m.slots(e.topo()), nullptr);
+      row[e.index()] = &kv;
+    } else {
+      stray.push_back(&kv);
+    }
+  }
+  std::sort(stray.begin(), stray.end(), [](const Entry* a, const Entry* b) {
+    return a->first.packed() < b->first.packed();
+  });
+  auto next = stray.begin();
+  for (std::size_t t = 0; t < rows.size(); ++t) {
+    for (Entry* kv : rows[t])
+      if (kv != nullptr) f(*kv);
+    for (; next != stray.end() &&
+           static_cast<std::size_t>((*next)->first.topo()) == t;
+         ++next)
+      f(**next);
+  }
+  for (; next != stray.end(); ++next) f(**next);
+}
+
 /// Bounds-checked (part, entref) -> entity lookup over every part's
 /// (re)built mesh: the inverse of buildOrdinals, and the one way a
 /// metadata stream's references become live handles.
@@ -121,9 +163,11 @@ class EntResolver {
 };
 
 /// Serialize one part's boundary/ghost records. All three maps are written
-/// sorted by entity reference so the byte stream (and therefore its CRC)
-/// is deterministic. `ord` is this part's ordinal map; `all` holds every
-/// part's (for cross-part references).
+/// in entity reference order (a slot-order walk, forEachInSlotOrder) so
+/// the byte stream (and therefore its CRC) is deterministic. `ord` is this
+/// part's ordinal map; `all` holds every part's (for cross-part
+/// references). A record keyed by an entity not live in the part's mesh
+/// throws std::out_of_range (OrdinalMap::at).
 std::vector<std::byte> buildMeta(const Part& p, const OrdinalMap& ord,
                                  const std::vector<OrdinalMap>& all);
 

@@ -175,16 +175,17 @@ std::deque<ResendQueue::Frame>::const_iterator ResendQueue::lowerBound(
       [](const Frame& f, std::uint64_t s) { return f.seq < s; });
 }
 
-void ResendQueue::push(std::uint64_t seq, std::vector<std::byte> framed) {
+void ResendQueue::push(std::uint64_t seq, std::vector<std::byte> framed,
+                       bool may_be_lost) {
   if (frames_.empty() || frames_.back().seq < seq) {
-    frames_.push_back(Frame{seq, std::move(framed)});
+    frames_.push_back(Frame{seq, std::move(framed), may_be_lost});
     return;
   }
   const auto it = frames_.begin() + (lowerBound(seq) - frames_.cbegin());
   if (it->seq == seq)
-    it->bytes = std::move(framed);
+    *it = Frame{seq, std::move(framed), may_be_lost};
   else
-    frames_.insert(it, Frame{seq, std::move(framed)});
+    frames_.insert(it, Frame{seq, std::move(framed), may_be_lost});
 }
 
 bool ResendQueue::ack(std::uint64_t upto) {
@@ -199,10 +200,10 @@ const std::vector<std::byte>* ResendQueue::find(std::uint64_t seq) const {
 }
 
 void ResendStore::store(int src, int dst, int tag, std::uint64_t seq,
-                        std::vector<std::byte> framed) {
+                        std::vector<std::byte> framed, bool may_be_lost) {
   auto& shard = shards_[static_cast<std::size_t>(dst)];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.chans[channelKey(src, tag)].push(seq, std::move(framed));
+  shard.chans[channelKey(src, tag)].push(seq, std::move(framed), may_be_lost);
 }
 
 void ResendStore::ack(int src, int dst, int tag, std::uint64_t upto) {
@@ -236,10 +237,11 @@ std::vector<ResendStore::PendingFrame> ResendStore::pending(
         static_cast<std::uint32_t>(key & 0xffffffffu)));
     if (chan_tag != tag) continue;
     if (src >= 0 && chan_src != src) continue;
-    frames.forEachFrom(expected(chan_src),
-                       [&](std::uint64_t seq, const std::vector<std::byte>& b) {
-                         out.push_back(PendingFrame{chan_src, seq, b});
-                       });
+    frames.forEachLostFrom(
+        expected(chan_src),
+        [&](std::uint64_t seq, const std::vector<std::byte>& b) {
+          out.push_back(PendingFrame{chan_src, seq, b});
+        });
   }
   std::sort(out.begin(), out.end(),
             [](const PendingFrame& a, const PendingFrame& b) {

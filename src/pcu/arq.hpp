@@ -133,16 +133,21 @@ void noteAcked();
 class ResendQueue {
  public:
   /// Keep a clean copy of frame `seq` (replacing an equal seq).
-  void push(std::uint64_t seq, std::vector<std::byte> framed);
+  /// `may_be_lost` marks a frame the fault plan kept from its receiver's
+  /// mailbox (faults::mayLose): only those are candidates for a
+  /// receiver's store scan (forEachLostFrom).
+  void push(std::uint64_t seq, std::vector<std::byte> framed,
+            bool may_be_lost);
   /// Drop every frame below `upto`; true when the queue held any frame.
   bool ack(std::uint64_t upto);
   /// The stored frame `seq`, or nullptr when absent (never kept or acked).
   [[nodiscard]] const std::vector<std::byte>* find(std::uint64_t seq) const;
-  /// Call f(seq, bytes) for every frame at or above `from`, in seq order.
+  /// Call f(seq, bytes) for every frame at or above `from` that may have
+  /// been lost, in seq order.
   template <typename F>
-  void forEachFrom(std::uint64_t from, F&& f) const {
+  void forEachLostFrom(std::uint64_t from, F&& f) const {
     for (auto it = lowerBound(from); it != frames_.end(); ++it)
-      f(it->seq, it->bytes);
+      if (it->may_be_lost) f(it->seq, it->bytes);
   }
   [[nodiscard]] bool empty() const { return frames_.empty(); }
 
@@ -150,6 +155,7 @@ class ResendQueue {
   struct Frame {
     std::uint64_t seq;
     std::vector<std::byte> bytes;
+    bool may_be_lost;
   };
   [[nodiscard]] std::deque<Frame>::const_iterator lowerBound(
       std::uint64_t seq) const;
@@ -173,9 +179,10 @@ class ResendStore {
  public:
   explicit ResendStore(int ranks) : shards_(static_cast<std::size_t>(ranks)) {}
 
-  /// Keep a clean framed copy of (src -> dst, tag, seq).
+  /// Keep a clean framed copy of (src -> dst, tag, seq); `may_be_lost`
+  /// as in ResendQueue::push.
   void store(int src, int dst, int tag, std::uint64_t seq,
-             std::vector<std::byte> framed);
+             std::vector<std::byte> framed, bool may_be_lost);
   /// Receiver acknowledgement: drop channel frames with seq < upto.
   void ack(int src, int dst, int tag, std::uint64_t upto);
   /// Copy of one stored frame; empty when absent (never stored or pruned;
@@ -187,9 +194,10 @@ class ResendStore {
     std::vector<std::byte> bytes;
   };
   /// Every stored frame addressed to `dst` on `tag` (any source when
-  /// src < 0) whose seq is not below the receiver's expectation (queried
-  /// per source channel): the RTO scan's pull candidates, in (source, seq)
-  /// order.
+  /// src < 0) that may have been lost and whose seq is not below the
+  /// receiver's expectation (queried per source channel): the RTO scan's
+  /// pull candidates, in (source, seq) order. A frame pushed intact is
+  /// never one, however late its receiver finds it.
   std::vector<PendingFrame> pending(
       int dst, int src, int tag,
       const std::function<std::uint64_t(int)>& expected);

@@ -11,6 +11,7 @@
 /// A read past the end of an InBuffer throws pcu::Error(kProtocol), so a
 /// truncated or hostile stream is an error, never an out-of-bounds read.
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -75,6 +76,40 @@ class OutBuffer {
 
  private:
   std::vector<std::byte> bytes_;
+};
+
+/// A byte stream of known exact size, filled in place: the writer of the
+/// encoders that size their output first (meshToBytes, the partio metadata
+/// stream, the integrity ledger's table streams). One allocation, then raw
+/// copies; writing past the size or taking a partly filled stream asserts.
+class SizedWriter {
+ public:
+  explicit SizedWriter(std::size_t n) : bytes_(n) {}
+
+  /// Append one trivially-copyable value.
+  template <typename T>
+  void put(const T& value) {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "put requires a trivially copyable type");
+    putBytes(&value, sizeof(T));
+  }
+
+  /// Append raw bytes (no length prefix).
+  void putBytes(const void* data, std::size_t n) {
+    assert(n <= bytes_.size() - at_);
+    if (n != 0) std::memcpy(bytes_.data() + at_, data, n);
+    at_ += n;
+  }
+
+  /// Surrender the stream; every byte must have been written.
+  std::vector<std::byte> take() && {
+    assert(at_ == bytes_.size());
+    return std::move(bytes_);
+  }
+
+ private:
+  std::vector<std::byte> bytes_;
+  std::size_t at_ = 0;
 };
 
 /// A read cursor over a byte buffer; unpack order must mirror pack order.

@@ -172,14 +172,18 @@ void Comm::postFramed(int dest, int tag, std::vector<std::byte> payload) {
   const std::uint64_t seq = send_seq_[channelKey(dest, tag)]++;
   auto framed = faults::frame(seq, std::move(payload));
   const bool reliable = group_->domain_->reliableEnabled();
+  const faults::Action action = group_->domain_->decide(rank_, dest, tag, seq);
   if (reliable) {
-    // Deposit the clean frame before the fault decision can touch it: the
-    // receiver pulls from here on loss/corruption and prunes on delivery.
+    // Deposit the clean frame before the fault can touch it: the receiver
+    // pulls from here on loss/corruption and prunes on delivery. A frame
+    // about to be pushed intact is no candidate for the receiver's RTO
+    // scan, or a scan racing this push would pull a spurious copy.
     group_->arq_store_.store(rank_, dest, tag, seq,
-                             std::vector<std::byte>(framed));
+                             std::vector<std::byte>(framed),
+                             faults::mayLose(action));
     arq::noteStored();
   }
-  switch (group_->domain_->decide(rank_, dest, tag, seq)) {
+  switch (action) {
     case faults::Action::kDeliver:
       break;
     case faults::Action::kCorrupt:

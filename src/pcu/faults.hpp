@@ -213,6 +213,13 @@ enum class Action : std::uint8_t {
   kDelay,
 };
 
+/// True when `a` keeps a frame from reaching its receiver's mailbox intact
+/// (dropped, delayed or corrupted): only such a frame can need a
+/// retransmission from the sender's resend store.
+constexpr bool mayLose(Action a) {
+  return a != Action::kDeliver && a != Action::kDuplicate;
+}
+
 /// Which side of the storage shim an I/O decision is for.
 enum class IoOp : std::uint8_t { kRead, kWrite };
 

@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
-#include <stdexcept>
 #include <cassert>
+#include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
 
 #include "core/measure.hpp"
 #include "field/field.hpp"
 #include "gmi/model.hpp"
+#include "pcu/buffer.hpp"
 
 namespace solver {
 
@@ -75,61 +78,106 @@ struct PartData {
   std::vector<double> u, b, r, p, q, z, diag;
 };
 
+/// The rows of one part whose values travel on one (part, peer) lane, in
+/// the order the exchange adds or assigns them.
+struct Lane {
+  PartId peer = -1;
+  std::vector<int> rows;
+};
+
+/// A part's lanes: outbound in send order, inbound sorted by peer.
+struct PartLanes {
+  std::vector<Lane> reduce_out;  ///< copy rows -> their owner part
+  std::vector<Lane> reduce_in;   ///< owned rows <- a copy part
+  std::vector<Lane> bcast_out;   ///< owned rows -> a copy part
+  std::vector<Lane> bcast_in;    ///< copy rows <- their owner part
+};
+
+const Lane& laneOf(const std::vector<Lane>& lanes, PartId peer) {
+  const auto it = std::lower_bound(
+      lanes.begin(), lanes.end(), peer,
+      [](const Lane& l, PartId q) { return l.peer < q; });
+  if (it == lanes.end() || it->peer != peer)
+    throw std::logic_error("poisson: message from a part with no lane");
+  return *it;
+}
+
 class Context {
  public:
   Context(dist::PartedMesh& pm) : pm_(pm), parts_(pm.parts()) {}
 
   std::vector<PartData> data;
 
-  /// Sum partial values of shared vertices across parts, then broadcast
-  /// the totals back so every copy agrees.
-  void accumulate(std::vector<double> PartData::* vec) {
+  /// Build the per-solve exchange plan: one round of entity handles per
+  /// direction names, for every (part, peer) lane, the rows its values
+  /// land in. Shared vertices are walked in the part's remote-table order,
+  /// so each lane lists its rows in the order the per-vertex exchange
+  /// posted them. Requires `data` (the vertex rows) to be set up.
+  void buildPlan() {
     auto& net = pm_.network();
-    // Copies report to owners.
-    for (PartId p = 0; p < parts_; ++p) {
-      const auto& part = pm_.part(p);
-      for (const auto& [e, rem] : part.remotes()) {
-        if (e.topo() != core::Topo::Vertex || rem.owner == p) continue;
-        for (const dist::Copy& c : rem.copies) {
-          if (c.part != rem.owner) continue;
+    lanes_.assign(static_cast<std::size_t>(parts_), {});
+    // Copies name their owner's handle; owners name each copy's handle.
+    for (const bool reduce : {true, false}) {
+      for (PartId p = 0; p < parts_; ++p) {
+        auto& out = reduce ? lanes_[static_cast<std::size_t>(p)].reduce_out
+                           : lanes_[static_cast<std::size_t>(p)].bcast_out;
+        std::vector<std::vector<std::uint64_t>> names;  // per lane
+        std::vector<int> lane_of(static_cast<std::size_t>(parts_), -1);
+        auto add = [&](PartId peer, int row, Ent remote) {
+          int& k = lane_of[static_cast<std::size_t>(peer)];
+          if (k < 0) {
+            k = static_cast<int>(out.size());
+            out.push_back({peer, {}});
+            names.emplace_back();
+          }
+          out[static_cast<std::size_t>(k)].rows.push_back(row);
+          names[static_cast<std::size_t>(k)].push_back(remote.packed());
+        };
+        const auto& d = data[static_cast<std::size_t>(p)];
+        for (const auto& [e, rem] : pm_.part(p).remotes()) {
+          if (e.topo() != core::Topo::Vertex) continue;
+          if (reduce != (rem.owner != p)) continue;
+          for (const dist::Copy& c : rem.copies)
+            if (!reduce || c.part == rem.owner) add(c.part, d.row(e), c.ent);
+        }
+        for (std::size_t k = 0; k < out.size(); ++k) {
           pcu::OutBuffer msg;
-          msg.pack<std::uint64_t>(c.ent.packed());
-          msg.pack<double>(
-              (data[static_cast<std::size_t>(p)].*vec)
-                  [static_cast<std::size_t>(
-                      data[static_cast<std::size_t>(p)].row(e))]);
-          net.send(p, rem.owner, std::move(msg));
+          msg.packVector(names[k]);
+          net.send(p, out[k].peer, std::move(msg));
         }
       }
+      net.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
+        const auto names = body.unpackVector<std::uint64_t>();
+        const auto& d = data[static_cast<std::size_t>(to)];
+        Lane lane{from, {}};
+        lane.rows.reserve(names.size());
+        for (std::uint64_t h : names)
+          lane.rows.push_back(d.row(Ent::unpack(h)));
+        auto& in = reduce ? lanes_[static_cast<std::size_t>(to)].reduce_in
+                          : lanes_[static_cast<std::size_t>(to)].bcast_in;
+        in.push_back(std::move(lane));
+      });
     }
-    net.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
-      const Ent owner_ent = Ent::unpack(body.unpack<std::uint64_t>());
-      const double v = body.unpack<double>();
-      auto& d = data[static_cast<std::size_t>(to)];
-      (d.*vec)[static_cast<std::size_t>(d.row(owner_ent))] += v;
-    });
-    // Owners broadcast totals.
-    for (PartId p = 0; p < parts_; ++p) {
-      const auto& part = pm_.part(p);
-      for (const auto& [e, rem] : part.remotes()) {
-        if (e.topo() != core::Topo::Vertex || rem.owner != p) continue;
-        auto& d = data[static_cast<std::size_t>(p)];
-        const double total =
-            (d.*vec)[static_cast<std::size_t>(d.row(e))];
-        for (const dist::Copy& c : rem.copies) {
-          pcu::OutBuffer msg;
-          msg.pack<std::uint64_t>(c.ent.packed());
-          msg.pack<double>(total);
-          net.send(p, c.part, std::move(msg));
-        }
-      }
+    for (auto& l : lanes_) {
+      auto byPeer = [](const Lane& a, const Lane& b) {
+        return a.peer < b.peer;
+      };
+      std::sort(l.reduce_in.begin(), l.reduce_in.end(), byPeer);
+      std::sort(l.bcast_in.begin(), l.bcast_in.end(), byPeer);
     }
-    net.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
-      const Ent local = Ent::unpack(body.unpack<std::uint64_t>());
-      const double v = body.unpack<double>();
-      auto& d = data[static_cast<std::size_t>(to)];
-      (d.*vec)[static_cast<std::size_t>(d.row(local))] = v;
-    });
+  }
+
+  /// Sum partial values of shared vertices across parts, then broadcast
+  /// the totals back so every copy agrees: one payload of doubles per
+  /// (part, peer) lane and direction. Owners add the copies' values in
+  /// delivery order (source part, then the source's lane order), exactly
+  /// the additions of a per-vertex exchange, so results are bitwise
+  /// independent of the plan.
+  void accumulate(std::vector<double> PartData::* vec) {
+    exchange(vec, &PartLanes::reduce_out, &PartLanes::reduce_in,
+             [](double& into, double v) { into += v; });
+    exchange(vec, &PartLanes::bcast_out, &PartLanes::bcast_in,
+             [](double& into, double v) { into = v; });
   }
 
   /// Global dot product, counting each vertex once (on its owner).
@@ -164,8 +212,37 @@ class Context {
   }
 
  private:
+  /// Post every `out` lane's values of `vec`, then apply each arrival to
+  /// the rows of the receiver's `in` lane for its source part.
+  template <typename Apply>
+  void exchange(std::vector<double> PartData::* vec,
+                std::vector<Lane> PartLanes::* out,
+                std::vector<Lane> PartLanes::* in, Apply apply) {
+    auto& net = pm_.network();
+    for (PartId p = 0; p < parts_; ++p) {
+      const auto& values = data[static_cast<std::size_t>(p)].*vec;
+      for (const Lane& lane : lanes_[static_cast<std::size_t>(p)].*out) {
+        pcu::OutBuffer msg;
+        msg.reserve(lane.rows.size() * sizeof(double));
+        for (int r : lane.rows)
+          msg.pack<double>(values[static_cast<std::size_t>(r)]);
+        net.send(p, lane.peer, std::move(msg));
+      }
+    }
+    net.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
+      const Lane& lane =
+          laneOf(lanes_[static_cast<std::size_t>(to)].*in, from);
+      if (body.size() != lane.rows.size() * sizeof(double))
+        throw std::logic_error("poisson: lane payload does not match its plan");
+      auto& values = data[static_cast<std::size_t>(to)].*vec;
+      for (int r : lane.rows)
+        apply(values[static_cast<std::size_t>(r)], body.unpack<double>());
+    });
+  }
+
   dist::PartedMesh& pm_;
   int parts_;
+  std::vector<PartLanes> lanes_;
 };
 
 }  // namespace
@@ -256,6 +333,7 @@ PoissonReport solvePoisson(dist::PartedMesh& pm,
       }
     }
   }
+  ctx.buildPlan();
   ctx.accumulate(&PartData::b);
   // Jacobi preconditioner: the accumulated stiffness diagonal.
   for (auto& d : ctx.data) {

@@ -935,4 +935,122 @@ TEST(SvcIntegrity, MemflipJobCompletesWithTheSameDigestAsItsCleanTwin) {
             clean.integrity_repairs + armed.integrity_repairs);
 }
 
+/// --- slot-order table walks -------------------------------------------------
+
+/// The canonical table streams as the sort-based encoder wrote them: records
+/// sorted by packed handle, every field a u64 word. The slot walks that
+/// replaced the sort must match it for any map contents.
+template <class Map, class Put>
+std::vector<std::byte> sortedReference(const Map& map, Put&& put) {
+  std::vector<Ent> keys;
+  for (const auto& kv : map) keys.push_back(kv.first);
+  std::sort(keys.begin(), keys.end(),
+            [](Ent a, Ent b) { return a.packed() < b.packed(); });
+  std::vector<std::uint64_t> words;
+  for (Ent e : keys) put(words, e, map.find(e)->second);
+  std::vector<std::byte> out(words.size() * 8);
+  if (!words.empty()) std::memcpy(out.data(), words.data(), out.size());
+  return out;
+}
+
+std::uint64_t word(PartId p) {
+  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(p));
+}
+
+std::vector<std::byte> referenceRemotes(const dist::Part& part) {
+  return sortedReference(
+      part.remotes(),
+      [](std::vector<std::uint64_t>& w, Ent e, const dist::Remote& r) {
+        w.push_back(e.packed());
+        w.push_back(word(r.owner));
+        w.push_back(r.copies.size());
+        for (const dist::Copy& c : r.copies) {
+          w.push_back(word(c.part));
+          w.push_back(c.ent.packed());
+        }
+      });
+}
+
+std::vector<std::byte> referenceGhostSources(const dist::Part& part) {
+  return sortedReference(
+      dist::CheckpointAccess::ghostSource(part),
+      [](std::vector<std::uint64_t>& w, Ent g, const dist::Copy& c) {
+        w.push_back(g.packed());
+        w.push_back(word(c.part));
+        w.push_back(c.ent.packed());
+      });
+}
+
+std::vector<std::byte> referenceGhostedOn(const dist::Part& part) {
+  return sortedReference(
+      dist::CheckpointAccess::ghostedOn(part),
+      [](std::vector<std::uint64_t>& w, Ent e,
+         const std::vector<dist::Copy>& copies) {
+        w.push_back(e.packed());
+        w.push_back(copies.size());
+        for (const dist::Copy& c : copies) {
+          w.push_back(word(c.part));
+          w.push_back(c.ent.packed());
+        }
+      });
+}
+
+/// Keys no live entity has: a freed vertex slot, slots past each pool, a
+/// huge index, the null handle and a topology code past the enum.
+std::vector<Ent> strayKeys(core::Mesh& m) {
+  const Ent freed = m.createVertex({9, 9, 9});
+  m.destroy(freed);
+  return {freed,
+          Ent(core::Topo::Tet, m.slots(core::Topo::Tet) + 3),
+          Ent(core::Topo::Edge, m.slots(core::Topo::Edge)),
+          Ent(core::Topo::Pyramid, 7),
+          Ent(core::Topo::Tri, 0xfffffff0u),
+          Ent(),
+          Ent::unpack((std::uint64_t{9} << 32) | 1)};
+}
+
+TEST(SlotWalk, TableStreamsMatchTheSortedEncoderForAnyKeys) {
+  auto gen = meshgen::boxTets(3, 3, 3);
+  auto pm = makeMesh(gen, 3);
+  pm->ghostLayers(1);
+  dist::Part& part = pm->part(1);
+  ASSERT_GT(part.ghostCount(), 0u);
+  EXPECT_EQ(di::remotesStream(part), referenceRemotes(part));
+  EXPECT_EQ(di::ghostSourceStream(part), referenceGhostSources(part));
+  EXPECT_EQ(di::ghostedOnStream(part), referenceGhostedOn(part));
+  PartId k = 0;
+  for (Ent e : strayKeys(part.mesh())) {
+    part.setRemote(e, dist::Remote{{dist::Copy{k, e}}, k});
+    dist::CheckpointAccess::setGhost(part, e, dist::Copy{k, e});
+    dist::CheckpointAccess::setGhostedOn(part, e, {dist::Copy{k, e}});
+    ++k;
+  }
+  EXPECT_EQ(di::remotesStream(part), referenceRemotes(part));
+  EXPECT_EQ(di::ghostSourceStream(part), referenceGhostSources(part));
+  EXPECT_EQ(di::ghostedOnStream(part), referenceGhostedOn(part));
+}
+
+TEST(SlotWalk, MetaStreamRejectsADeadOrOutOfPoolKey) {
+  namespace partio = dist::partio;
+  auto gen = meshgen::boxTets(3, 3, 3);
+  for (int which = 0; which < 2; ++which) {
+    for (const bool ghost : {false, true}) {
+      auto pm = makeMesh(gen, 3);
+      dist::Part& part = pm->part(0);
+      const Ent bad = strayKeys(part.mesh())[static_cast<std::size_t>(which)];
+      std::vector<partio::OrdinalMap> ords;
+      for (PartId p = 0; p < pm->parts(); ++p)
+        ords.push_back(partio::buildOrdinals(pm->part(p).mesh()));
+      EXPECT_NO_THROW(partio::buildMeta(part, ords[0], ords));
+      const Ent live = *part.mesh().entities(0).begin();
+      if (ghost)
+        dist::CheckpointAccess::setGhost(part, bad, dist::Copy{1, live});
+      else
+        part.setRemote(bad, dist::Remote{{dist::Copy{1, live}}, 0});
+      EXPECT_THROW(partio::buildMeta(part, ords[0], ords), std::out_of_range)
+          << "key " << which << (ghost ? " (ghost source)" : " (remote)");
+    }
+  }
+}
+
 }  // namespace

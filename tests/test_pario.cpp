@@ -950,4 +950,120 @@ TEST(FormatPins, CheckpointChunksAreByteStable) {
   fs::remove_all(dir);
 }
 
+/// --- encoder pins -----------------------------------------------------------
+
+/// meshToBytes cases FormatPins does not reach, pinned to CRCs recorded
+/// with the value-at-a-time encoder the one-pass writer replaced: pool
+/// holes, multi-component tags of every transportable type on every
+/// dimension, a zero-length value, a tag with no values and a tag of a
+/// non-transportable type.
+std::vector<std::uint32_t> meshCrcs(const dist::PartedMesh& pm) {
+  std::vector<std::uint32_t> out;
+  for (PartId p = 0; p < pm.parts(); ++p)
+    out.push_back(crcOf(core::meshToBytes(pm.part(p).mesh())));
+  return out;
+}
+
+/// Encoding the decoded stream must give the stream back.
+void expectReencodes(const core::Mesh& m, gmi::Model* model) {
+  const auto bytes = core::meshToBytes(m);
+  const auto again = core::meshToBytes(*core::meshFromBytes(bytes, model));
+  EXPECT_EQ(again, bytes);
+}
+
+/// A serial boxTets(2) mesh for the single-mesh tag cases.
+struct SerialCase {
+  meshgen::Generated gen = meshgen::boxTets(2, 2, 2);
+  core::Mesh& m = *gen.mesh;
+};
+
+TEST(EncoderPins, PoolHolesAfterCoarsenAndUnghost) {
+  auto gen = meshgen::boxTets(4, 4, 4);
+  auto pm = makeMesh(gen, 4);
+  dist::refineParted(*pm, adapt::UniformSize(0.17));
+  pm->ghostLayers(1);
+  pm->unghost();
+  const auto st = dist::coarsenParted(*pm, adapt::UniformSize(0.6));
+  EXPECT_GT(st.collapses, 0u);
+  bool holes = false;
+  for (PartId p = 0; p < pm->parts(); ++p) {
+    const core::Mesh& m = pm->part(p).mesh();
+    for (int t = 0; t < core::kTopoCount; ++t) {
+      const auto topo = static_cast<core::Topo>(t);
+      holes = holes || m.slots(topo) > m.countTopo(topo);
+    }
+    expectReencodes(m, pm->model());
+  }
+  ASSERT_TRUE(holes) << "the fixture must leave free pool slots";
+  std::vector<dist::partio::OrdinalMap> ords;
+  for (PartId p = 0; p < pm->parts(); ++p)
+    ords.push_back(dist::partio::buildOrdinals(pm->part(p).mesh()));
+  std::vector<std::uint32_t> meta;
+  for (PartId p = 0; p < pm->parts(); ++p)
+    meta.push_back(crcOf(dist::partio::buildMeta(
+        pm->part(p), ords[static_cast<std::size_t>(p)], ords)));
+  const std::vector<std::uint32_t> kMesh = {0x9160C38Bu, 0x9D9A1FC3u,
+                                           0x8164C3FBu, 0x716D95A5u};
+  const std::vector<std::uint32_t> kMeta = {0xB06F5BBCu, 0x2AD795B8u,
+                                           0x22701E54u, 0xCF6EDFFFu};
+  EXPECT_EQ(meshCrcs(*pm), kMesh);
+  EXPECT_EQ(meta, kMeta);
+}
+
+TEST(EncoderPins, MultiComponentTagsOnEveryDimension) {
+  SerialCase c;
+  common::Rng rng(23);
+  for (int d = 0; d <= 3; ++d) {
+    const std::string n = "d" + std::to_string(d);
+    auto ti = c.m.tags().create<int>(n + ":int", 3);
+    auto tl = c.m.tags().create<long>(n + ":long", 2);
+    auto td = c.m.tags().create<double>(n + ":double", 4);
+    int k = 0;
+    for (Ent e : c.m.entities(d)) {
+      // Every third entity carries nothing, every other one only some.
+      if (k % 3 != 2) {
+        c.m.tags().set<int>(ti, e,
+                            {static_cast<int>(rng.below(1000)), -k, k});
+        c.m.tags().set<double>(
+            td, e, {rng.uniform(), -rng.uniform(), 0.5 * k, 1e300});
+      }
+      if (k % 2 == 0)
+        c.m.tags().set<long>(tl, e, {static_cast<long>(rng.next()), -3L * k});
+      ++k;
+    }
+  }
+  expectReencodes(c.m, c.gen.model.get());
+  EXPECT_EQ(crcOf(core::meshToBytes(c.m)), 0x4633511Au);
+}
+
+TEST(EncoderPins, ZeroLengthTagValueIsListed) {
+  SerialCase c;
+  const auto plain = core::meshToBytes(c.m);
+  auto z = c.m.tags().create<double>("empty", 0);
+  int k = 0;
+  for (Ent v : c.m.entities(0))
+    if (k++ % 2 == 0) c.m.tags().set<double>(z, v, {});
+  const auto bytes = core::meshToBytes(c.m);
+  EXPECT_GT(bytes.size(), plain.size());  // the records are written
+  expectReencodes(c.m, c.gen.model.get());
+  EXPECT_EQ(crcOf(bytes), 0xB564F0A2u);
+}
+
+TEST(EncoderPins, TagWithoutValuesAndForeignTypeWriteNothing) {
+  SerialCase c;
+  const auto plain = core::meshToBytes(c.m);
+  (void)c.m.tags().create<int>("unused", 2);
+  auto f = c.m.tags().create<float>("local:float", 1);
+  for (Ent e : c.m.entities(3)) c.m.tags().setScalar<float>(f, e, 1.5f);
+  EXPECT_EQ(core::meshToBytes(c.m), plain);
+  EXPECT_EQ(crcOf(plain), 0xB7CE2D92u);
+}
+
+TEST(EncoderPins, PinnedFixtureReencodes) {
+  auto gen = meshgen::boxTets(4, 4, 4);
+  auto pm = pinnedMesh(gen);
+  for (PartId p = 0; p < pm->parts(); ++p)
+    expectReencodes(pm->part(p).mesh(), pm->model());
+}
+
 }  // namespace

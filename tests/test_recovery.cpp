@@ -131,6 +131,35 @@ TEST(PcuReliable, RecoveryIsExercisedNotVacuous) {
   EXPECT_GT(st.recovered, 0u);
 }
 
+TEST(PcuReliable, ZeroLossPingPongRecoversNothing) {
+  // With framing on and no loss, every frame reaches its receiver's mailbox
+  // intact, so no store scan may pull one: a 256 KiB frame takes longer to
+  // build than the first RTO interval, and a scan that saw it stored before
+  // it was posted would count a spurious recovery (and copy 256 KiB).
+  ReliableGuard rel;
+  faults::FaultPlan p;
+  p.checksum_only = true;
+  PlanGuard g(p);
+  const std::vector<std::byte> data(std::size_t{256} * 1024, std::byte{7});
+  for (int round = 0; round < 4; ++round) {
+    pcu::run(2, [&](pcu::Comm& c) {
+      for (int i = 0; i < 8; ++i) {
+        if (c.rank() == 0) {
+          c.send(1, 1, std::vector<std::byte>(data));
+          EXPECT_EQ(c.recv(1, 2).body.size(), data.size());
+        } else {
+          EXPECT_EQ(c.recv(0, 1).body.size(), data.size());
+          c.send(0, 2, std::vector<std::byte>(data));
+        }
+      }
+    });
+  }
+  const auto st = arq::stats();
+  EXPECT_EQ(st.recovered, 0u);
+  EXPECT_EQ(st.retransmits, 0u);
+  EXPECT_EQ(st.frames_stored, 64u);
+}
+
 TEST(PcuReliable, PermanentDropExhaustsBudgetStructurally) {
   // drop=1.0 defeats every retransmission: the bounded budget must convert
   // to a structured kMessageLost naming the budget — not a hang, and not an

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "common/crc32.hpp"
+
 #include "core/measure.hpp"
 #include "dist/partedmesh.hpp"
 #include "field/field.hpp"
@@ -147,6 +154,76 @@ TEST(Poisson, RefusesGhostedMesh) {
                    *pm, [](const Vec3&) { return 0.0; },
                    [](const Vec3&) { return 0.0; }),
                std::logic_error);
+}
+
+/// --- exchange plan ----------------------------------------------------------
+
+/// The fixed 4-part mesh and problem of the exchange-plan tests.
+std::unique_ptr<dist::PartedMesh> exchangeCase(meshgen::Generated& gen,
+                                               int delivery_threads) {
+  auto pm = parted(gen, 4);
+  pm->network().setDeliveryThreads(delivery_threads);
+  return pm;
+}
+
+solver::PoissonReport solveExchangeCase(dist::PartedMesh& pm) {
+  return solver::solvePoisson(
+      pm, [](const Vec3& x) { return 1.0 + x.z; },
+      [](const Vec3& x) { return x.x + 2.0 * x.y; }, {.tolerance = 1e-10});
+}
+
+/// CRC of every part's "u" values, part by part in vertex iteration order.
+std::uint32_t solutionCrc(dist::PartedMesh& pm) {
+  std::vector<double> values;
+  for (PartId p = 0; p < pm.parts(); ++p) {
+    auto& mesh = pm.part(p).mesh();
+    field::Field u(mesh, "u", field::ValueType::Scalar,
+                   field::Location::Vertex);
+    for (Ent v : mesh.entities(0)) values.push_back(u.getScalar(v));
+  }
+  return common::crc32(reinterpret_cast<const std::byte*>(values.data()),
+                       values.size() * sizeof(double));
+}
+
+TEST(PoissonExchange, SolutionBitsArePinnedUnderAnyDeliveryThreads) {
+  // Recorded with the per-vertex exchange the plan replaced: the plan keeps
+  // every addition in its old order, so the iterates match bit for bit.
+  constexpr std::uint32_t kSolutionCrc = 0x543878F7u;
+  for (int threads : {0, 4}) {
+    auto gen = meshgen::boxTets(4, 4, 4);
+    auto pm = exchangeCase(gen, threads);
+    const auto report = solveExchangeCase(*pm);
+    EXPECT_TRUE(report.converged);
+    EXPECT_EQ(solutionCrc(*pm), kSolutionCrc) << threads << " threads";
+  }
+}
+
+TEST(PoissonExchange, EachAccumulatePostsOnePayloadPerLane) {
+  auto gen = meshgen::boxTets(4, 4, 4);
+  auto pm = exchangeCase(gen, 0);
+  // Lanes: copy part -> owner for the sums, owner -> copy part for the
+  // totals, over shared vertices.
+  std::set<std::pair<PartId, PartId>> up;
+  std::set<std::pair<PartId, PartId>> down;
+  for (PartId p = 0; p < pm->parts(); ++p) {
+    for (const auto& [e, rem] : pm->part(p).remotes()) {
+      if (e.topo() != core::Topo::Vertex) continue;
+      for (const dist::Copy& c : rem.copies) {
+        if (rem.owner == p) down.emplace(p, c.part);
+        else if (c.part == rem.owner) up.emplace(p, c.part);
+      }
+    }
+  }
+  ASSERT_FALSE(up.empty());
+  ASSERT_FALSE(down.empty());
+  const auto before = pm->network().stats().messages_sent;
+  const auto report = solveExchangeCase(*pm);
+  ASSERT_TRUE(report.converged);
+  const auto posted = pm->network().stats().messages_sent - before;
+  // One handle round per direction builds the plan; then the load vector,
+  // the diagonal, the initial residual and every iteration accumulate once.
+  const auto accumulates = static_cast<std::uint64_t>(report.iterations) + 3;
+  EXPECT_EQ(posted, (accumulates + 1) * (up.size() + down.size()));
 }
 
 }  // namespace
