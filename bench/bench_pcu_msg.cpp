@@ -201,14 +201,18 @@ void BM_PingPongReliable(benchmark::State& state) {
   pcu::arq::resetStats();
   pcu::arq::setReliable(true);
   faults::FaultPlan plan;
-  if (drop > 0.0) {
-    plan.seed = 12;
+  if (drop > 0.0)
     plan.drop = drop;
-  } else {
+  else
     plan.checksum_only = true;  // framing on either way: isolate the ARQ tax
-  }
-  faults::setPlan(plan);
+  std::uint64_t iteration = 0;
   for (auto _ : state) {
+    // Each pcu::run restarts every channel at sequence 0, so a fixed seed
+    // would replay the same 16 drop decisions every iteration: salt it.
+    // The clean case reinstalls its plan the same way, so both pay the
+    // same per-iteration install cost.
+    plan.seed = 12 + iteration++;
+    faults::setPlan(plan);
     pcu::run(2, [&](pcu::Comm& c) {
       std::vector<std::byte> data(payload);
       for (int i = 0; i < 8; ++i) {

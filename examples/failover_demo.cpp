@@ -3,8 +3,8 @@
 ///
 /// The ISSUE acceptance scenario, end to end: a 16-part tet mesh survives
 /// two rank failures without losing an element or restarting.
-///   1. rank 5 is killed mid-migrate — the heartbeat detector declares it
-///      dead within the configured deadline, the migration aborts
+///   1. rank 5 is killed mid-migrate — dist::Network declares it dead at
+///      the scheduled phase boundary, the migration aborts
 ///      transactionally (kRankFailed naming the rank), and
 ///      dist::failover::evacuate rebuilds its parts from the buddy journal
 ///      onto the next surviving rank;

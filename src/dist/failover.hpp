@@ -4,7 +4,7 @@
 /// \file failover.hpp
 /// \brief Live part evacuation after a rank failure (recovery tier 4).
 ///
-/// When the failure detector declares a rank dead mid-operation, the
+/// When dist::Network declares a rank dead mid-operation, the
 /// transactional layer rolls every surviving part back to the last
 /// quiescent point and the transport poisons all traffic to the dead
 /// rank's parts (Network::deadRanks). This layer finishes the job without
@@ -122,7 +122,7 @@ struct EvacuationReport {
   std::vector<PartId> parts_evacuated;  ///< parts rebuilt onto survivors
   std::size_t entities_adopted = 0;     ///< entities (all dims) re-hosted
   std::uint64_t journal_bytes_replayed = 0;
-  double detect_ms = 0;    ///< failure-detector latency for this incident
+  double detect_ms = 0;    ///< rank-failure detection latency
   double evacuate_ms = 0;  ///< rebuild + re-pin + verify wall time
 };
 

@@ -322,10 +322,9 @@ class Network {
     pending_join_ = 0;
     return k;
   }
-  /// Grow the machine by `k` newly joined ranks: the dist-layer analogue of
-  /// pcu::Comm::grow's dense renumbering — existing ranks keep their
-  /// numbers, newcomers take totalCores()..totalCores()+k-1 on a flat
-  /// topology. Existing per-channel ARQ/coalescing state is untouched
+  /// Grow the machine by `k` newly joined ranks with dense renumbering:
+  /// existing ranks keep their numbers, newcomers take
+  /// totalCores()..totalCores()+k-1 on a flat topology. Existing per-channel ARQ/coalescing state is untouched
   /// (channels are keyed by part, not rank); channels to parts later pinned
   /// on the newcomers start from sequence zero by construction.
   void growRanks(int k) {
@@ -562,13 +561,13 @@ class Network {
                              "; evacuate before communicating");
   }
 
-  /// Phase-boundary rank-fault hook (the dist-layer analogue of
-  /// pcu::Comm::rankFaultPoint): enforce the dead-rank gate, then consume a
-  /// scheduled kill=/hang= fault whose phase index matches the number of
-  /// boundaries passed under the current plan. A hang first sleeps out the
-  /// heartbeat deadline — in this single-driver transport the silence of a
-  /// hung rank is only observable as that detection latency — then both
-  /// kinds declare the rank dead and abort the phase with kRankFailed.
+  /// Phase-boundary rank-fault hook, the one place kill=/hang=/join= fire:
+  /// enforce the dead-rank gate, then consume a scheduled phase event whose
+  /// phase index matches the number of boundaries passed under the current
+  /// plan. A hang first sleeps out the plan's deadline — in this
+  /// single-driver transport the silence of a hung rank is only observable
+  /// as that detection latency — then both kinds declare the rank dead and
+  /// abort the phase with kRankFailed.
   void maybeFireRankFault() {
     checkDeadRanks();
     if (!pcu::faults::hasPhaseEvent()) return;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <string>
-#include <thread>
 #include <tuple>
 
 #include "pcu/arq.hpp"
@@ -87,10 +86,10 @@ bool Mailbox::probe(int source, int tag) {
 
 }  // namespace detail
 
-Group::Group(int size, Machine machine, std::shared_ptr<faults::Domain> domain)
+Group::Group(int size, Machine machine)
     : size_(size),
       machine_(machine),
-      domain_(domain ? std::move(domain) : faults::defaultDomain()),
+      domain_(faults::defaultDomain()),
       boxes_(size) {
   assert(size > 0);
   // Default machine: all ranks on one node (pure shared memory).
@@ -228,46 +227,25 @@ void Comm::reserveInbound(std::size_t n) {
   group_->boxes_[rank_].reserveInbound(n);
 }
 
-void Comm::throwRankFailed(int source, int tag) const {
-  const int dead = group_->detector_.firstDead();
-  throw Error(ErrorCode::kRankFailed, rank_, dead >= 0 ? dead : source, tag,
-              "rank " + std::to_string(dead) +
-                  " declared dead; communicator revoked");
-}
-
 bool Comm::popWatchdog(int source, int tag,
                        std::chrono::steady_clock::time_point start,
                        long rto_us, detail::Mailbox::Raw& out) {
   const int wd = group_->domain_->watchdogMs();
-  auto& det = group_->detector_;
-  if (const int dl = group_->domain_->deadlineMs(); dl > 0 && !det.armed())
-    det.arm(dl);
-  const long deadline_us = static_cast<long>(det.deadlineMs()) * 1000;
-  // The watchdog and the deadline run from `start`, or from now when unset;
-  // the unguarded pop reads no clock.
-  if (start == std::chrono::steady_clock::time_point{} &&
-      (wd > 0 || det.armed()))
+  // The watchdog runs from `start`, or from now when unset; the unguarded
+  // pop reads no clock.
+  if (start == std::chrono::steady_clock::time_point{} && wd > 0)
     start = std::chrono::steady_clock::now();
-  auto elapsedUs = [&] {
-    return static_cast<long>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-  };
   for (;;) {
-    // Bound each wait by the heartbeat slice while failure detection is
-    // armed (so this rank keeps heartbeating while blocked and observes a
-    // revocation promptly), by the RTO slice, and by what remains of the
+    // Bound each wait by the RTO slice and by what remains of the
     // watchdog; 0 waits forever.
     long wait_us = rto_us;
-    if (det.armed()) {
-      det.beat(rank_);
-      if (det.revoked()) throwRankFailed(source, tag);
-      const long slice_us = std::max(500L, deadline_us / 8);
-      wait_us = wait_us > 0 ? std::min(wait_us, slice_us) : slice_us;
-    }
     if (wd > 0) {
-      const long remain_us = wd * 1000L - elapsedUs();
+      const long remain_us =
+          wd * 1000L -
+          static_cast<long>(
+              std::chrono::duration_cast<std::chrono::microseconds>(
+                  std::chrono::steady_clock::now() - start)
+                  .count());
       if (remain_us <= 0)
         throw Error(ErrorCode::kTimeout, rank_, source, tag,
                     "recv watchdog fired after " + std::to_string(wd) +
@@ -275,15 +253,6 @@ bool Comm::popWatchdog(int source, int tag,
       wait_us = wait_us > 0 ? std::min(wait_us, remain_us) : remain_us;
     }
     if (group_->boxes_[rank_].pop(source, tag, wait_us, out)) return true;
-    // A silent peer past the deadline is suspected (declared dead once the
-    // detector agrees).
-    if (det.armed() && elapsedUs() >= deadline_us) {
-      if (source == kAnySource)
-        det.suspectAny();
-      else
-        det.suspectRank(source);
-      if (det.revoked()) throwRankFailed(source, tag);
-    }
     if (rto_us > 0) return false;
   }
 }
@@ -653,9 +622,8 @@ long Comm::reduceScatterSum(
   return it == acc.end() ? 0 : it->second;
 }
 
-Comm Comm::split(int color, int key, const SplitOptions& opts) {
+Comm Comm::split(int color, int key) {
   auto& g = *group_;
-  auto& det = g.detector_;
   std::unique_lock<std::mutex> lock(g.split_mutex_);
   // Generation safety: a fast rank looping straight into the next split must
   // not enroll while the previous round's takers are still draining. The
@@ -669,13 +637,10 @@ Comm Comm::split(int color, int key, const SplitOptions& opts) {
   ++g.split_arrived_;
   g.split_cv_.notify_all();
   // Rendezvous on shared state rather than an allgather: no message traffic
-  // means the split composes with an armed failure detector (we keep
-  // beating while waiting — a slow peer enrolling late is slow, not dead)
-  // and with chaotic fault plans (nothing here can be dropped or corrupted).
-  while (g.split_arrived_ < g.size_) {
+  // means the split composes with chaotic fault plans (nothing here can be
+  // dropped or corrupted).
+  while (g.split_arrived_ < g.size_)
     g.split_cv_.wait_for(lock, std::chrono::milliseconds(2));
-    if (det.armed()) det.beat(rank_);
-  }
   // Every rank computes its own color's membership from the frozen entries;
   // ordered by (key, rank) like MPI_Comm_split.
   struct Entry {
@@ -706,15 +671,9 @@ Comm Comm::split(int color, int key, const SplitOptions& opts) {
         all_same_node = false;
     const Machine sub_machine = all_same_node ? Machine::singleNode(sub_size)
                                               : Machine::flat(sub_size);
-    auto domain = opts.isolate_faults ? std::make_shared<faults::Domain>()
-                                      : g.domain_;
-    auto sub = std::make_shared<Group>(sub_size, sub_machine, domain);
-    // An inherited armed detector carries the parent's deadline into the
-    // subgroup (mirroring shrink()); an isolated subgroup starts unarmed
-    // and arms lazily from its *own* domain's plan.
-    if (!opts.isolate_faults && det.armed())
-      sub->detector_.arm(det.deadlineMs());
-    it = g.split_groups_.emplace(color, std::move(sub)).first;
+    it = g.split_groups_
+             .emplace(color, std::make_shared<Group>(sub_size, sub_machine))
+             .first;
   }
   auto sub = it->second;
   if (++g.split_taken_ == g.size_) {
@@ -726,159 +685,6 @@ Comm Comm::split(int color, int key, const SplitOptions& opts) {
     g.split_cv_.notify_all();
   }
   return Comm(std::move(sub), my_index);
-}
-
-void Comm::rankFaultPoint() {
-  auto& dom = *group_->domain_;
-  auto& det = group_->detector_;
-  const int dl = dom.deadlineMs();
-  if (dl > 0 && !det.armed()) det.arm(dl);
-  if (det.armed()) det.beat(rank_);
-  if (!dom.hasPhaseEvent()) return;
-  const std::uint64_t phase = phased_calls_++;
-  // An elastic join is not a fault: record the knock and keep going — the
-  // group admits the newcomers at its next quiescent point via grow().
-  // Consumed by whichever rank reaches the scheduled boundary first; every
-  // rank then observes it through joinPending().
-  const int joiners = dom.fireJoin(phase);
-  if (joiners > 0)
-    group_->join_pending_.fetch_add(joiners, std::memory_order_relaxed);
-  if (dom.fireKill(rank_, phase))
-    throw failure::RankKilled(
-        rank_, "kill fault at phase boundary " + std::to_string(phase));
-  if (dom.fireHang(rank_, phase)) {
-    // Go silent: stop heartbeating, send and receive nothing. Peers must
-    // detect the silence through the heartbeat deadline; their revocation
-    // then releases this rank to die. The silence span they measure is the
-    // detection latency the tests bound.
-    while (!det.revoked())
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    throw failure::RankKilled(
-        rank_, "hang fault at phase boundary " + std::to_string(phase));
-  }
-}
-
-Comm Comm::shrink() {
-  auto& g = *group_;
-  auto& det = g.detector_;
-  std::unique_lock<std::mutex> lock(g.shrink_mutex_);
-  if (g.shrink_arrived_.empty())
-    g.shrink_arrived_.assign(static_cast<std::size_t>(g.size_), 0);
-  g.shrink_arrived_[static_cast<std::size_t>(rank_)] = 1;
-  g.shrink_cv_.notify_all();
-  auto allIn = [&]() {
-    for (int r = 0; r < g.size_; ++r)
-      if (!g.shrink_arrived_[static_cast<std::size_t>(r)] && !det.dead(r))
-        return false;
-    return true;
-  };
-  // Rendezvous, not a collective: the dead rank would deadlock any tree or
-  // doubling pattern, so survivors meet on shared state. A rank that stays
-  // silent past the deadline is declared dead right here, which is what
-  // lets the rendezvous complete when the failure was a hang.
-  while (!g.shrink_group_ && !allIn()) {
-    g.shrink_cv_.wait_for(lock, std::chrono::milliseconds(2));
-    det.beat(rank_);
-    for (int r = 0; r < g.size_; ++r)
-      if (!g.shrink_arrived_[static_cast<std::size_t>(r)]) det.suspectRank(r);
-  }
-  if (!g.shrink_group_) {
-    // First rank to observe completion freezes the survivor set (everyone
-    // who arrived) and publishes the shrunken group. Fresh mailboxes: any
-    // in-flight traffic of the revoked group is deliberately discarded.
-    std::vector<int> survivors;
-    for (int r = 0; r < g.size_; ++r)
-      if (g.shrink_arrived_[static_cast<std::size_t>(r)]) survivors.push_back(r);
-    const int sub_size = static_cast<int>(survivors.size());
-    auto sub =
-        std::make_shared<Group>(sub_size, Machine::flat(sub_size), g.domain_);
-    if (det.armed()) sub->detector_.arm(det.deadlineMs());
-    g.shrink_survivors_ = std::move(survivors);
-    g.shrink_group_ = std::move(sub);
-    failure::noteShrink();
-    g.shrink_cv_.notify_all();
-  }
-  // Dense renumbering: this rank's position in the sorted survivor list.
-  int new_rank = -1;
-  for (std::size_t i = 0; i < g.shrink_survivors_.size(); ++i)
-    if (g.shrink_survivors_[i] == rank_) new_rank = static_cast<int>(i);
-  if (new_rank < 0)
-    throw failure::RankKilled(
-        rank_, "declared dead before the shrink agreement froze");
-  auto sub = g.shrink_group_;
-  if (++g.shrink_taken_ == g.shrink_survivors_.size()) {
-    // Last survivor out resets the rendezvous so the group could shrink
-    // again after a further failure.
-    g.shrink_arrived_.clear();
-    g.shrink_group_.reset();
-    g.shrink_survivors_.clear();
-    g.shrink_taken_ = 0;
-  }
-  return Comm(std::move(sub), new_rank);
-}
-
-Comm Comm::grow(int k) {
-  if (k < 1)
-    throw Error(ErrorCode::kValidation, rank_,
-                "grow(k) wants k >= 1, got " + std::to_string(k));
-  auto& g = *group_;
-  auto& det = g.detector_;
-  std::unique_lock<std::mutex> lock(g.grow_mutex_);
-  // Rendezvous on shared state, mirroring shrink(): no collective, so the
-  // call composes with an armed detector (we keep beating while waiting —
-  // a slow peer is slow, not dead). Unlike shrink, every rank is alive and
-  // must arrive; the first arrival fixes the joiner count and mismatched
-  // calls are a caller bug surfaced as validation errors everywhere.
-  if (g.grow_count_ < 0)
-    g.grow_count_ = k;
-  else if (g.grow_count_ != k)
-    g.grow_poisoned_ = true;  // still counts as arrived: nobody may hang
-  ++g.grow_arrived_;
-  g.grow_cv_.notify_all();
-  while (!g.grow_group_ && g.grow_arrived_ < g.size_) {
-    g.grow_cv_.wait_for(lock, std::chrono::milliseconds(2));
-    if (det.armed()) det.beat(rank_);
-  }
-  if (g.grow_poisoned_) {
-    const int agreed = g.grow_count_;
-    if (++g.grow_taken_ == g.size_) {
-      g.grow_arrived_ = 0;
-      g.grow_count_ = -1;
-      g.grow_taken_ = 0;
-      g.grow_poisoned_ = false;
-    }
-    throw Error(ErrorCode::kValidation, rank_,
-                "grow rendezvous disagreement: this rank wants " +
-                    std::to_string(k) + " joiners, the first arrival fixed " +
-                    std::to_string(agreed));
-  }
-  if (!g.grow_group_) {
-    // First completer publishes the expanded group. Fresh mailboxes and a
-    // fresh ARQ store: every channel — including the ones that will touch a
-    // newcomer — starts from sequence zero with empty coalescing state, so
-    // no newcomer can ever observe a stale frame of the old group.
-    const int new_size = g.size_ + k;
-    auto sub =
-        std::make_shared<Group>(new_size, Machine::flat(new_size), g.domain_);
-    if (det.armed()) sub->detector_.arm(det.deadlineMs());
-    g.grow_group_ = std::move(sub);
-    failure::noteGrow(k);
-    g.grow_cv_.notify_all();
-  }
-  auto sub = g.grow_group_;
-  // The pending join=K@P knock (if that is what triggered this grow) is now
-  // served; clear it on the old group so nobody re-admits.
-  g.join_pending_.store(0, std::memory_order_relaxed);
-  if (++g.grow_taken_ == g.size_) {
-    // Last rank out resets the rendezvous so the group could grow again.
-    g.grow_arrived_ = 0;
-    g.grow_count_ = -1;
-    g.grow_group_.reset();
-    g.grow_taken_ = 0;
-  }
-  // Existing ranks keep their numbers; newcomers fill size()..size()+k-1,
-  // so the numbering stays dense with no renaming traffic.
-  return Comm(std::move(sub), rank_);
 }
 
 }  // namespace pcu

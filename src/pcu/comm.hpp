@@ -16,7 +16,6 @@
 /// Tags >= 0 are user tags; negative tags are reserved for collectives.
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -30,7 +29,6 @@
 #include "common/flatmap.hpp"
 #include "pcu/arq.hpp"
 #include "pcu/buffer.hpp"
-#include "pcu/failure.hpp"
 #include "pcu/faults.hpp"
 #include "pcu/machine.hpp"
 
@@ -130,15 +128,12 @@ class Mailbox {
 class Comm;
 
 /// Shared state for a fixed set of communicating ranks. Every group is
-/// attached to a faults::Domain (the process default unless one is given):
-/// all fault-injection, framing, watchdog and heartbeat-deadline decisions
-/// made through the group's Comms consult that domain, so subgroups with
-/// their own domain (Comm::split with isolate_faults) are chaos-isolated
-/// from their parent and siblings.
+/// attached to the process default faults::Domain: all fault-injection,
+/// framing and watchdog decisions made through the group's Comms consult
+/// it, and subgroups carved by Comm::split share their parent's.
 class Group {
  public:
-  explicit Group(int size, Machine machine = Machine(),
-                 std::shared_ptr<faults::Domain> domain = nullptr);
+  explicit Group(int size, Machine machine = Machine());
   Group(const Group&) = delete;
   Group& operator=(const Group&) = delete;
 
@@ -152,37 +147,14 @@ class Group {
   std::shared_ptr<faults::Domain> domain_;
   std::vector<detail::Mailbox> boxes_;
   arq::ResendStore arq_store_{size_};
-  failure::Detector detector_{size_};
   // Rendezvous used by split() to carve disjoint subgroups without any
-  // message traffic (the same shared-state pattern as shrink()/grow(), so
-  // it composes with an armed detector). Guarded by split_mutex_.
+  // message traffic. Guarded by split_mutex_.
   std::mutex split_mutex_;
   std::condition_variable split_cv_;
   int split_arrived_ = 0;
   std::vector<std::array<int, 2>> split_entries_;  // (color, key) per rank
   std::map<int, std::shared_ptr<Group>> split_groups_;  // color -> subgroup
   int split_taken_ = 0;
-  // Rendezvous used by shrink() to agree on the survivor group without any
-  // collective (the dead rank would deadlock one). Guarded by shrink_mutex_.
-  std::mutex shrink_mutex_;
-  std::condition_variable shrink_cv_;
-  std::vector<char> shrink_arrived_;
-  std::shared_ptr<Group> shrink_group_;
-  std::vector<int> shrink_survivors_;
-  std::size_t shrink_taken_ = 0;
-  // Rendezvous used by grow() — shrink's inverse: every live rank arrives,
-  // the first completer publishes the expanded group. Guarded by
-  // grow_mutex_.
-  std::mutex grow_mutex_;
-  std::condition_variable grow_cv_;
-  int grow_arrived_ = 0;
-  int grow_count_ = -1;  // joiner count fixed by the first arrival
-  std::shared_ptr<Group> grow_group_;
-  int grow_taken_ = 0;
-  bool grow_poisoned_ = false;  // a mismatched k dooms the whole rendezvous
-  // Joiners announced by a consumed join=K@P token, waiting for the group
-  // to reach a quiescent point and call grow(). Any rank may observe it.
-  std::atomic<int> join_pending_{0};
 };
 
 /// One rank's handle into a Group. All member calls are made by the owning
@@ -275,90 +247,24 @@ class Comm {
   long reduceScatterSum(const std::vector<std::pair<int, long>>& contributions);
 
   /// --- communicator splitting -----------------------------------------
-  /// Options for split(). The default inherits the parent group's fault
-  /// domain (subgroup traffic keeps obeying the ambient plan — the
-  /// historical splitByNode/splitByCore behavior); isolate_faults gives the
-  /// subgroup a *fresh, empty* faults::Domain instead, so PUMI_FAULTS
-  /// plans, reliable-delivery overrides, watchdogs and heartbeat deadlines
-  /// installed for one subgroup never leak into a sibling. The multi-tenant
-  /// service layer (svc::) splits with isolate_faults = true per tenant.
-  struct SplitOptions {
-    bool isolate_faults = false;
-  };
-
   /// Collective over the whole group: ranks with equal color form a
-  /// subgroup; within it ranks are ordered by (key, rank). Returns the new
-  /// comm. Implemented as a shared-state rendezvous (no message traffic),
-  /// generation-safe: consecutive splits on the same group are serialized
-  /// so a fast rank cannot re-enroll into a draining round. Each subgroup
-  /// gets fresh mailboxes, a fresh ARQ store, and its own failure detector
-  /// (armed with the parent's deadline when the parent's was armed — unless
-  /// the subgroup is fault-isolated, in which case its detector arms from
-  /// its own domain's plan). The subgroup inherits the parent machine's
-  /// node topology when all members share a node, else a flat machine.
-  Comm split(int color, int key) { return split(color, key, SplitOptions{}); }
-  Comm split(int color, int key, const SplitOptions& opts);
-
-  /// Per-node communicator according to the machine model.
-  Comm splitByNode() { return split(machine().nodeOf(rank_), rank_); }
-  /// Inter-node communicator containing core 0 of each node; other ranks
-  /// receive a comm of their node peers with identical semantics but should
-  /// not use it for network traffic. Color is the core index.
-  Comm splitByCore() { return split(machine().coreOf(rank_), rank_); }
-
-  /// --- rank-failure tolerance (pcu/failure.hpp) -----------------------
-  /// The group's heartbeat failure detector. Armed lazily from the fault
-  /// plan's deadline; unarmed, every check below is one relaxed load.
-  [[nodiscard]] failure::Detector& detector() { return group_->detector_; }
-  /// Hardened phase boundary: beats this rank's heartbeat and consumes a
-  /// scheduled kill=/hang= fault targeting (this rank, this boundary index).
-  /// A kill throws failure::RankKilled immediately; a hang goes silent
-  /// (no heartbeats) until the group is revoked, then throws the same —
-  /// peers must detect the silence through the deadline. Called by
-  /// phasedExchange on its hardened path.
-  void rankFaultPoint();
-  /// ULFM-style shrink: after revocation, every *surviving* rank calls this
-  /// to agree on the survivor set and obtain a fresh group with dense ranks
-  /// (survivor order). Ranks that never arrive are declared dead by the
-  /// deadline. The returned comm has fresh mailboxes (stale in-flight
-  /// traffic from the old group is discarded) and an armed detector when
-  /// this group's was armed.
-  Comm shrink();
-  /// Elastic scale-out, shrink()'s inverse: every live rank calls grow(k)
-  /// at a quiescent point (no in-flight traffic) to rendezvous on an
-  /// expanded group of size()+k ranks. Existing ranks keep their numbers
-  /// (the numbering stays dense: newcomers take size()..size()+k-1), the
-  /// new group has fresh mailboxes and a fresh per-peer ARQ store (clean
-  /// coalescing/sequence state for every channel touching a newcomer), and
-  /// its detector is armed when this group's was. Newcomer ranks obtain
-  /// their handles via Comm(grown.groupHandle(), new_rank) — see
-  /// pcu::spawnJoined in runtime.hpp. Every caller must pass the same k.
-  Comm grow(int k);
-  /// Joiners announced by a consumed join=K@P fault-plan token, waiting for
-  /// the group to admit them; grow() resets it to zero. Any rank of the
-  /// group observes the same value (one relaxed load).
-  [[nodiscard]] int joinPending() const {
-    return group_->join_pending_.load(std::memory_order_relaxed);
-  }
-  /// The shared group handle — what newcomer threads need to construct
-  /// their own Comm after a grow (the Comm(group, rank) constructor is
-  /// public; this accessor just shares the pointer).
-  [[nodiscard]] std::shared_ptr<Group> groupHandle() const { return group_; }
+  /// subgroup; within it ranks are ordered by (key, rank), as
+  /// MPI_Comm_split. Returns the new comm. Implemented as a shared-state
+  /// rendezvous (no message traffic), generation-safe: consecutive splits
+  /// on the same group are serialized so a fast rank cannot re-enroll into
+  /// a draining round. Each subgroup gets fresh mailboxes and a fresh ARQ
+  /// store and shares the parent's fault domain. It inherits the parent
+  /// machine's node topology when all members share a node, else a flat
+  /// machine.
+  Comm split(int color, int key);
 
   [[nodiscard]] const CommStats& stats() const { return stats_; }
   void resetStats() { stats_.reset(); }
 
   /// --- fault domain ---------------------------------------------------
   /// The group's fault domain: every framing/injection/watchdog decision on
-  /// this comm's paths consults it (not the process default), so a
-  /// fault-isolated subgroup is chaos-scoped end to end.
+  /// this comm's paths consults it.
   [[nodiscard]] faults::Domain& faultDomain() const { return *group_->domain_; }
-  /// Shared handle to the group's domain — what a service worker thread
-  /// installs as its ambient domain (faults::DomainScope) so code above the
-  /// comm layer (dist::Network, trace consumers) sees the same scoping.
-  [[nodiscard]] std::shared_ptr<faults::Domain> faultDomainHandle() const {
-    return group_->domain_;
-  }
   /// Whether this group's traffic is framed (its domain's framing gate or
   /// its reliable override) — the group-scoped analogue of
   /// faults::framingEnabled().
@@ -395,13 +301,11 @@ class Comm {
                             std::size_t physical_bytes);
   /// Raw mailbox push, no accounting.
   void push(int dest, int tag, std::vector<std::byte> bytes);
-  /// Blocking pop from this rank's mailbox: heartbeats and watches for
-  /// revocation while failure detection is armed, suspects a silent peer
-  /// past the deadline, and throws Error(kTimeout) naming the channel and
-  /// this rank's last-known phase once the watchdog (measured from
-  /// `start`, or from the call when it is unset) fires. With rto_us > 0 it
-  /// also gives up after that long and returns false: the reliable
-  /// receive's store-scan tick.
+  /// Blocking pop from this rank's mailbox: throws Error(kTimeout) naming
+  /// the channel and this rank's last-known phase once the watchdog
+  /// (measured from `start`, or from the call when it is unset) fires.
+  /// With rto_us > 0 it also gives up after that long and returns false:
+  /// the reliable receive's store-scan tick.
   bool popWatchdog(int source, int tag,
                    std::chrono::steady_clock::time_point start, long rto_us,
                    detail::Mailbox::Raw& out);
@@ -419,10 +323,6 @@ class Comm {
   /// Serve a stashed reordered message that has become current; nullopt
   /// when none matches.
   std::optional<Message> serveStash(int source, int tag, bool traced);
-  /// Throw Error(kRankFailed) naming the first dead rank of this group's
-  /// detector on channel (source, tag).
-  [[noreturn]] void throwRankFailed(int source, int tag) const;
-
   [[nodiscard]] static std::uint64_t channelKey(int peer, int tag) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer))
             << 32) |
@@ -447,10 +347,6 @@ class Comm {
     std::vector<std::byte> bytes;
   };
   std::vector<Delayed> delayed_;
-  /// Hardened phase boundaries this rank has passed (rankFaultPoint calls);
-  /// advances only while a kill/hang is scheduled, so the kill=R@P phase
-  /// index is deterministic.
-  std::uint64_t phased_calls_ = 0;
 };
 
 /// ---- templated member implementations ---------------------------------

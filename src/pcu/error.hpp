@@ -26,7 +26,7 @@ enum class ErrorCode : std::uint8_t {
   kValidation,        ///< operation input rejected before any mutation
   kRemoteAbort,       ///< another rank reported an error; aborting together
   kProtocol,          ///< internal protocol invariant violated
-  kRankFailed,        ///< a rank died or went silent; communicator revoked
+  kRankFailed,        ///< a rank died or went silent at a phase boundary
   kAdmission,         ///< service admission control rejected or shed a job
   kIoFault,           ///< storage I/O failed (write error, out of space)
   kIntegrity,         ///< in-memory state corruption detected, not repairable

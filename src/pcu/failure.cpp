@@ -1,6 +1,6 @@
 #include "pcu/failure.hpp"
 
-#include <chrono>
+#include <atomic>
 
 #include "pcu/trace.hpp"
 
@@ -8,9 +8,7 @@ namespace pcu::failure {
 
 namespace {
 
-std::atomic<std::uint64_t> g_heartbeats{0};
 std::atomic<std::uint64_t> g_suspicions{0};
-std::atomic<std::uint64_t> g_shrinks{0};
 std::atomic<std::uint64_t> g_grows{0};
 std::atomic<std::uint64_t> g_ranks_joined{0};
 std::atomic<std::int64_t> g_last_detect_us{0};
@@ -18,17 +16,9 @@ std::atomic<std::int64_t> g_max_detect_us{0};
 
 }  // namespace
 
-std::int64_t nowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 Stats stats() {
   Stats s;
-  s.heartbeats = g_heartbeats.load(std::memory_order_relaxed);
   s.suspicions = g_suspicions.load(std::memory_order_relaxed);
-  s.shrinks = g_shrinks.load(std::memory_order_relaxed);
   s.grows = g_grows.load(std::memory_order_relaxed);
   s.ranks_joined = g_ranks_joined.load(std::memory_order_relaxed);
   s.last_detect_us = g_last_detect_us.load(std::memory_order_relaxed);
@@ -37,16 +27,12 @@ Stats stats() {
 }
 
 void resetStats() {
-  g_heartbeats.store(0, std::memory_order_relaxed);
   g_suspicions.store(0, std::memory_order_relaxed);
-  g_shrinks.store(0, std::memory_order_relaxed);
   g_grows.store(0, std::memory_order_relaxed);
   g_ranks_joined.store(0, std::memory_order_relaxed);
   g_last_detect_us.store(0, std::memory_order_relaxed);
   g_max_detect_us.store(0, std::memory_order_relaxed);
 }
-
-void noteHeartbeat() { g_heartbeats.fetch_add(1, std::memory_order_relaxed); }
 
 void noteSuspicion(std::int64_t latency_us) {
   const auto total = g_suspicions.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -59,16 +45,7 @@ void noteSuspicion(std::int64_t latency_us) {
   if (trace::enabled()) {
     trace::counter("fd:suspicions", static_cast<std::int64_t>(total));
     trace::counter("fd:suspicion_latency_us", latency_us);
-    trace::counter("fd:heartbeats", static_cast<std::int64_t>(
-                                        g_heartbeats.load(
-                                            std::memory_order_relaxed)));
   }
-}
-
-void noteShrink() {
-  const auto total = g_shrinks.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (trace::enabled())
-    trace::counter("fd:shrink_events", static_cast<std::int64_t>(total));
 }
 
 void noteGrow(int ranks) {
@@ -81,91 +58,6 @@ void noteGrow(int ranks) {
     trace::counter("fd:grow_events", static_cast<std::int64_t>(total));
     trace::counter("fd:ranks_joined", static_cast<std::int64_t>(joined));
   }
-}
-
-Detector::Detector(int ranks)
-    : n_(ranks),
-      last_beat_us_(new std::atomic<std::int64_t>[static_cast<std::size_t>(
-          ranks)]),
-      dead_(new std::atomic<bool>[static_cast<std::size_t>(ranks)]) {
-  for (int r = 0; r < n_; ++r) {
-    last_beat_us_[static_cast<std::size_t>(r)].store(
-        0, std::memory_order_relaxed);
-    dead_[static_cast<std::size_t>(r)].store(false, std::memory_order_relaxed);
-  }
-}
-
-void Detector::arm(int deadline_ms) {
-  if (deadline_ms <= 0 || armed()) return;
-  std::lock_guard<std::mutex> lock(arm_mutex_);
-  if (armed()) return;
-  const std::int64_t now = nowUs();
-  for (int r = 0; r < n_; ++r)
-    last_beat_us_[static_cast<std::size_t>(r)].store(
-        now, std::memory_order_relaxed);
-  // Release: stamps above are visible before anyone can observe armed().
-  deadline_ms_.store(deadline_ms, std::memory_order_release);
-}
-
-void Detector::beat(int rank) {
-  last_beat_us_[static_cast<std::size_t>(rank)].store(
-      nowUs(), std::memory_order_relaxed);
-  noteHeartbeat();
-}
-
-void Detector::markDead(int rank) {
-  bool expected = false;
-  if (!dead_[static_cast<std::size_t>(rank)].compare_exchange_strong(
-          expected, true, std::memory_order_acq_rel))
-    return;  // already declared by another rank
-  const std::int64_t latency =
-      nowUs() -
-      last_beat_us_[static_cast<std::size_t>(rank)].load(
-          std::memory_order_relaxed);
-  noteSuspicion(latency);
-  revoked_.store(true, std::memory_order_release);
-}
-
-bool Detector::dead(int rank) const {
-  return dead_[static_cast<std::size_t>(rank)].load(std::memory_order_acquire);
-}
-
-int Detector::firstDead() const {
-  for (int r = 0; r < n_; ++r)
-    if (dead(r)) return r;
-  return -1;
-}
-
-std::vector<int> Detector::deadRanks() const {
-  std::vector<int> out;
-  for (int r = 0; r < n_; ++r)
-    if (dead(r)) out.push_back(r);
-  return out;
-}
-
-std::vector<int> Detector::survivors() const {
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(n_));
-  for (int r = 0; r < n_; ++r)
-    if (!dead(r)) out.push_back(r);
-  return out;
-}
-
-int Detector::suspectRank(int rank) {
-  if (!armed() || rank < 0 || rank >= n_ || dead(rank)) return -1;
-  const std::int64_t silent_us =
-      nowUs() -
-      last_beat_us_[static_cast<std::size_t>(rank)].load(
-          std::memory_order_relaxed);
-  if (silent_us <= static_cast<std::int64_t>(deadlineMs()) * 1000) return -1;
-  markDead(rank);
-  return rank;
-}
-
-int Detector::suspectAny() {
-  for (int r = 0; r < n_; ++r)
-    if (suspectRank(r) >= 0) return r;
-  return -1;
 }
 
 }  // namespace pcu::failure

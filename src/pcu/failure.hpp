@@ -2,54 +2,24 @@
 #define PUMI_PCU_FAILURE_HPP
 
 /// \file failure.hpp
-/// \brief Heartbeat-based rank-failure detection and ULFM-style revocation.
+/// \brief Process-global rank-failure and elastic-join counters.
 ///
-/// The recovery stack so far (framing, ARQ, transactions, checkpoints)
-/// survives *message-level* faults; a dead or hung rank still deadlocked
-/// every collective. This layer closes that gap for the thread-backed MPI
-/// model: every Group owns a Detector in which each rank stamps a shared
-/// per-rank epoch counter (a heartbeat) whenever it passes a communication
-/// point or wakes from a bounded wait slice. A peer that stays silent past
-/// the configured deadline is declared dead, which *revokes* the group —
-/// every rank blocked in a receive observes the revocation within one wait
-/// slice and throws a structured pcu::Error(kRankFailed) naming the dead
-/// rank, instead of hanging forever. Survivors then call Comm::shrink() to
-/// agree on the surviving-rank set and continue on a densely renumbered
-/// smaller group (ULFM's MPI_Comm_revoke + MPI_Comm_shrink, scaled down to
-/// this library's thread-rank model).
-///
-/// The detector is armed only while a fault plan schedules a kill/hang (or
-/// sets an explicit deadline): with no plan the hot paths pay one relaxed
-/// atomic load, and the historical blocking-receive behaviour is untouched.
+/// Rank failures and joins are scheduled by the fault plan's kill=/hang=/
+/// join= tokens and fire at dist::Network phase boundaries: the Network
+/// declares a killed or hung rank dead (noteSuspicion) and grows its
+/// machine when joiners are admitted (noteGrow). These counters are what
+/// failover::evacuate reports as detection latency and what the fd:* trace
+/// counters carry into the per-phase report.
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
-
-#include "pcu/error.hpp"
 
 namespace pcu::failure {
 
-/// Thrown inside a rank condemned by a kill:/hang: fault plan — the
-/// thread-backed stand-in for the whole process dying. Harnesses catch it
-/// at the rank function's top level: the "process" simply disappears and
-/// its peers must detect the silence.
-class RankKilled : public Error {
- public:
-  RankKilled(int rank, std::string detail)
-      : Error(ErrorCode::kRankFailed, rank, std::move(detail)) {}
-};
-
 /// Process-global failure-detection counters (relaxed atomics, same
-/// contract as arq::Stats): what the detector actually did.
+/// contract as arq::Stats).
 struct Stats {
-  std::uint64_t heartbeats = 0;     ///< epoch stamps recorded
-  std::uint64_t suspicions = 0;     ///< ranks declared dead by silence
-  std::uint64_t shrinks = 0;        ///< surviving-group rebuilds
-  std::uint64_t grows = 0;          ///< elastic group expansions
+  std::uint64_t suspicions = 0;     ///< ranks declared dead
+  std::uint64_t grows = 0;          ///< elastic machine expansions
   std::uint64_t ranks_joined = 0;   ///< newcomer ranks admitted by grows
   std::int64_t last_detect_us = 0;  ///< latest silence span at detection
   std::int64_t max_detect_us = 0;   ///< worst silence span at detection
@@ -58,72 +28,13 @@ struct Stats {
 Stats stats();
 void resetStats();
 
-void noteHeartbeat();
 /// Record one rank death; `latency_us` is how long the rank had been
 /// silent when it was declared dead (the detection latency). Also emits
-/// the fd:* trace counters so the per-phase report and the Chrome trace
-/// carry the detector's activity.
+/// the fd:suspicions and fd:suspicion_latency_us trace counters.
 void noteSuspicion(std::int64_t latency_us);
-void noteShrink();
-/// Record one elastic group expansion that admitted `ranks` newcomers
-/// (Comm::grow / dist elastic join); emits fd:grow_events and
-/// fd:ranks_joined trace counters.
+/// Record one elastic machine expansion that admitted `ranks` newcomers;
+/// emits the fd:grow_events and fd:ranks_joined trace counters.
 void noteGrow(int ranks);
-
-/// Microseconds on the detector's monotonic clock.
-std::int64_t nowUs();
-
-/// Per-Group heartbeat failure detector. All methods are thread-safe;
-/// beat()/armed()/revoked() are wait-free (relaxed atomics) so they can sit
-/// on receive hot paths.
-class Detector {
- public:
-  explicit Detector(int ranks);
-  Detector(const Detector&) = delete;
-  Detector& operator=(const Detector&) = delete;
-
-  /// Arm the detector with a heartbeat deadline (first arm wins; later
-  /// calls are no-ops). Stamps every rank's heartbeat to "now" first, so
-  /// nobody is retroactively silent.
-  void arm(int deadline_ms);
-  [[nodiscard]] bool armed() const {
-    return deadline_ms_.load(std::memory_order_acquire) > 0;
-  }
-  [[nodiscard]] int deadlineMs() const {
-    return deadline_ms_.load(std::memory_order_acquire);
-  }
-
-  /// Stamp `rank`'s heartbeat.
-  void beat(int rank);
-  /// Declare `rank` dead and revoke the group (idempotent; only the first
-  /// declaration records a suspicion).
-  void markDead(int rank);
-  [[nodiscard]] bool dead(int rank) const;
-  /// True once any rank was declared dead: communication on the group must
-  /// stop and surface kRankFailed (ULFM revocation semantics).
-  [[nodiscard]] bool revoked() const {
-    return revoked_.load(std::memory_order_acquire);
-  }
-  /// Lowest-numbered dead rank (-1 when none): the rank error reports name.
-  [[nodiscard]] int firstDead() const;
-  [[nodiscard]] std::vector<int> deadRanks() const;
-  [[nodiscard]] std::vector<int> survivors() const;
-
-  /// Declare `rank` dead iff it has been silent past the deadline; returns
-  /// the rank when declared, -1 otherwise.
-  int suspectRank(int rank);
-  /// suspectRank over every rank; returns the first one declared, -1 when
-  /// all ranks beat recently enough.
-  int suspectAny();
-
- private:
-  int n_;
-  std::atomic<int> deadline_ms_{0};
-  std::atomic<bool> revoked_{false};
-  std::mutex arm_mutex_;
-  std::unique_ptr<std::atomic<std::int64_t>[]> last_beat_us_;
-  std::unique_ptr<std::atomic<bool>[]> dead_;
-};
 
 }  // namespace pcu::failure
 

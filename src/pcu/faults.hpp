@@ -30,13 +30,16 @@
 ///   delay=0.02         per-message probability of delayed (reordered) delivery
 ///   stall=R:N          rank R sleeps at its next N phased-exchange steps
 ///   stallms=M          stall sleep per step, milliseconds (default 2)
-///   kill=R@P           rank R dies at its P-th hardened phase boundary
-///   hang=R@P           rank R goes silent (no heartbeats) at boundary P
-///   join=K@P           K new ranks ask to join at phase boundary P (an
-///                      elastic scale-out event, not a fault: the live
-///                      group admits them via Comm::grow / dist elastic)
-///   deadline=MS        heartbeat deadline before a silent rank is declared
-///                      dead (default 50 while a kill/hang is scheduled)
+///   kill=R@P           rank R dies at the P-th dist::Network phase
+///                      boundary under the plan
+///   hang=R@P           rank R goes silent at Network phase boundary P
+///   join=K@P           K new ranks ask to join at Network phase boundary P
+///                      (an elastic scale-out event, not a fault: the mesh
+///                      admits them via dist::elastic at its next
+///                      quiescent point)
+///   deadline=MS        the Network's hang-detection latency: how long a
+///                      hung rank stays silent before it is declared dead
+///                      (default 50 while a kill/hang is scheduled)
 ///   watchdog=MS        blocking-receive watchdog timeout, ms (0 = off)
 ///   checksum=1         frame+verify only, no injection ("checksum-verify")
 ///
@@ -81,9 +84,9 @@
 /// events target the same @<phase> boundary, they fire join, then kill,
 /// then hang — scale-out knocks are recorded before any fault can abort
 /// the phase — and every per-message fault (corrupt/drop/dup/delay) of
-/// that phase is decided after the boundary's phase events ran. Both
-/// hardened boundaries (pcu::Comm::rankFaultPoint and
-/// dist::Network::maybeFireRankFault) enforce this order.
+/// that phase is decided after the boundary's phase events ran.
+/// dist::Network::maybeFireRankFault, the one boundary that consumes
+/// phase events, enforces this order.
 ///
 /// Plans must only be installed/cleared at quiescent points (no concurrent
 /// sends/receives) — typically around a pcu::run() or a distributed mesh
@@ -97,8 +100,6 @@
 /// ambient domain, so existing single-tenant code is unchanged, while a
 /// service layer can give each tenant its own Domain: installing a chaos
 /// plan there injects faults only into traffic decided under that domain.
-/// pcu::Group carries a domain too (see Comm::faultDomain), so subgroups
-/// carved by Comm::split can be fault-isolated from their parent group.
 
 #include <atomic>
 #include <cstddef>
@@ -118,16 +119,15 @@ class Comm;
 namespace pcu::faults {
 
 /// A scheduled whole-rank fault: rank `rank` dies (kill) or goes silent
-/// (hang) at its `phase`-th hardened phase boundary — phased-exchange entry
-/// under pcu::run, a deliverAll boundary under dist::Network. Fires at most
-/// once per installed plan.
+/// (hang) at the `phase`-th dist::Network phase boundary (a deliverAll)
+/// under the installed plan. Fires at most once per installed plan.
 struct RankFault {
   int rank = -1;
   int phase = -1;
   [[nodiscard]] bool scheduled() const { return rank >= 0 && phase >= 0; }
 };
 
-/// A scheduled elastic join: `count` new ranks knock at hardened phase
+/// A scheduled elastic join: `count` new ranks knock at Network phase
 /// boundary `phase`. Not a fault — nothing breaks — but it shares the
 /// fault plan's strict parsing and deterministic phase indexing so chaos
 /// scenarios can scale out mid-storm. Fires at most once per installed
@@ -166,10 +166,10 @@ struct FaultPlan {
   int stall_rank = -1;   ///< rank to stall (-1: none)
   int stall_steps = 0;   ///< phased-exchange steps the rank stalls for
   int stall_ms = 2;      ///< sleep per stalled step
-  RankFault kill;        ///< whole-rank death (failure detection kicks in)
-  RankFault hang;        ///< whole-rank silence (detected like a death)
+  RankFault kill;        ///< whole-rank death
+  RankFault hang;        ///< whole-rank silence (detected after deadline_ms)
   RankJoin join;         ///< elastic scale-out: K new ranks at boundary P
-  int deadline_ms = 0;   ///< heartbeat deadline; 0 = default when kill/hang
+  int deadline_ms = 0;   ///< hang-detection latency; 0 = default when kill/hang
   int watchdog_ms = 0;   ///< blocking-recv timeout; 0 disables the watchdog
   bool checksum_only = false;  ///< frame + verify without injecting faults
   double iobitrot = 0.0;  ///< per-read probability of a flipped byte
@@ -238,7 +238,7 @@ enum class IoAction : std::uint8_t {
 /// replayable across differently-named temp directories.
 std::uint64_t ioPathHash(const std::string& path);
 
-/// Fallback heartbeat deadline while a kill/hang is scheduled with no
+/// Fallback hang-detection latency while a kill/hang is scheduled with no
 /// explicit deadline= token.
 inline constexpr int kDefaultRankFaultDeadlineMs = 50;
 
@@ -289,7 +289,7 @@ class Domain {
   [[nodiscard]] bool hasRankFault() const {
     return rank_fault_.load(std::memory_order_relaxed);
   }
-  /// Heartbeat deadline in ms: the plan's explicit deadline_ms, else
+  /// Hang-detection latency in ms: the plan's explicit deadline_ms, else
   /// kDefaultRankFaultDeadlineMs while a rank fault is scheduled, else 0.
   [[nodiscard]] int deadlineMs() const {
     return deadline_ms_.load(std::memory_order_relaxed);
@@ -367,7 +367,7 @@ std::shared_ptr<Domain> defaultDomain();
 /// The calling thread's ambient domain: the innermost active DomainScope's
 /// domain, else the default. Every free function below routes through it.
 Domain& current();
-/// Shared handle to the ambient domain (for attaching it to a pcu::Group).
+/// Shared handle to the ambient domain.
 std::shared_ptr<Domain> currentHandle();
 
 /// RAII ambient-domain switch for the calling thread. A service layer
@@ -406,16 +406,16 @@ int watchdogMs();
 
 /// True while the ambient plan schedules a kill or hang (one relaxed load).
 bool hasRankFault();
-/// Heartbeat deadline in milliseconds: the plan's explicit deadline_ms,
-/// else kDefaultRankFaultDeadlineMs while a rank fault is scheduled, else 0
-/// (failure detector disarmed — the historical behaviour).
+/// Hang-detection latency in milliseconds: the plan's explicit
+/// deadline_ms, else kDefaultRankFaultDeadlineMs while a rank fault is
+/// scheduled, else 0.
 int deadlineMs();
 /// Consume the scheduled kill for (rank, phase): returns true exactly once,
-/// for the matching rank at the matching phase index. The caller then dies
-/// (throws failure::RankKilled).
+/// for the matching rank at the matching phase index. The caller then
+/// declares the rank dead.
 bool fireKill(int rank, std::uint64_t phase);
-/// Consume the scheduled hang the same way. The caller then goes silent
-/// until its group is revoked.
+/// Consume the scheduled hang the same way. The caller then waits out the
+/// deadline and declares the rank dead.
 bool fireHang(int rank, std::uint64_t phase);
 
 /// --- elastic joins (join=K@P) -------------------------------------------
@@ -423,14 +423,14 @@ bool fireHang(int rank, std::uint64_t phase);
 /// True while the ambient plan schedules a join (one relaxed load).
 bool hasJoin();
 /// True while the plan schedules any phased event (kill, hang, or join):
-/// the hardened phase-boundary counters advance only while this holds, so
+/// the Network's phase-boundary counter advances only while this holds, so
 /// the @PHASE index of every scheduled event is deterministic.
 bool hasPhaseEvent();
 /// Consume the scheduled join at boundary `phase`: returns the join count
 /// exactly once — for the first caller that reaches the matching boundary —
 /// and 0 otherwise. Join is rank-agnostic: any rank may observe it; the
-/// caller records it as pending and the group admits the newcomers at the
-/// next quiescent point (Comm::grow / dist::elastic).
+/// caller records it as pending and the mesh admits the newcomers at the
+/// next quiescent point (dist::elastic).
 int fireJoin(std::uint64_t phase);
 
 /// Deterministic per-message decision under the ambient domain: pure in

@@ -92,11 +92,6 @@ inline std::vector<Message> phasedExchange(
     Comm& comm, std::vector<std::pair<int, OutBuffer>> outgoing,
     PhasedOptions options = {}) {
   trace::Scope scope("pcu:phasedExchange", comm.rank());
-  // Hardened phase boundary: heartbeat, and consume any kill=/hang= rank
-  // fault scheduled for this rank at this boundary — before the count
-  // agreement below, so a condemned rank never contributes to it and its
-  // peers detect the silence instead of computing with a ghost.
-  if (comm.framingEnabled()) comm.rankFaultPoint();
   // One pass over the payloads builds both the per-destination coalesced
   // segments and the sparse (destination, physical count) contributions the
   // termination agreement needs.
@@ -168,10 +163,6 @@ inline std::vector<Message> phasedExchange(
     comm.flushDelayed();
     collect();
   } catch (const Error& e) {
-    // A rank failure revokes the communicator: the collective agreement
-    // below could never complete (it would block on the dead rank), and the
-    // revocation itself already is the agreement — every survivor throws.
-    if (e.code() == ErrorCode::kRankFailed) throw;
     local = e;
   }
   faults::agreeOnError(comm, local ? &*local : nullptr);

@@ -51,37 +51,6 @@ void run(int nranks, Fn&& fn) {
   run(nranks, Machine::singleNode(nranks), std::forward<Fn>(fn));
 }
 
-/// Launch the newcomer ranks of a freshly grown comm (see Comm::grow):
-/// ranks [grown.size()-k, grown.size()) each get a thread running fn(Comm&).
-/// Call from exactly one pre-existing rank, after every live rank has its
-/// grown comm; join the returned threads before tearing the group down.
-/// Exceptions thrown by newcomers are captured into `error` (first wins)
-/// rather than rethrown, since the spawning rank is usually deep in its own
-/// work when a newcomer dies.
-template <typename Fn>
-std::vector<std::thread> spawnJoined(Comm& grown, int k, Fn fn,
-                                     std::exception_ptr* error = nullptr) {
-  auto group = grown.groupHandle();
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(k));
-  auto error_mutex = std::make_shared<std::mutex>();
-  for (int r = grown.size() - k; r < grown.size(); ++r) {
-    threads.emplace_back([group, r, fn, error, error_mutex] {
-      trace::setThreadRank(r);
-      try {
-        Comm comm(group, r);
-        fn(comm);
-      } catch (...) {
-        if (error != nullptr) {
-          std::lock_guard<std::mutex> lock(*error_mutex);
-          if (!*error) *error = std::current_exception();
-        }
-      }
-    });
-  }
-  return threads;
-}
-
 }  // namespace pcu
 
 #endif  // PUMI_PCU_RUNTIME_HPP

@@ -55,8 +55,9 @@ struct PairStat {
 };
 
 /// Aggregate of one named counter series (trace::counter), whole run —
-/// e.g. the failure detector's fd:heartbeats / fd:suspicions /
-/// fd:suspicion_latency_us / fd:shrink_events.
+/// e.g. the rank-failure counters fd:suspicions / fd:suspicion_latency_us
+/// (dist::Network declaring a rank dead) and fd:grow_events /
+/// fd:ranks_joined (dist::Network admitting joiners).
 struct CounterStat {
   std::string name;
   std::uint64_t samples = 0;

@@ -2,27 +2,24 @@
 /// \brief Elastic scale-OUT: rank join plus heavy-part splitting, verified
 /// by a grow/shrink property suite.
 ///
-/// Contract under test (ISSUE: elastic scale-out): a run can absorb new
-/// ranks mid-flight. A join=K@P fault-plan token knocks at a deterministic
-/// phase boundary; pcu::Comm::grow() is the ULFM-style inverse of
-/// shrink() — every rank rendezvouses onto a dense N+K group with fresh
-/// transport state and a re-armed failure detector; parma::elasticJoin
-/// then admits the newcomers into the parted mesh, carves the heaviest
-/// parts onto their empty parts (graph-free RIB), diffuses to tolerance,
-/// and gates the result on verify() plus geometric-digest conservation —
+/// Contract under test: a run can absorb new ranks mid-flight. A join=K@P
+/// fault-plan token knocks at a deterministic dist::Network phase
+/// boundary; parma::elasticJoin then admits the newcomers into the parted
+/// mesh (Network::growRanks renumbers densely), carves the heaviest parts
+/// onto their empty parts (graph-free RIB), diffuses to tolerance, and
+/// gates the result on verify() plus geometric-digest conservation —
 /// zero lost or duplicated elements, ever.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -44,8 +41,6 @@
 #include "pcu/error.hpp"
 #include "pcu/failure.hpp"
 #include "pcu/faults.hpp"
-#include "pcu/phased.hpp"
-#include "pcu/runtime.hpp"
 #include "pcu/stats.hpp"
 #include "pcu/trace.hpp"
 
@@ -123,183 +118,6 @@ TEST(JoinSpec, JoinComposesWithRankFaults) {
   PlanGuard g(p);
   EXPECT_TRUE(faults::hasJoin());
   EXPECT_TRUE(faults::hasRankFault());
-}
-
-/// --- pcu: grow(), the inverse of shrink() --------------------------------
-
-/// One ring phased exchange on `c`; returns the payload received.
-int ringStep(pcu::Comm& c) {
-  std::vector<std::pair<int, pcu::OutBuffer>> out;
-  pcu::OutBuffer b;
-  b.pack<int>(c.rank());
-  out.emplace_back((c.rank() + 1) % c.size(), std::move(b));
-  auto msgs = pcu::phasedExchange(c, std::move(out));
-  EXPECT_EQ(msgs.size(), 1u);
-  return msgs.empty() ? -1 : msgs.front().body.unpack<int>();
-}
-
-TEST(PcuGrow, RenumbersDenselyAndNewcomersCommunicate) {
-  failure::resetStats();
-  std::exception_ptr joiner_error;
-  pcu::run(4, [&](pcu::Comm& c) {
-    pcu::Comm g2 = c.grow(2);
-    EXPECT_EQ(g2.size(), 6);
-    EXPECT_EQ(g2.rank(), c.rank()) << "existing ranks keep their numbers";
-    std::vector<std::thread> joiners;
-    if (c.rank() == 0)
-      joiners = pcu::spawnJoined(
-          g2, 2,
-          [](pcu::Comm& jc) {
-            EXPECT_GE(jc.rank(), 4) << "newcomers fill the dense tail";
-            EXPECT_LT(jc.rank(), 6);
-            EXPECT_EQ(ringStep(jc), (jc.rank() + 5) % 6);
-          },
-          &joiner_error);
-    // One full ring over all 6 ranks proves old and new communicate.
-    EXPECT_EQ(ringStep(g2), (g2.rank() + 5) % 6);
-    for (auto& t : joiners) t.join();
-  });
-  if (joiner_error) std::rethrow_exception(joiner_error);
-  const auto st = failure::stats();
-  EXPECT_EQ(st.grows, 1u);
-  EXPECT_EQ(st.ranks_joined, 2u);
-}
-
-TEST(PcuGrow, RepeatedGrowReusesTheRendezvous) {
-  pcu::run(3, [&](pcu::Comm& c) {
-    pcu::Comm g1 = c.grow(2);
-    std::vector<std::thread> j1;
-    if (c.rank() == 0)
-      j1 = pcu::spawnJoined(g1, 2, [](pcu::Comm& jc) {
-        pcu::Comm g2 = jc.grow(1);
-        EXPECT_EQ(ringStep(g2), (g2.rank() + 5) % 6);
-      });
-    pcu::Comm g2 = g1.grow(1);
-    EXPECT_EQ(g2.size(), 6);
-    std::vector<std::thread> j2;
-    if (c.rank() == 0)
-      j2 = pcu::spawnJoined(g2, 1, [](pcu::Comm& jc) {
-        EXPECT_EQ(jc.rank(), 5);
-        EXPECT_EQ(ringStep(jc), 4);
-      });
-    EXPECT_EQ(ringStep(g2), (g2.rank() + 5) % 6);
-    for (auto& t : j1) t.join();
-    for (auto& t : j2) t.join();
-  });
-}
-
-TEST(PcuGrow, InvalidJoinerCountThrows) {
-  pcu::run(1, [](pcu::Comm& c) {
-    try {
-      c.grow(0);
-      FAIL() << "grow(0) must be rejected";
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kValidation);
-    }
-  });
-}
-
-TEST(PcuGrow, RendezvousDisagreementPoisonsEveryRank) {
-  std::atomic<int> rejected{0};
-  pcu::run(4, [&](pcu::Comm& c) {
-    try {
-      c.grow(c.rank() == 2 ? 3 : 2);
-      ADD_FAILURE() << "rank " << c.rank()
-                    << " grew despite a disagreeing peer";
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kValidation) << e.what();
-      rejected += 1;
-    }
-  });
-  EXPECT_EQ(rejected.load(), 4)
-      << "a mismatched joiner count must fail the whole rendezvous, "
-         "never hang part of it";
-}
-
-TEST(PcuGrow, JoinTokenKnocksOnceAtItsPhaseBoundary) {
-  PlanGuard g(faults::parsePlan("seed=3,join=3@1"));
-  pcu::run(4, [&](pcu::Comm& c) {
-    EXPECT_EQ(c.joinPending(), 0);
-    for (int i = 0; i < 3; ++i) ringStep(c);
-    // Every rank has passed phase index 1 itself by now, so the (global,
-    // consume-once) knock has certainly fired — and only once.
-    EXPECT_EQ(c.joinPending(), 3);
-    pcu::Comm g2 = c.grow(c.joinPending());
-    EXPECT_EQ(g2.size(), 7);
-    EXPECT_EQ(c.joinPending(), 0) << "grow() serves the pending join";
-    EXPECT_EQ(g2.joinPending(), 0);
-    std::vector<std::thread> joiners;
-    if (c.rank() == 0)
-      joiners = pcu::spawnJoined(g2, 3, [](pcu::Comm& jc) {
-        EXPECT_EQ(ringStep(jc), (jc.rank() + 6) % 7);
-      });
-    EXPECT_EQ(ringStep(g2), (g2.rank() + 6) % 7);
-    for (auto& t : joiners) t.join();
-  });
-}
-
-TEST(PcuGrow, DetectorRearmsAndCatchesNewcomerFailure) {
-  // Grow 4 -> 6 with an armed detector, then the fault plan kills rank 5 —
-  // a NEWCOMER. Detection proves the expanded group's detector is armed
-  // and watching the joined ranks, not just the founders.
-  faults::FaultPlan p;
-  p.seed = 13;
-  p.kill = {5, 1};
-  p.deadline_ms = 30;
-  PlanGuard g(p);
-  failure::resetStats();
-  std::atomic<int> survivors{0};
-  std::atomic<int> killed{0};
-  auto work = [&](pcu::Comm& c) {
-    try {
-      for (int round = 0; round < 50; ++round) ringStep(c);
-      ADD_FAILURE() << "rank " << c.rank() << " never observed the failure";
-    } catch (const failure::RankKilled&) {
-      killed += 1;
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kRankFailed) << e.what();
-      EXPECT_EQ(e.peer(), 5) << "the error must name the dead newcomer";
-      pcu::Comm sub = c.shrink();
-      EXPECT_EQ(sub.size(), 5);
-      EXPECT_EQ(ringStep(sub), (sub.rank() + sub.size() - 1) % sub.size());
-      survivors += 1;
-    }
-  };
-  std::exception_ptr joiner_error;
-  pcu::run(4, [&](pcu::Comm& c) {
-    pcu::Comm g2 = c.grow(2);
-    std::vector<std::thread> joiners;
-    if (c.rank() == 0) joiners = pcu::spawnJoined(g2, 2, work, &joiner_error);
-    work(g2);
-    for (auto& t : joiners) t.join();
-  });
-  if (joiner_error) std::rethrow_exception(joiner_error);
-  EXPECT_EQ(killed.load(), 1);
-  EXPECT_EQ(survivors.load(), 5);
-  const auto st = failure::stats();
-  EXPECT_EQ(st.grows, 1u);
-  EXPECT_GE(st.shrinks, 1u);
-}
-
-TEST(PcuGrow, GrowCountersReachTheTraceReport) {
-  pcu::trace::clear();
-  pcu::trace::setEnabled(true);
-  failure::resetStats();
-  pcu::run(3, [](pcu::Comm& c) {
-    pcu::Comm g2 = c.grow(1);
-    std::vector<std::thread> joiners;
-    if (c.rank() == 0)
-      joiners = pcu::spawnJoined(g2, 1, [](pcu::Comm& jc) { ringStep(jc); });
-    ringStep(g2);
-    for (auto& t : joiners) t.join();
-  });
-  const auto report = pcu::buildTraceReport();
-  pcu::trace::setEnabled(false);
-  pcu::trace::clear();
-  std::set<std::string> names;
-  for (const auto& c : report.counters) names.insert(c.name);
-  EXPECT_TRUE(names.count("fd:grow_events")) << "grow counter missing";
-  EXPECT_TRUE(names.count("fd:ranks_joined"));
 }
 
 /// --- dist: admission mechanism -------------------------------------------
@@ -828,6 +646,52 @@ TEST(GrowFailoverComposition, KillingAFreshlyJoinedRankMidBalanceEvacuates) {
   for (PartId p = 0; p < pm->parts(); ++p)
     EXPECT_NE(pm->network().partMap().rankOf(p), 6)
         << "part " << p << " is still pinned to the dead rank";
+}
+
+/// --- fd:* counters through the Network path ------------------------------
+
+TEST(DistFailureCounters, GrowAndSuspicionCountersReachTheTraceReport) {
+  // The fd:* counters flow through pcu::trace into the per-phase report
+  // (and so into the Chrome export, which serializes the same counter
+  // events): fd:grow_events / fd:ranks_joined from Network::growRanks,
+  // fd:suspicions / fd:suspicion_latency_us from the Network declaring a
+  // hung rank dead.
+  pcu::trace::clear();
+  pcu::trace::setEnabled(true);
+  failure::resetStats();
+  auto gen = meshgen::boxTris(6, 6);
+  auto pm = makeMesh(gen, 4);
+  const auto join = parma::elasticJoin(*pm, 2, {.tolerance = 0.20});
+  EXPECT_EQ(join.ranks_after, 6);
+  {
+    faults::FaultPlan p;
+    p.seed = 4;
+    p.hang = {1, 0};
+    p.deadline_ms = 20;
+    PlanGuard g(p);
+    common::Rng rng(3);
+    try {
+      pm->migrate(randomPlan(*pm, rng, 0.2));
+      ADD_FAILURE() << "migration crossing the hung rank committed";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kRankFailed) << e.what();
+      EXPECT_EQ(e.peer(), 1);
+    }
+  }
+  const auto report = pcu::buildTraceReport();
+  pcu::trace::setEnabled(false);
+  pcu::trace::clear();
+  std::map<std::string, std::int64_t> last;
+  for (const auto& c : report.counters) last[c.name] = c.last;
+  ASSERT_TRUE(last.count("fd:grow_events")) << "grow counter missing";
+  ASSERT_TRUE(last.count("fd:ranks_joined"));
+  ASSERT_TRUE(last.count("fd:suspicions")) << "suspicion counter missing";
+  ASSERT_TRUE(last.count("fd:suspicion_latency_us"));
+  EXPECT_EQ(last["fd:grow_events"], 1);
+  EXPECT_EQ(last["fd:ranks_joined"], 2);
+  EXPECT_EQ(last["fd:suspicions"], 1);
+  EXPECT_GE(last["fd:suspicion_latency_us"], 20 * 1000)
+      << "the latency counter must carry the hang's silence span";
 }
 
 TEST(RestoreOntoMore, ExpandWithNoIdleRankIsANoop) {

@@ -226,7 +226,7 @@ TEST(PcuComm, SplitByNodeFormsNodeComms) {
   // 2 nodes x 3 cores.
   pcu::run(6, pcu::Machine(2, 3), [](pcu::Comm& c) {
     EXPECT_EQ(c.machine().nodes(), 2);
-    pcu::Comm node = c.splitByNode();
+    pcu::Comm node = c.split(c.machine().nodeOf(c.rank()), c.rank());
     EXPECT_EQ(node.size(), 3);
     EXPECT_EQ(node.rank(), c.rank() % 3);
     // Node comm works for collectives.

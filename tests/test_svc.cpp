@@ -1,12 +1,11 @@
 /// \file test_svc.cpp
-/// \brief Multi-tenant mesh service: subgroup fault isolation, admission
+/// \brief Multi-tenant mesh service: plan composition, admission
 /// control against the rank-pool ledger, bounded-queue shedding, and
 /// blast-radius containment.
 ///
 /// Contracts under test (ISSUE: multi-tenant service):
-///  - pcu::Comm::split(color, key, {.isolate_faults}) carves disjoint
-///    subgroups whose fault domains are tenant-scoped: a chaotic plan
-///    installed for one color never touches a sibling color's traffic;
+///  - pcu::Comm::split(color, key) carves disjoint subgroups with
+///    MPI_Comm_split ordering, generation-safe across consecutive splits;
 ///  - PUMI_FAULTS plans compose deterministically: same-phase tokens fire
 ///    join before kill before hang, and exact duplicate keys are rejected
 ///    with kValidation naming both tokens;
@@ -20,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <future>
@@ -34,9 +32,9 @@
 #include "dist/digest.hpp"
 #include "dist/partedmesh.hpp"
 #include "meshgen/boxmesh.hpp"
+#include "part/partition.hpp"
 #include "pcu/comm.hpp"
 #include "pcu/error.hpp"
-#include "pcu/failure.hpp"
 #include "pcu/faults.hpp"
 #include "pcu/phased.hpp"
 #include "pcu/runtime.hpp"
@@ -107,118 +105,31 @@ TEST(PlanComposition, SamePhaseEventsFireJoinThenKillThenHang) {
 }
 
 TEST(PlanComposition, JoinKnockIsRecordedBeforeTheSamePhaseKillAborts) {
-  // Integration form of the ordering contract: 3 ranks, join=2 and kill of
-  // rank 2 both scheduled at phase boundary 2. The group must come out of
-  // the incident with the join pending — the knock beat the kill.
-  std::atomic<int> join_pending{-1};
-  std::atomic<int> survivors{0};
-  PlanGuard g(faults::parsePlan("seed=11,join=2@2,kill=2@2,deadline=30"));
-  pcu::run(3, [&](pcu::Comm& c) {
-    try {
-      for (int step = 0; step < 8; ++step) (void)ringStep(c);
-      ADD_FAILURE() << "rank " << c.rank() << " outlived the kill plan";
-    } catch (const pcu::failure::RankKilled&) {
-      return;  // the condemned rank
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kRankFailed) << e.what();
-    }
-    auto sub = c.shrink();
-    ++survivors;
-    join_pending.store(c.joinPending(), std::memory_order_relaxed);
-  });
-  EXPECT_EQ(survivors.load(), 2);
-  EXPECT_EQ(join_pending.load(), 2)
+  // Integration form of the ordering contract, on the one boundary that
+  // consumes phase events (dist::Network): 4 parts on 4 ranks, join=2 and
+  // a kill of rank 2 both scheduled at phase boundary 1. The migration
+  // aborts with kRankFailed naming rank 2, and the mesh comes out of the
+  // incident with the join pending — the knock beat the kill.
+  auto gen = meshgen::boxTris(4, 4);
+  auto pm = dist::PartedMesh::distribute(
+      *gen.mesh, gen.model.get(),
+      part::partition(*gen.mesh, 4, part::Method::RCB),
+      dist::PartMap(4, pcu::Machine::flat(4)));
+  dist::MigrationPlan plan(4);
+  for (dist::PartId p = 0; p < 4; ++p)
+    plan[static_cast<std::size_t>(p)][pm->part(p).elements().front()] =
+        (p + 1) % 4;
+  PlanGuard g(faults::parsePlan("seed=11,join=2@1,kill=2@1,deadline=30"));
+  try {
+    pm->migrate(plan);
+    FAIL() << "migration crossing the killed rank committed";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kRankFailed) << e.what();
+    EXPECT_EQ(e.peer(), 2) << "the error must name the dead rank";
+  }
+  EXPECT_EQ(pm->network().deadRanks(), std::vector<int>{2});
+  EXPECT_EQ(pm->network().pendingJoin(), 2)
       << "the join knock must be recorded before the same-phase kill";
-}
-
-/// --- pcu split: fault-isolated subgroups ---------------------------------
-
-TEST(SplitDomains, DefaultSplitInheritsParentDomainIsolatedGetsFresh) {
-  PlanGuard g(faults::parsePlan("seed=5,corrupt=0.0,checksum=1"));
-  pcu::run(4, [&](pcu::Comm& c) {
-    auto inherit = c.split(0, c.rank());
-    EXPECT_EQ(inherit.faultDomainHandle(), c.faultDomainHandle());
-    EXPECT_TRUE(inherit.framingEnabled());
-    auto isolated =
-        c.split(0, c.rank(), pcu::Comm::SplitOptions{.isolate_faults = true});
-    EXPECT_NE(isolated.faultDomainHandle(), c.faultDomainHandle());
-    EXPECT_FALSE(isolated.framingEnabled())
-        << "an isolated subgroup starts with an empty domain";
-  });
-}
-
-TEST(SplitDomains, ChaosInOneColorNeverTouchesTheSibling) {
-  // Colors 0 (ranks 0-2) and 1 (ranks 3-5), both fault-isolated. Color 0
-  // installs a total-drop plan on its own domain and must abort with
-  // structured errors; color 1 exchanges identical traffic and must see
-  // zero faults.
-  std::atomic<int> a_errors{0};
-  std::atomic<int> b_errors{0};
-  std::atomic<int> b_ok{0};
-  pcu::run(6, [&](pcu::Comm& c) {
-    const int color = c.rank() / 3;
-    auto sub =
-        c.split(color, c.rank(), pcu::Comm::SplitOptions{.isolate_faults = true});
-    ASSERT_EQ(sub.size(), 3);
-    if (color == 0) {
-      if (sub.rank() == 0)
-        sub.faultDomain().install(
-            faults::parsePlan("seed=13,drop=1.0,watchdog=60"));
-      sub.barrier();  // plan visible to the whole color before traffic
-      try {
-        (void)ringStep(sub);
-        ADD_FAILURE() << "total drop still delivered";
-      } catch (const Error&) {
-        ++a_errors;
-      }
-    } else {
-      sub.barrier();
-      try {
-        const int got = ringStep(sub);
-        EXPECT_EQ(got, (sub.rank() + sub.size() - 1) % sub.size());
-        ++b_ok;
-      } catch (const Error&) {
-        ++b_errors;
-      }
-    }
-  });
-  EXPECT_EQ(a_errors.load(), 3) << "every chaotic rank aborts structurally";
-  EXPECT_EQ(b_errors.load(), 0) << "sibling tenant must never see the chaos";
-  EXPECT_EQ(b_ok.load(), 3);
-}
-
-TEST(SplitDomains, TenantScopedReliableOverrideRecoversOnlyItsColor) {
-  // Color 0 runs drop chaos *with* a tenant-scoped reliable override on its
-  // domain: traffic recovers via ARQ. Color 1 keeps the process-global
-  // (off) setting and stays unframed plain delivery.
-  std::atomic<int> a_ok{0};
-  std::atomic<int> b_ok{0};
-  pcu::run(4, [&](pcu::Comm& c) {
-    const int color = c.rank() / 2;
-    auto sub =
-        c.split(color, c.rank(), pcu::Comm::SplitOptions{.isolate_faults = true});
-    ASSERT_EQ(sub.size(), 2);
-    if (color == 0) {
-      if (sub.rank() == 0) {
-        sub.faultDomain().install(faults::parsePlan("seed=17,drop=0.5"));
-        sub.faultDomain().setReliable(true);
-      }
-      sub.barrier();
-      EXPECT_TRUE(sub.faultDomain().reliableEnabled());
-      for (int step = 0; step < 6; ++step)
-        EXPECT_EQ(ringStep(sub), (sub.rank() + 1) % 2);
-      ++a_ok;
-    } else {
-      sub.barrier();
-      EXPECT_FALSE(sub.faultDomain().reliableEnabled());
-      EXPECT_FALSE(sub.framingEnabled());
-      for (int step = 0; step < 6; ++step)
-        EXPECT_EQ(ringStep(sub), (sub.rank() + 1) % 2);
-      ++b_ok;
-    }
-  });
-  EXPECT_EQ(a_ok.load(), 2);
-  EXPECT_EQ(b_ok.load(), 2);
 }
 
 TEST(SplitRendezvous, ConsecutiveSplitsAreGenerationSafe) {
