@@ -17,6 +17,8 @@
 #include "dist/partedmesh.hpp"
 #include "meshgen/boxmesh.hpp"
 #include "part/partition.hpp"
+#include "pcu/arq.hpp"
+#include "pcu/faults.hpp"
 #include "pcu/stats.hpp"
 #include "pcu/trace.hpp"
 
@@ -226,6 +228,63 @@ BENCHMARK(BM_DistributeFromSerial)
     ->Arg(16)
     ->Arg(64)
     ->Unit(benchmark::kMillisecond);
+
+/// Reliable-delivery (ARQ) overhead guard on the transport the mesh stack
+/// runs on. Args are {payload bytes, drop probability in permille}. A bare
+/// two-part dist::Network exchanges one payload each way per deliverAll
+/// phase with reliable mode on. At 0 permille a checksum-only plan frames
+/// every segment, so the row measures framing plus the resend-queue
+/// bookkeeping; at 10 permille (the 1% acceptance point) drops are live and
+/// the phase boundary pulls each lost segment from its resend queue.
+/// tools/bench_recovery.sh compares the two rows of one payload (the
+/// retransmit tax, asserted under 10%). The Network outlives the loop, so
+/// channel sequence numbers advance and each phase draws fresh decisions;
+/// the counters export the recovery activity so a run that injected no
+/// loss is visible.
+void BM_NetExchangeReliable(benchmark::State& state) {
+  const auto payload = static_cast<std::size_t>(state.range(0));
+  const double drop = static_cast<double>(state.range(1)) / 1000.0;
+  pcu::faults::FaultPlan plan;
+  plan.seed = 12;
+  if (drop > 0.0)
+    plan.drop = drop;
+  else
+    plan.checksum_only = true;  // frame either way: isolate the ARQ tax
+  pcu::faults::setPlan(plan);
+  pcu::arq::resetStats();
+  pcu::arq::setReliable(true);
+  dist::Network net(dist::PartMap(2, pcu::Machine::flat(2)));
+  const std::vector<std::byte> data(payload, std::byte{7});
+  std::size_t received = 0;
+  for (auto _ : state) {
+    for (dist::PartId from = 0; from < 2; ++from) {
+      pcu::OutBuffer b;
+      b.packBytes(data.data(), data.size());
+      net.send(from, 1 - from, std::move(b));
+    }
+    net.deliverAll([&](dist::PartId, dist::PartId, pcu::InBuffer body) {
+      received += body.size();
+    });
+  }
+  pcu::arq::setReliable(false);
+  pcu::faults::clearPlan();
+  if (received != static_cast<std::size_t>(state.iterations()) * 2 * payload)
+    state.SkipWithError("a payload was lost or duplicated");
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
+                          static_cast<std::int64_t>(payload));
+  const auto st = pcu::arq::stats();
+  state.counters["retransmits"] =
+      benchmark::Counter(static_cast<double>(st.retransmits));
+  state.counters["recovered"] =
+      benchmark::Counter(static_cast<double>(st.recovered));
+}
+BENCHMARK(BM_NetExchangeReliable)
+    ->Args({64, 0})
+    ->Args({64, 10})
+    ->Args({4096, 0})
+    ->Args({4096, 10})
+    ->Args({262144, 0})
+    ->Args({262144, 10});
 
 }  // namespace
 

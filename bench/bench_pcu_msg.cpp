@@ -12,15 +12,11 @@
 
 #include <atomic>
 
-#include "pcu/arq.hpp"
 #include "pcu/comm.hpp"
-#include "pcu/faults.hpp"
 #include "pcu/phased.hpp"
 #include "pcu/runtime.hpp"
 
 namespace {
-
-namespace faults = pcu::faults;
 
 void BM_PingPong(benchmark::State& state) {
   const auto payload = static_cast<std::size_t>(state.range(0));
@@ -152,99 +148,6 @@ void BM_PhasedExchangeUncoalesced(benchmark::State& state) {
   phasedBurst(state, false);
 }
 BENCHMARK(BM_PhasedExchangeUncoalesced)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
-/// Framing/CRC overhead guard: the same ping-pong with checksum-verify mode
-/// on (frame + CRC32 + verified receive, no fault injection). Comparing
-/// bytes_per_second against BM_PingPong at the same payload measures the
-/// hardening tax; the counter `framing_bytes` records the per-message
-/// header cost. With no plan active the hot path pays one relaxed atomic
-/// load, so default-mode numbers are unchanged.
-void BM_PingPongChecksum(benchmark::State& state) {
-  const auto payload = static_cast<std::size_t>(state.range(0));
-  faults::FaultPlan plan;
-  plan.checksum_only = true;
-  faults::setPlan(plan);
-  for (auto _ : state) {
-    pcu::run(2, [&](pcu::Comm& c) {
-      std::vector<std::byte> data(payload);
-      for (int i = 0; i < 8; ++i) {
-        if (c.rank() == 0) {
-          c.send(1, 1, std::vector<std::byte>(data));
-          (void)c.recv(1, 2);
-        } else {
-          (void)c.recv(0, 1);
-          c.send(0, 2, std::vector<std::byte>(data));
-        }
-      }
-    });
-  }
-  faults::clearPlan();
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 16 *
-                          static_cast<std::int64_t>(payload));
-  state.counters["framing_bytes"] = benchmark::Counter(
-      static_cast<double>(faults::kFrameHeaderBytes));
-}
-BENCHMARK(BM_PingPongChecksum)->Arg(64)->Arg(4096)->Arg(262144);
-
-/// Reliable-delivery (ARQ) overhead guard. Args are {payload bytes, drop
-/// probability in permille}: at 0‰ this measures the pure bookkeeping tax
-/// of reliable mode (frame store + ack pruning) over BM_PingPongChecksum;
-/// at 10‰ (the 1% acceptance point) the loss beacons and retransmissions
-/// are live, and comparing bytes_per_second against the 0‰ run of the same
-/// payload yields the retransmit tax that tools/bench_recovery.sh asserts
-/// stays under 10%. Counters export the recovery activity so a vacuous run
-/// (nothing dropped, nothing recovered) is visible in the output.
-void BM_PingPongReliable(benchmark::State& state) {
-  const auto payload = static_cast<std::size_t>(state.range(0));
-  const double drop =
-      static_cast<double>(state.range(1)) / 1000.0;
-  pcu::arq::resetStats();
-  pcu::arq::setReliable(true);
-  faults::FaultPlan plan;
-  if (drop > 0.0)
-    plan.drop = drop;
-  else
-    plan.checksum_only = true;  // framing on either way: isolate the ARQ tax
-  std::uint64_t iteration = 0;
-  for (auto _ : state) {
-    // Each pcu::run restarts every channel at sequence 0, so a fixed seed
-    // would replay the same 16 drop decisions every iteration: salt it.
-    // The clean case reinstalls its plan the same way, so both pay the
-    // same per-iteration install cost.
-    plan.seed = 12 + iteration++;
-    faults::setPlan(plan);
-    pcu::run(2, [&](pcu::Comm& c) {
-      std::vector<std::byte> data(payload);
-      for (int i = 0; i < 8; ++i) {
-        if (c.rank() == 0) {
-          c.send(1, 1, std::vector<std::byte>(data));
-          (void)c.recv(1, 2);
-        } else {
-          (void)c.recv(0, 1);
-          c.send(0, 2, std::vector<std::byte>(data));
-        }
-      }
-    });
-  }
-  faults::clearPlan();
-  pcu::arq::setReliable(false);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 16 *
-                          static_cast<std::int64_t>(payload));
-  const auto st = pcu::arq::stats();
-  state.counters["beacons"] =
-      benchmark::Counter(static_cast<double>(st.beacons_sent));
-  state.counters["retransmits"] =
-      benchmark::Counter(static_cast<double>(st.retransmits));
-  state.counters["recovered"] =
-      benchmark::Counter(static_cast<double>(st.recovered));
-}
-BENCHMARK(BM_PingPongReliable)
-    ->Args({64, 0})
-    ->Args({64, 10})
-    ->Args({4096, 0})
-    ->Args({4096, 10})
-    ->Args({262144, 0})
-    ->Args({262144, 10});
 
 void BM_SpawnTeardown(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));

@@ -26,9 +26,9 @@
 #include <string>
 #include <thread>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flatmap.hpp"
 #include "pcu/arq.hpp"
 #include "pcu/buffer.hpp"
 #include "pcu/comm.hpp"
@@ -43,8 +43,9 @@
 namespace dist {
 
 /// Pseudo-tag identifying the part-to-part transport in fault-injection
-/// decisions and error reports (decorrelates its deterministic fault
-/// stream from same-numbered pcu::Comm channels).
+/// decisions and error reports. Its value is kept as is because it keys
+/// every seeded decision: changing it would change which frames every
+/// seeded chaos run drops, corrupts, duplicates or delays.
 inline constexpr int kNetChannelTag = 1 << 20;
 
 /// Maps parts onto the machine: part p runs on core (p % coresTotal) by
@@ -127,12 +128,12 @@ class PartMap {
 /// With reliable delivery on (pcu::arq::enabled()) the phase boundary
 /// *recovers* instead: corrupt segments are re-fetched, duplicates
 /// silently dropped, and every missing sequence number pulled from the
-/// channel's resend queue through pcu::arq::retransmit — the same
-/// attempt-salted loop pcu::Comm runs, so only a permanent fault exhausts
-/// the bounded budget and surfaces as pcu::Error(kMessageLost). The
-/// transactional layer bumps a fault epoch between operation replays
-/// (bumpFaultEpoch) so a retried operation does not deterministically
-/// replay the exact faults that aborted it.
+/// channel's resend queue through pcu::arq::retransmit, an attempt-salted
+/// loop, so only a permanent fault exhausts the bounded budget and
+/// surfaces as pcu::Error(kMessageLost). The transactional layer bumps a
+/// fault epoch between operation replays (bumpFaultEpoch) so a retried
+/// operation does not deterministically replay the exact faults that
+/// aborted it.
 class Network {
  public:
   explicit Network(PartMap map)
@@ -521,8 +522,7 @@ class Network {
     if (pcu::arq::enabled())
       // Keep the clean framed segment until its receiver verifies it: the
       // phase-boundary recovery pulls retransmissions from here.
-      chan.unacked.push(seq, std::vector<std::byte>(framed),
-                        pcu::faults::mayLose(action));
+      chan.unacked.push(seq, std::vector<std::byte>(framed));
     switch (action) {
       case pcu::faults::Action::kDeliver:
         break;
@@ -814,7 +814,7 @@ class Network {
   /// a one-entry cache for the channel of the previous send.
   static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
   std::vector<Group> staged_groups_;
-  std::unordered_map<std::uint64_t, std::size_t> group_of_;
+  common::FlatMap<std::uint64_t, std::size_t> group_of_;
   std::uint64_t last_key_ = kNoKey;
   std::size_t last_group_ = 0;
   pcu::CommStats stats_;

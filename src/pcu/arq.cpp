@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
-#include <tuple>
 
 #include "pcu/envspec.hpp"
 #include "pcu/error.hpp"
@@ -27,8 +26,6 @@ State& state() {
 /// Hot-path gate: one relaxed load, like faults::framingEnabled().
 std::atomic<bool> g_on{false};
 
-std::atomic<std::uint64_t> g_frames_stored{0};
-std::atomic<std::uint64_t> g_beacons_sent{0};
 std::atomic<std::uint64_t> g_retransmits{0};
 std::atomic<std::uint64_t> g_recovered{0};
 std::atomic<std::uint64_t> g_duplicates_dropped{0};
@@ -83,19 +80,12 @@ Config parseConfig(const std::string& spec) {
       c.on = envspec::parseBool(env, key, val);
     } else if (key == "budget") {
       c.retry_budget = envspec::parseInt(env, key, val, 1, 1000000);
-    } else if (key == "rto_us") {
-      c.rto_us = envspec::parseInt(env, key, val, 1, 1000000000);
-    } else if (key == "maxrto_us") {
-      c.max_rto_us = envspec::parseInt(env, key, val, 1, 1000000000);
     } else if (key == "opretries") {
       c.op_retries = envspec::parseInt(env, key, val, 0, 1000);
     } else {
-      envspec::fail(env, "unknown key \"" + key + "\"");
+      envspec::fail(env, "unknown key \"" + key + "\" in \"" + item + "\"");
     }
   }
-  if (c.max_rto_us < c.rto_us)
-    envspec::fail(env, "maxrto_us " + std::to_string(c.max_rto_us) +
-                           " below rto_us " + std::to_string(c.rto_us));
   return c;
 }
 
@@ -136,8 +126,6 @@ Config config() {
 
 Stats stats() {
   Stats out;
-  out.frames_stored = g_frames_stored.load(std::memory_order_relaxed);
-  out.beacons_sent = g_beacons_sent.load(std::memory_order_relaxed);
   out.retransmits = g_retransmits.load(std::memory_order_relaxed);
   out.recovered = g_recovered.load(std::memory_order_relaxed);
   out.duplicates_dropped = g_duplicates_dropped.load(std::memory_order_relaxed);
@@ -147,8 +135,6 @@ Stats stats() {
 }
 
 void resetStats() {
-  g_frames_stored.store(0, std::memory_order_relaxed);
-  g_beacons_sent.store(0, std::memory_order_relaxed);
   g_retransmits.store(0, std::memory_order_relaxed);
   g_recovered.store(0, std::memory_order_relaxed);
   g_duplicates_dropped.store(0, std::memory_order_relaxed);
@@ -156,8 +142,6 @@ void resetStats() {
   g_acked.store(0, std::memory_order_relaxed);
 }
 
-void noteStored() { g_frames_stored.fetch_add(1, std::memory_order_relaxed); }
-void noteBeacon() { g_beacons_sent.fetch_add(1, std::memory_order_relaxed); }
 void noteRetransmit() { g_retransmits.fetch_add(1, std::memory_order_relaxed); }
 void noteRecovered() { g_recovered.fetch_add(1, std::memory_order_relaxed); }
 void noteDuplicateDropped() {
@@ -175,17 +159,16 @@ std::deque<ResendQueue::Frame>::const_iterator ResendQueue::lowerBound(
       [](const Frame& f, std::uint64_t s) { return f.seq < s; });
 }
 
-void ResendQueue::push(std::uint64_t seq, std::vector<std::byte> framed,
-                       bool may_be_lost) {
+void ResendQueue::push(std::uint64_t seq, std::vector<std::byte> framed) {
   if (frames_.empty() || frames_.back().seq < seq) {
-    frames_.push_back(Frame{seq, std::move(framed), may_be_lost});
+    frames_.push_back(Frame{seq, std::move(framed)});
     return;
   }
   const auto it = frames_.begin() + (lowerBound(seq) - frames_.cbegin());
   if (it->seq == seq)
-    *it = Frame{seq, std::move(framed), may_be_lost};
+    *it = Frame{seq, std::move(framed)};
   else
-    frames_.insert(it, Frame{seq, std::move(framed), may_be_lost});
+    frames_.insert(it, Frame{seq, std::move(framed)});
 }
 
 bool ResendQueue::ack(std::uint64_t upto) {
@@ -197,57 +180,6 @@ bool ResendQueue::ack(std::uint64_t upto) {
 const std::vector<std::byte>* ResendQueue::find(std::uint64_t seq) const {
   const auto it = lowerBound(seq);
   return it != frames_.end() && it->seq == seq ? &it->bytes : nullptr;
-}
-
-void ResendStore::store(int src, int dst, int tag, std::uint64_t seq,
-                        std::vector<std::byte> framed, bool may_be_lost) {
-  auto& shard = shards_[static_cast<std::size_t>(dst)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.chans[channelKey(src, tag)].push(seq, std::move(framed), may_be_lost);
-}
-
-void ResendStore::ack(int src, int dst, int tag, std::uint64_t upto) {
-  auto& shard = shards_[static_cast<std::size_t>(dst)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.chans.find(channelKey(src, tag));
-  if (it == shard.chans.end()) return;
-  it->second.ack(upto);
-  if (it->second.empty()) shard.chans.erase(it);
-}
-
-std::vector<std::byte> ResendStore::fetch(int dst, int src, int tag,
-                                          std::uint64_t seq) {
-  auto& shard = shards_[static_cast<std::size_t>(dst)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.chans.find(channelKey(src, tag));
-  if (it == shard.chans.end()) return {};
-  const auto* bytes = it->second.find(seq);
-  return bytes != nullptr ? *bytes : std::vector<std::byte>{};
-}
-
-std::vector<ResendStore::PendingFrame> ResendStore::pending(
-    int dst, int src, int tag,
-    const std::function<std::uint64_t(int)>& expected) {
-  auto& shard = shards_[static_cast<std::size_t>(dst)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  std::vector<PendingFrame> out;
-  for (const auto& [key, frames] : shard.chans) {
-    const int chan_src = static_cast<int>(key >> 32);
-    const int chan_tag = static_cast<int>(static_cast<std::int32_t>(
-        static_cast<std::uint32_t>(key & 0xffffffffu)));
-    if (chan_tag != tag) continue;
-    if (src >= 0 && chan_src != src) continue;
-    frames.forEachLostFrom(
-        expected(chan_src),
-        [&](std::uint64_t seq, const std::vector<std::byte>& b) {
-          out.push_back(PendingFrame{chan_src, seq, b});
-        });
-  }
-  std::sort(out.begin(), out.end(),
-            [](const PendingFrame& a, const PendingFrame& b) {
-              return std::tie(a.src, a.seq) < std::tie(b.src, b.seq);
-            });
-  return out;
 }
 
 void retransmit(const faults::Domain& domain, int src, int dst, int tag,

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <string>
 #include <tuple>
+#include <unordered_map>
 
-#include "pcu/arq.hpp"
-#include "pcu/error.hpp"
-#include "pcu/faults.hpp"
 #include "pcu/trace.hpp"
 
 namespace pcu {
@@ -50,27 +47,21 @@ bool Mailbox::takeLocal(int source, int tag, Raw& out) {
   return true;
 }
 
-bool Mailbox::pop(int source, int tag, long timeout_us, Raw& out) {
+void Mailbox::pop(int source, int tag, Raw& out) {
   // Fast path: the consumer-private queue already holds a match — no lock.
-  if (takeLocal(source, tag, out)) return true;
+  if (takeLocal(source, tag, out)) return;
   std::unique_lock<std::mutex> lock(mutex_);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(timeout_us);
   for (;;) {
     if (!inbox_.empty()) {
       // Drain the whole inbox in one swap; scan it outside the lock.
       for (auto& m : inbox_) local_.push_back(std::move(m));
       inbox_.clear();
       lock.unlock();
-      if (takeLocal(source, tag, out)) return true;
+      if (takeLocal(source, tag, out)) return;
       lock.lock();
       continue;  // inbox may have refilled while unlocked
     }
-    if (timeout_us <= 0) {
-      cv_.wait(lock);
-    } else if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      return false;
-    }
+    cv_.wait(lock);
   }
 }
 
@@ -87,10 +78,7 @@ bool Mailbox::probe(int source, int tag) {
 }  // namespace detail
 
 Group::Group(int size, Machine machine)
-    : size_(size),
-      machine_(machine),
-      domain_(faults::defaultDomain()),
-      boxes_(size) {
+    : size_(size), machine_(machine), boxes_(size) {
   assert(size > 0);
   // Default machine: all ranks on one node (pure shared memory).
   if (machine_.totalCores() < size_) machine_ = Machine::singleNode(size_);
@@ -108,10 +96,6 @@ void Comm::send(int dest, int tag, const OutBuffer& buf) {
 
 void Comm::send(int dest, int tag, std::vector<std::byte> bytes) {
   assert(tag >= 0 && "negative tags are reserved for collectives");
-  if (group_->domain_->framingEnabled()) {
-    sendFramed(dest, tag, std::move(bytes));
-    return;
-  }
   sendInternal(dest, tag, std::move(bytes));
 }
 
@@ -160,101 +144,16 @@ void Comm::sendInternal(int dest, int tag, std::vector<std::byte> bytes) {
   push(dest, tag, std::move(bytes));
 }
 
-void Comm::sendFramed(int dest, int tag, std::vector<std::byte> payload) {
-  // Stats and trace account the payload (what the application sent), so
-  // byte-conservation invariants hold whether or not framing is active.
-  accountSend(dest, payload.size());
-  postFramed(dest, tag, std::move(payload));
-}
-
-void Comm::postFramed(int dest, int tag, std::vector<std::byte> payload) {
-  const std::uint64_t seq = send_seq_[channelKey(dest, tag)]++;
-  auto framed = faults::frame(seq, std::move(payload));
-  const bool reliable = group_->domain_->reliableEnabled();
-  const faults::Action action = group_->domain_->decide(rank_, dest, tag, seq);
-  if (reliable) {
-    // Deposit the clean frame before the fault can touch it: the receiver
-    // pulls from here on loss/corruption and prunes on delivery. A frame
-    // about to be pushed intact is no candidate for the receiver's RTO
-    // scan, or a scan racing this push would pull a spurious copy.
-    group_->arq_store_.store(rank_, dest, tag, seq,
-                             std::vector<std::byte>(framed),
-                             faults::mayLose(action));
-    arq::noteStored();
-  }
-  switch (action) {
-    case faults::Action::kDeliver:
-      break;
-    case faults::Action::kCorrupt:
-      faults::corruptFrame(framed, rank_, dest, tag, seq);
-      break;
-    case faults::Action::kDrop:
-      if (reliable) {
-        // Leave a loss beacon so the receiver recovers immediately from
-        // the store instead of waiting out its RTO timer.
-        push(dest, tag, faults::lossBeacon(seq));
-        arq::noteBeacon();
-      }
-      return;  // the network ate it; the receiver's watchdog will notice
-    case faults::Action::kDuplicate:
-      push(dest, tag, std::vector<std::byte>(framed));
-      break;
-    case faults::Action::kDelay:
-      delayed_.push_back(Delayed{dest, tag, std::move(framed)});
-      return;  // held back; flushed after later traffic -> reordering
-  }
-  push(dest, tag, std::move(framed));
-}
-
-void Comm::flushDelayed() {
-  for (auto& d : delayed_) push(d.dest, d.tag, std::move(d.bytes));
-  delayed_.clear();
-}
-
 void Comm::sendCoalesced(int dest, int tag, std::vector<std::byte> segment,
                          std::uint64_t logical_count,
                          std::uint64_t logical_bytes) {
   assert(tag >= 0 && "negative tags are reserved for collectives");
   accountSendCoalesced(dest, logical_count, logical_bytes, segment.size());
-  if (group_->domain_->framingEnabled()) {
-    postFramed(dest, tag, std::move(segment));
-    return;
-  }
   push(dest, tag, std::move(segment));
 }
 
 void Comm::reserveInbound(std::size_t n) {
   group_->boxes_[rank_].reserveInbound(n);
-}
-
-bool Comm::popWatchdog(int source, int tag,
-                       std::chrono::steady_clock::time_point start,
-                       long rto_us, detail::Mailbox::Raw& out) {
-  const int wd = group_->domain_->watchdogMs();
-  // The watchdog runs from `start`, or from now when unset; the unguarded
-  // pop reads no clock.
-  if (start == std::chrono::steady_clock::time_point{} && wd > 0)
-    start = std::chrono::steady_clock::now();
-  for (;;) {
-    // Bound each wait by the RTO slice and by what remains of the
-    // watchdog; 0 waits forever.
-    long wait_us = rto_us;
-    if (wd > 0) {
-      const long remain_us =
-          wd * 1000L -
-          static_cast<long>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - start)
-                  .count());
-      if (remain_us <= 0)
-        throw Error(ErrorCode::kTimeout, rank_, source, tag,
-                    "recv watchdog fired after " + std::to_string(wd) +
-                        "ms; last phase: " + trace::lastPhase(rank_));
-      wait_us = wait_us > 0 ? std::min(wait_us, remain_us) : remain_us;
-    }
-    if (group_->boxes_[rank_].pop(source, tag, wait_us, out)) return true;
-    if (rto_us > 0) return false;
-  }
 }
 
 Message Comm::recv(int source, int tag) { return recvImpl(source, tag, true); }
@@ -264,13 +163,8 @@ Message Comm::recvUntraced(int source, int tag) {
 }
 
 Message Comm::recvImpl(int source, int tag, bool traced) {
-  if (group_->domain_->framingEnabled()) {
-    // Our own held-back messages must not deadlock us while we block.
-    flushDelayed();
-    if (tag >= 0) return recvFramed(source, tag, traced);
-  }
   detail::Mailbox::Raw raw;
-  popWatchdog(source, tag, {}, 0, raw);
+  group_->boxes_[rank_].pop(source, tag, raw);
   Message m;
   m.source = raw.source;
   m.tag = raw.tag;
@@ -279,126 +173,6 @@ Message Comm::recvImpl(int source, int tag, bool traced) {
     trace::recvAs(rank_, m.source, static_cast<std::int64_t>(m.body.size()),
                   "pcu");
   return m;
-}
-
-std::optional<Message> Comm::serveStash(int source, int tag, bool traced) {
-  // Serve any stashed out-of-order message that has become current.
-  for (auto it = reorder_stash_.begin(); it != reorder_stash_.end(); ++it) {
-    if (it->msg.tag != tag) continue;
-    if (source != kAnySource && it->msg.source != source) continue;
-    auto& expected = recv_seq_[channelKey(it->msg.source, tag)];
-    if (it->seq != expected) continue;
-    ++expected;
-    Message m = std::move(it->msg);
-    reorder_stash_.erase(it);
-    if (group_->domain_->reliableEnabled())
-      group_->arq_store_.ack(m.source, rank_, tag, expected);
-    if (traced && trace::enabled())
-      trace::recvAs(rank_, m.source, static_cast<std::int64_t>(m.body.size()),
-                    "pcu");
-    return m;
-  }
-  return std::nullopt;
-}
-
-Message Comm::recvFramed(int source, int tag, bool traced) {
-  const bool reliable = group_->domain_->reliableEnabled();
-  const arq::Config cfg = reliable ? arq::config() : arq::Config{};
-  auto& store = group_->arq_store_;
-  const auto start = std::chrono::steady_clock::now();
-  // The strict policy blocks until a frame arrives; the reliable one wakes
-  // every RTO interval to scan the store, backing off while idle.
-  long rto_us = reliable ? cfg.rto_us : 0;
-  // What this receiver has delivered so far on (src, tag): frames below
-  // this are duplicates, frames at it are next in line.
-  auto expectedOf = [&](int src) {
-    auto it = recv_seq_.find(channelKey(src, tag));
-    return it == recv_seq_.end() ? std::uint64_t{0} : it->second;
-  };
-  // Pull a clean copy of a lost frame back into this rank's mailbox.
-  auto pull = [&](int src, std::uint64_t seq, std::vector<std::byte> bytes) {
-    arq::retransmit(*group_->domain_, src, rank_, tag, seq, 0);
-    group_->boxes_[rank_].push(src, tag, std::move(bytes));
-  };
-  // Pull every store frame on the channel(s) not yet delivered; true when
-  // at least one came through (it will surface via the mailbox).
-  auto pullChannel = [&](int src) {
-    bool recovered = false;
-    for (auto& f : store.pending(rank_, src, tag, expectedOf)) {
-      pull(f.src, f.seq, std::move(f.bytes));
-      recovered = true;
-    }
-    return recovered;
-  };
-  for (;;) {
-    if (auto m = serveStash(source, tag, traced)) return std::move(*m);
-    detail::Mailbox::Raw raw;
-    if (!popWatchdog(source, tag, start, rto_us, raw)) {
-      // RTO fired: scan the store for undelivered frames (covers delayed
-      // and reordered traffic whose beacon never existed), then back off.
-      if (!pullChannel(source))
-        rto_us = std::min(rto_us * 2, static_cast<long>(cfg.max_rto_us));
-      continue;
-    }
-    if (reliable && faults::isLossBeacon(raw.bytes)) {
-      // The injector dropped (raw.source, tag, seq): recover it from the
-      // store right now — this is what keeps the retransmit tax small.
-      const std::uint64_t seq = faults::beaconSeq(raw.bytes);
-      if (seq >= expectedOf(raw.source))
-        if (auto bytes = store.fetch(rank_, raw.source, tag, seq);
-            !bytes.empty())
-          pull(raw.source, seq, std::move(bytes));
-      continue;
-    }
-    std::uint64_t seq = 0;
-    std::vector<std::byte> payload;
-    try {
-      payload = faults::unframe(std::move(raw.bytes), seq, rank_, raw.source,
-                                tag);
-    } catch (const Error&) {
-      if (!reliable) throw;
-      // Corrupt frame: its seq field cannot be trusted, so discard it and
-      // re-fetch everything undelivered on the source channel.
-      arq::noteCorruptDropped();
-      pullChannel(raw.source);
-      continue;
-    }
-    auto& expected = recv_seq_[channelKey(raw.source, tag)];
-    if (seq < expected) {
-      if (!reliable)
-        throw Error(ErrorCode::kDuplicateMessage, rank_, raw.source, tag,
-                    "channel seq " + std::to_string(seq) +
-                        " already delivered (expected " +
-                        std::to_string(expected) + ")");
-      // Sequence-based dedup: injected duplicates and double-recovered
-      // frames vanish here instead of raising kDuplicateMessage.
-      arq::noteDuplicateDropped();
-      continue;
-    }
-    Message m;
-    m.source = raw.source;
-    m.tag = raw.tag;
-    m.body = InBuffer(std::move(payload));
-    if (seq > expected) {
-      // Arrived early (reordered): stash it and keep waiting for the
-      // in-sequence message. A strict receiver whose awaited frame was
-      // dropped turns this wait into a diagnosed kTimeout via the
-      // watchdog; a reliable one pulls it from the store.
-      reorder_stash_.push_back(Stashed{std::move(m), seq});
-      continue;
-    }
-    ++expected;
-    if (reliable) {
-      // In-order delivery acknowledges the channel prefix: the sender-side
-      // store prunes everything below `expected`.
-      store.ack(raw.source, rank_, tag, expected);
-      arq::noteAcked();
-    }
-    if (traced && trace::enabled())
-      trace::recvAs(rank_, m.source, static_cast<std::int64_t>(m.body.size()),
-                    "pcu");
-    return m;
-  }
 }
 
 bool Comm::probe(int source, int tag) {
@@ -636,9 +410,8 @@ Comm Comm::split(int color, int key) {
   g.split_entries_[static_cast<std::size_t>(rank_)] = {color, key};
   ++g.split_arrived_;
   g.split_cv_.notify_all();
-  // Rendezvous on shared state rather than an allgather: no message traffic
-  // means the split composes with chaotic fault plans (nothing here can be
-  // dropped or corrupted).
+  // Rendezvous on shared state rather than an allgather: the split posts
+  // no message, so it cannot interleave with user traffic.
   while (g.split_arrived_ < g.size_)
     g.split_cv_.wait_for(lock, std::chrono::milliseconds(2));
   // Every rank computes its own color's membership from the frozen entries;
@@ -661,9 +434,8 @@ Comm Comm::split(int color, int key) {
     if (members[i].rank == rank_) my_index = i;
   auto it = g.split_groups_.find(color);
   if (it == g.split_groups_.end()) {
-    // First rank of this color publishes the subgroup. Fresh mailboxes and
-    // ARQ store per subgroup: no cross-color traffic is possible by
-    // construction. Machine: shared-memory if all members share a node,
+    // First rank of this color publishes the subgroup. Fresh mailboxes per
+    // subgroup: no cross-color traffic is possible by construction. Machine: shared-memory if all members share a node,
     // else flat.
     bool all_same_node = true;
     for (const auto& m : members)

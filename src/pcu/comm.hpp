@@ -13,23 +13,25 @@
 /// doubling over the same p2p layer, so they exercise the messaging code
 /// path exactly as an application message would.
 ///
+/// The transport is plain and reliable, like MPI: no framing, fault
+/// injection or retransmission happens here. Those live in
+/// dist::Network, the one transport the mesh stack runs on.
+///
 /// Tags >= 0 are user tags; negative tags are reserved for collectives.
 
 #include <array>
-#include <chrono>
+#include <cassert>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
-#include "common/flatmap.hpp"
-#include "pcu/arq.hpp"
 #include "pcu/buffer.hpp"
-#include "pcu/faults.hpp"
 #include "pcu/machine.hpp"
 
 namespace pcu {
@@ -90,7 +92,7 @@ namespace detail {
 /// posts a whole batch under one lock with a single wakeup.
 class Mailbox {
  public:
-  /// A queued message in raw (possibly framed) form.
+  /// A queued message in raw form.
   struct Raw {
     int source;
     int tag;
@@ -103,11 +105,8 @@ class Mailbox {
   /// Capacity hint from a collectively agreed inbound count: pre-sizes the
   /// inbox so a burst of pushes does not reallocate under the lock.
   void reserveInbound(std::size_t n);
-  /// Blocks until a message matching (source-or-any, tag) arrives. When
-  /// timeout_us > 0, gives up after that long and returns false (the
-  /// watchdog and ARQ store-scan paths); with timeout_us == 0 it waits
-  /// forever.
-  bool pop(int source, int tag, long timeout_us, Raw& out);
+  /// Blocks until a message matching (source-or-any, tag) arrives.
+  void pop(int source, int tag, Raw& out);
   /// Non-blocking probe; true when a matching message is queued.
   bool probe(int source, int tag);
 
@@ -127,10 +126,7 @@ class Mailbox {
 
 class Comm;
 
-/// Shared state for a fixed set of communicating ranks. Every group is
-/// attached to the process default faults::Domain: all fault-injection,
-/// framing and watchdog decisions made through the group's Comms consult
-/// it, and subgroups carved by Comm::split share their parent's.
+/// Shared state for a fixed set of communicating ranks.
 class Group {
  public:
   explicit Group(int size, Machine machine = Machine());
@@ -144,9 +140,7 @@ class Group {
   friend class Comm;
   int size_;
   Machine machine_;
-  std::shared_ptr<faults::Domain> domain_;
   std::vector<detail::Mailbox> boxes_;
-  arq::ResendStore arq_store_{size_};
   // Rendezvous used by split() to carve disjoint subgroups without any
   // message traffic. Guarded by split_mutex_.
   std::mutex split_mutex_;
@@ -159,12 +153,6 @@ class Group {
 
 /// One rank's handle into a Group. All member calls are made by the owning
 /// rank's thread only; distinct Comms may be used concurrently.
-///
-/// Framed user-tag traffic has one receive path (recvFramed) with two
-/// policies: strict delivery raises a structured pcu::Error on a corrupt,
-/// repeated or (by watchdog) missing frame; reliable delivery (pcu::arq)
-/// recovers each of them from the group's arq::ResendStore through
-/// arq::retransmit, the same core dist::Network recovers with.
 class Comm {
  public:
   Comm(std::shared_ptr<Group> group, int rank);
@@ -177,12 +165,7 @@ class Comm {
   }
 
   /// --- point to point -------------------------------------------------
-  /// While a fault plan or checksum-verify mode is active
-  /// (pcu::faults::framingEnabled()), user-tag messages are framed with a
-  /// sequence number and CRC: recv() then verifies integrity, restores
-  /// per-channel FIFO order under injected reordering, and throws a
-  /// structured pcu::Error on corruption, duplication, or watchdog timeout
-  /// (or, with reliable delivery on, recovers instead).
+  /// Messages between one (source, tag) pair arrive in posting order.
   void send(int dest, int tag, const OutBuffer& buf);
   void send(int dest, int tag, std::vector<std::byte> bytes);
   /// Post one *physical* message whose payload packs `logical_count`
@@ -190,10 +173,10 @@ class Comm {
   /// (phasedExchange's coalescing fast path). Stats count the logical
   /// payloads on the logical/on-node/off-node counters and one message on
   /// the physical counters; no trace event is recorded — the caller
-  /// attributes the logical payloads itself. Framing (when active) wraps
-  /// the whole segment: one seq/CRC per physical message.
+  /// attributes the logical payloads itself.
   void sendCoalesced(int dest, int tag, std::vector<std::byte> segment,
                      std::uint64_t logical_count, std::uint64_t logical_bytes);
+  /// Blocks until a matching message arrives.
   Message recv(int source, int tag);
   /// recv() without the per-message trace record: receives one physical
   /// (possibly coalesced) message whose logical sub-messages the caller
@@ -202,10 +185,6 @@ class Comm {
   bool probe(int source, int tag);
   /// Capacity hint for this rank's mailbox (see Mailbox::reserveInbound).
   void reserveInbound(std::size_t n);
-  /// Post any delay-injected messages still held back by the fault layer.
-  /// Called automatically at recv() entry and by phasedExchange after its
-  /// posting loop; harmless no-op otherwise.
-  void flushDelayed();
 
   /// --- collectives (every rank of the group must call) ----------------
   void barrier();
@@ -252,25 +231,13 @@ class Comm {
   /// MPI_Comm_split. Returns the new comm. Implemented as a shared-state
   /// rendezvous (no message traffic), generation-safe: consecutive splits
   /// on the same group are serialized so a fast rank cannot re-enroll into
-  /// a draining round. Each subgroup gets fresh mailboxes and a fresh ARQ
-  /// store and shares the parent's fault domain. It inherits the parent
-  /// machine's node topology when all members share a node, else a flat
-  /// machine.
+  /// a draining round. Each subgroup gets fresh mailboxes. It inherits the
+  /// parent machine's node topology when all members share a node, else a
+  /// flat machine.
   Comm split(int color, int key);
 
   [[nodiscard]] const CommStats& stats() const { return stats_; }
   void resetStats() { stats_.reset(); }
-
-  /// --- fault domain ---------------------------------------------------
-  /// The group's fault domain: every framing/injection/watchdog decision on
-  /// this comm's paths consults it.
-  [[nodiscard]] faults::Domain& faultDomain() const { return *group_->domain_; }
-  /// Whether this group's traffic is framed (its domain's framing gate or
-  /// its reliable override) — the group-scoped analogue of
-  /// faults::framingEnabled().
-  [[nodiscard]] bool framingEnabled() const {
-    return group_->domain_->framingEnabled();
-  }
 
  private:
   // Internal tags for collectives; user tags are >= 0.
@@ -287,11 +254,6 @@ class Comm {
     kTagCount = -10,
   };
   void sendInternal(int dest, int tag, std::vector<std::byte> bytes);
-  /// Framed send path (active while faults::framingEnabled()): assigns the
-  /// channel sequence number, applies the fault decision, pushes frames.
-  void sendFramed(int dest, int tag, std::vector<std::byte> payload);
-  /// Frame (seq + fault decision) and push one already-accounted payload.
-  void postFramed(int dest, int tag, std::vector<std::byte> payload);
   /// Stats + trace accounting for one outgoing payload.
   void accountSend(int dest, std::size_t payload_bytes);
   /// Stats accounting for one coalesced segment (logical counters get the
@@ -301,52 +263,11 @@ class Comm {
                             std::size_t physical_bytes);
   /// Raw mailbox push, no accounting.
   void push(int dest, int tag, std::vector<std::byte> bytes);
-  /// Blocking pop from this rank's mailbox: throws Error(kTimeout) naming
-  /// the channel and this rank's last-known phase once the watchdog
-  /// (measured from `start`, or from the call when it is unset) fires.
-  /// With rto_us > 0 it also gives up after that long and returns false:
-  /// the reliable receive's store-scan tick.
-  bool popWatchdog(int source, int tag,
-                   std::chrono::steady_clock::time_point start, long rto_us,
-                   detail::Mailbox::Raw& out);
   Message recvImpl(int source, int tag, bool traced);
-  /// Framed receive: verify, deduplicate, restore per-channel order. The
-  /// strict policy throws a structured pcu::Error on a corrupt or repeated
-  /// frame. The reliable policy (the group's domain has reliability on,
-  /// pcu::arq) recovers instead: corrupt frames are discarded and
-  /// re-fetched, duplicates silently dropped, lost frames pulled from the
-  /// group's resend store (loss beacons make that immediate; a
-  /// capped-backoff RTO scan covers delayed traffic). Only a retransmit
-  /// budget exhausted under a permanent fault converts to
-  /// Error(kMessageLost).
-  Message recvFramed(int source, int tag, bool traced);
-  /// Serve a stashed reordered message that has become current; nullopt
-  /// when none matches.
-  std::optional<Message> serveStash(int source, int tag, bool traced);
-  [[nodiscard]] static std::uint64_t channelKey(int peer, int tag) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer))
-            << 32) |
-           static_cast<std::uint32_t>(tag);
-  }
 
   std::shared_ptr<Group> group_;
   int rank_;
   CommStats stats_;
-  // Framed-channel state; touched only while framing is enabled. All
-  // members are used by the owning rank's thread only.
-  common::FlatMap<std::uint64_t, std::uint64_t> send_seq_;
-  common::FlatMap<std::uint64_t, std::uint64_t> recv_seq_;
-  struct Stashed {
-    Message msg;
-    std::uint64_t seq;
-  };
-  std::vector<Stashed> reorder_stash_;
-  struct Delayed {
-    int dest;
-    int tag;
-    std::vector<std::byte> bytes;
-  };
-  std::vector<Delayed> delayed_;
 };
 
 /// ---- templated member implementations ---------------------------------

@@ -7,9 +7,8 @@
 /// A pcu::Error names what went wrong (code), where (rank/part), on which
 /// channel (peer, tag) and why (detail), so a failure in a distributed
 /// operation is diagnosable instead of undefined behaviour or a hang. The
-/// fault-hardening layers (pcu framing, dist transactional operations)
-/// throw these; agreeOnError() (faults.hpp) propagates any rank's error to
-/// every rank of a communicator so they fail together.
+/// fault-hardening layers (dist::Network framing, dist transactional
+/// operations) throw these.
 
 #include <stdexcept>
 #include <string>
@@ -22,9 +21,7 @@ enum class ErrorCode : std::uint8_t {
   kCorruptPayload,    ///< frame CRC/magic mismatch at receive
   kDuplicateMessage,  ///< channel sequence number already delivered
   kMessageLost,       ///< channel sequence gap at a phase boundary
-  kTimeout,           ///< watchdog fired on a blocking receive
   kValidation,        ///< operation input rejected before any mutation
-  kRemoteAbort,       ///< another rank reported an error; aborting together
   kProtocol,          ///< internal protocol invariant violated
   kRankFailed,        ///< a rank died or went silent at a phase boundary
   kAdmission,         ///< service admission control rejected or shed a job
@@ -38,9 +35,7 @@ inline const char* errorCodeName(ErrorCode c) {
     case ErrorCode::kCorruptPayload: return "corrupt-payload";
     case ErrorCode::kDuplicateMessage: return "duplicate-message";
     case ErrorCode::kMessageLost: return "message-lost";
-    case ErrorCode::kTimeout: return "timeout";
     case ErrorCode::kValidation: return "validation";
-    case ErrorCode::kRemoteAbort: return "remote-abort";
     case ErrorCode::kProtocol: return "protocol";
     case ErrorCode::kRankFailed: return "rank-failed";
     case ErrorCode::kAdmission: return "admission";

@@ -1,15 +1,11 @@
 #include "pcu/faults.hpp"
 
-#include <array>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <thread>
 #include <tuple>
 
 #include "pcu/arq.hpp"
-#include "pcu/comm.hpp"
 #include "pcu/envspec.hpp"
 
 namespace pcu::faults {
@@ -73,14 +69,9 @@ void envLatch(Domain& d) {
 void Domain::install(const FaultPlan& p) {
   std::lock_guard<std::mutex> lock(mutex_);
   plan_ = p;
-  stall_budget_.clear();
   kill_fired_ = false;
   hang_fired_ = false;
   join_fired_ = false;
-  if (p.stall_rank >= 0 && p.stall_steps > 0) {
-    stall_budget_.assign(static_cast<std::size_t>(p.stall_rank) + 1, 0);
-    stall_budget_[static_cast<std::size_t>(p.stall_rank)] = p.stall_steps;
-  }
   memflip_fired_ = false;
   const bool rank_fault = p.kill.scheduled() || p.hang.scheduled();
   injecting_.store(p.injects(), std::memory_order_relaxed);
@@ -95,7 +86,6 @@ void Domain::install(const FaultPlan& p) {
   // deterministic — frame like checksum-verify mode does.
   framing_.store(p.injects() || p.checksum_only || p.join.scheduled(),
                  std::memory_order_relaxed);
-  watchdog_ms_.store(p.watchdog_ms, std::memory_order_relaxed);
   rank_fault_.store(rank_fault, std::memory_order_relaxed);
   join_.store(p.join.scheduled(), std::memory_order_relaxed);
   deadline_ms_.store(p.deadline_ms > 0
@@ -228,21 +218,6 @@ std::uint64_t ioPathHash(const std::string& path) {
   return h;
 }
 
-void Domain::maybeStall(int rank) {
-  if (!enabled() || rank < 0) return;
-  int sleep_ms = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (static_cast<std::size_t>(rank) < stall_budget_.size() &&
-        stall_budget_[static_cast<std::size_t>(rank)] > 0) {
-      --stall_budget_[static_cast<std::size_t>(rank)];
-      sleep_ms = plan_.stall_ms;
-    }
-  }
-  if (sleep_ms > 0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-}
-
 std::shared_ptr<Domain> defaultDomain() {
   static std::shared_ptr<Domain> d = std::make_shared<Domain>();
   envLatch(*d);
@@ -276,7 +251,7 @@ FaultPlan parsePlan(const std::string& spec) {
   // consume its whole token, unsigned fields reject signs, probabilities
   // live in [0,1]; every rejection is a kValidation error naming the bad
   // token. The previous stoull/stod parsing silently accepted trailing
-  // garbage ("drop=0.5xyz"), negative stallms, and wrapping seeds.
+  // garbage ("drop=0.5xyz") and wrapping seeds.
   const std::string env = "PUMI_FAULTS";
   FaultPlan p;
   // Repeated keys are a spec error, not a silent overwrite: a plan whose
@@ -309,16 +284,6 @@ FaultPlan parsePlan(const std::string& spec) {
       p.duplicate = envspec::parseProb(env, key, val);
     } else if (key == "delay") {
       p.delay = envspec::parseProb(env, key, val);
-    } else if (key == "stall") {
-      const std::size_t colon = val.find(':');
-      if (colon == std::string::npos)
-        envspec::fail(env, "stall wants RANK:STEPS, got \"" + val + "\"");
-      p.stall_rank = envspec::parseInt(env, "stall rank", val.substr(0, colon),
-                                       0, 1 << 24);
-      p.stall_steps = envspec::parseInt(env, "stall steps",
-                                        val.substr(colon + 1), 0, 1 << 30);
-    } else if (key == "stallms") {
-      p.stall_ms = envspec::parseInt(env, key, val, 0, 1 << 30);
     } else if (key == "kill") {
       std::tie(p.kill.rank, p.kill.phase) =
           envspec::parseRankAtPhase(env, key, val);
@@ -338,8 +303,6 @@ FaultPlan parsePlan(const std::string& spec) {
           envspec::parseInt(env, "join phase", val.substr(at + 1), 0, 1 << 30);
     } else if (key == "deadline") {
       p.deadline_ms = envspec::parseInt(env, key, val, 0, 1 << 30);
-    } else if (key == "watchdog") {
-      p.watchdog_ms = envspec::parseInt(env, key, val, 0, 1 << 30);
     } else if (key == "checksum") {
       p.checksum_only = envspec::parseBool(env, key, val);
     } else if (key == "iobitrot") {
@@ -398,8 +361,6 @@ bool enabled() { return current().enabled(); }
 
 bool framingEnabled() { return current().framingEnabled(); }
 
-int watchdogMs() { return current().watchdogMs(); }
-
 bool hasRankFault() { return current().hasRankFault(); }
 
 int deadlineMs() { return current().deadlineMs(); }
@@ -421,8 +382,6 @@ int fireJoin(std::uint64_t phase) { return current().fireJoin(phase); }
 Action decide(int src, int dst, int tag, std::uint64_t seq) {
   return current().decide(src, dst, tag, seq);
 }
-
-void maybeStall(int rank) { current().maybeStall(rank); }
 
 bool ioEnabled() { return current().ioEnabled(); }
 
@@ -501,40 +460,6 @@ std::vector<std::byte> unframe(std::vector<std::byte> framed,
   framed.erase(framed.begin(),
                framed.begin() + static_cast<std::ptrdiff_t>(kFrameHeaderBytes));
   return framed;
-}
-
-std::vector<std::byte> lossBeacon(std::uint64_t seq) {
-  std::vector<std::byte> out(kBeaconBytes);
-  put32(out.data(), kBeaconMagic);
-  put64(out.data() + 4, seq);
-  return out;
-}
-
-bool isLossBeacon(const std::vector<std::byte>& bytes) {
-  return bytes.size() == kBeaconBytes && get32(bytes.data()) == kBeaconMagic;
-}
-
-std::uint64_t beaconSeq(const std::vector<std::byte>& bytes) {
-  return get64(bytes.data() + 4);
-}
-
-void agreeOnError(Comm& comm, const Error* local) {
-  // Encode (has-error ? rank : INT_MAX, code): the allreduce-min picks the
-  // lowest failing rank deterministically.
-  const long self_key =
-      local != nullptr
-          ? (static_cast<long>(comm.rank()) << 8) |
-                static_cast<long>(static_cast<std::uint8_t>(local->code()))
-          : (static_cast<long>(comm.size()) << 8);
-  const long min_key = comm.allreduceMin<long>(self_key);
-  const int fail_rank = static_cast<int>(min_key >> 8);
-  if (fail_rank >= comm.size()) return;  // nobody failed
-  if (local != nullptr) throw *local;
-  const auto code = static_cast<ErrorCode>(min_key & 0xFF);
-  throw Error(ErrorCode::kRemoteAbort, comm.rank(),
-              std::string("collective abort: rank ") +
-                  std::to_string(fail_rank) + " reported " +
-                  errorCodeName(code));
 }
 
 }  // namespace pcu::faults

@@ -7,20 +7,20 @@
 /// The paper's algorithms assume a perfectly reliable transport. This
 /// subsystem makes that assumption testable: under an explicit FaultPlan
 /// (programmatic via setPlan(), or from the PUMI_FAULTS environment
-/// variable) the send paths of pcu::Comm and dist::Network deterministically
-/// corrupt payload bytes, drop or duplicate messages, delay/reorder
-/// deliveries, and stall a rank — every decision is a pure function of
-/// (seed, src, dst, tag, per-channel sequence number), so a seeded chaos
-/// run replays bit-identically.
+/// variable) dist::Network's send path deterministically corrupts payload
+/// bytes, drops or duplicates messages and delays/reorders deliveries —
+/// every decision is a pure function of (seed, src, dst, tag, per-channel
+/// sequence number), so a seeded chaos run replays bit-identically.
+/// pcu::Comm, the MPI stand-in, is never framed or faulted.
 ///
 /// Hardening rides on the same switch: whenever a plan is active (or
-/// checksum-verify mode is on) every user-tag message is framed with a
-/// header carrying a magic word, a per-(src,dst,tag)-channel sequence
-/// number, and a CRC32 of the payload. Receivers verify the frame and
-/// surface corruption, duplication, loss and reordering as structured
-/// pcu::Error values instead of undefined behaviour. With no plan active
-/// the framing code is never entered: the hot path pays one relaxed atomic
-/// load.
+/// checksum-verify mode is on) every physical Network message is framed
+/// with a header carrying a magic word, a per-(from,to)-channel sequence
+/// number, and a CRC32 of the payload. The phase boundary verifies the
+/// frames and surfaces corruption, duplication, loss and reordering as
+/// structured pcu::Error values instead of undefined behaviour. With no
+/// plan active the framing code is never entered: the hot path pays one
+/// relaxed atomic load.
 ///
 /// PUMI_FAULTS syntax (comma-separated key=value):
 ///   seed=42            deterministic stream seed
@@ -28,8 +28,6 @@
 ///   drop=0.01          per-message probability of dropping
 ///   dup=0.01           per-message probability of duplication
 ///   delay=0.02         per-message probability of delayed (reordered) delivery
-///   stall=R:N          rank R sleeps at its next N phased-exchange steps
-///   stallms=M          stall sleep per step, milliseconds (default 2)
 ///   kill=R@P           rank R dies at the P-th dist::Network phase
 ///                      boundary under the plan
 ///   hang=R@P           rank R goes silent at Network phase boundary P
@@ -40,7 +38,6 @@
 ///   deadline=MS        the Network's hang-detection latency: how long a
 ///                      hung rank stays silent before it is declared dead
 ///                      (default 50 while a kill/hang is scheduled)
-///   watchdog=MS        blocking-receive watchdog timeout, ms (0 = off)
 ///   checksum=1         frame+verify only, no injection ("checksum-verify")
 ///
 /// Storage fault tokens (decided by the pario::File shim, pure in
@@ -112,10 +109,6 @@
 #include "common/crc32.hpp"
 #include "pcu/error.hpp"
 
-namespace pcu {
-class Comm;
-}
-
 namespace pcu::faults {
 
 /// A scheduled whole-rank fault: rank `rank` dies (kill) or goes silent
@@ -163,14 +156,10 @@ struct FaultPlan {
   double drop = 0.0;
   double duplicate = 0.0;
   double delay = 0.0;
-  int stall_rank = -1;   ///< rank to stall (-1: none)
-  int stall_steps = 0;   ///< phased-exchange steps the rank stalls for
-  int stall_ms = 2;      ///< sleep per stalled step
   RankFault kill;        ///< whole-rank death
   RankFault hang;        ///< whole-rank silence (detected after deadline_ms)
   RankJoin join;         ///< elastic scale-out: K new ranks at boundary P
   int deadline_ms = 0;   ///< hang-detection latency; 0 = default when kill/hang
-  int watchdog_ms = 0;   ///< blocking-recv timeout; 0 disables the watchdog
   bool checksum_only = false;  ///< frame + verify without injecting faults
   double iobitrot = 0.0;  ///< per-read probability of a flipped byte
   double iotorn = 0.0;    ///< per-write probability of a torn (prefix) write
@@ -185,7 +174,7 @@ struct FaultPlan {
   /// transactional mode.
   [[nodiscard]] bool injects() const {
     return corrupt > 0 || drop > 0 || duplicate > 0 || delay > 0 ||
-           stall_steps > 0 || kill.scheduled() || hang.scheduled();
+           kill.scheduled() || hang.scheduled();
   }
   /// Storage-path injection gate (the pario::File shim's one-load check).
   [[nodiscard]] bool ioInjects() const {
@@ -213,13 +202,6 @@ enum class Action : std::uint8_t {
   kDelay,
 };
 
-/// True when `a` keeps a frame from reaching its receiver's mailbox intact
-/// (dropped, delayed or corrupted): only such a frame can need a
-/// retransmission from the sender's resend store.
-constexpr bool mayLose(Action a) {
-  return a != Action::kDeliver && a != Action::kDuplicate;
-}
-
 /// Which side of the storage shim an I/O decision is for.
 enum class IoOp : std::uint8_t { kRead, kWrite };
 
@@ -243,7 +225,7 @@ std::uint64_t ioPathHash(const std::string& path);
 inline constexpr int kDefaultRankFaultDeadlineMs = 50;
 
 /// One injector's complete state: the installed plan, its hot-path gate
-/// atomics, the consumed-once phase-event flags and the stall budget.
+/// atomics and the consumed-once phase-event flags.
 /// Thread-safe: the plan is written under a mutex at quiescent points, the
 /// hot-path queries are one relaxed atomic load each. A Domain also
 /// carries an optional reliable-delivery override so a tenant can switch
@@ -256,7 +238,7 @@ class Domain {
 
   /// Install a plan (enables framing; enables injection when it injects).
   void install(const FaultPlan& plan);
-  /// Remove the plan: no framing, no injection, watchdog off.
+  /// Remove the plan: no framing, no injection.
   void clear() { install(FaultPlan{}); }
   /// The installed plan. Meaningful only while framingEnabled().
   [[nodiscard]] FaultPlan plan() const;
@@ -283,9 +265,6 @@ class Domain {
     return reliable_override_.load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] int watchdogMs() const {
-    return watchdog_ms_.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] bool hasRankFault() const {
     return rank_fault_.load(std::memory_order_relaxed);
   }
@@ -314,8 +293,6 @@ class Domain {
   /// tag, seq). kDeliver when injection is off.
   [[nodiscard]] Action decide(int src, int dst, int tag,
                               std::uint64_t seq) const;
-  /// Sleep if `rank` has stall steps scheduled; consumes one step.
-  void maybeStall(int rank);
 
   /// True when storage fault injection is active under this domain.
   [[nodiscard]] bool ioEnabled() const {
@@ -343,7 +320,6 @@ class Domain {
  private:
   mutable std::mutex mutex_;
   FaultPlan plan_;
-  std::vector<int> stall_budget_;  // per-rank remaining stall steps
   bool kill_fired_ = false;
   bool hang_fired_ = false;
   bool join_fired_ = false;
@@ -355,7 +331,6 @@ class Domain {
   std::atomic<bool> framing_{false};
   std::atomic<bool> rank_fault_{false};
   std::atomic<bool> join_{false};
-  std::atomic<int> watchdog_ms_{0};
   std::atomic<int> deadline_ms_{0};
   std::atomic<int> reliable_override_{-1};
 };
@@ -399,8 +374,6 @@ FaultPlan plan();
 bool enabled();
 /// True when messages must be framed/verified under the ambient domain.
 bool framingEnabled();
-/// Watchdog timeout for blocking receives; 0 when off.
-int watchdogMs();
 
 /// --- rank faults (kill/hang) --------------------------------------------
 
@@ -436,10 +409,6 @@ int fireJoin(std::uint64_t phase);
 /// Deterministic per-message decision under the ambient domain: pure in
 /// (plan seed, src, dst, tag, seq). Returns kDeliver when injection is off.
 Action decide(int src, int dst, int tag, std::uint64_t seq);
-
-/// Sleep if `rank` has stall steps scheduled and budget remaining; consumes
-/// one step. Called at phased-exchange entry.
-void maybeStall(int rank);
 
 /// --- storage faults (pario::File shim) ----------------------------------
 
@@ -497,32 +466,6 @@ void corruptFrame(std::vector<std::byte>& framed, int src, int dst, int tag,
 std::vector<std::byte> unframe(std::vector<std::byte> framed,
                                std::uint64_t& seq_out, int self, int src,
                                int tag);
-
-/// --- loss beacons (reliable mode) ---------------------------------------
-/// When reliable delivery is on, a dropped frame is replaced by a tiny
-/// beacon carrying the lost sequence number, so the receiver pulls the
-/// retransmission from the sender's store immediately instead of waiting
-/// out the RTO timer. Beacons use a distinct magic word; they only exist
-/// on framed channels, so they can never be mistaken for payload.
-
-inline constexpr std::uint32_t kBeaconMagic = 0x5043554Cu;  // "PCUL"
-inline constexpr std::size_t kBeaconBytes = 12;  // magic(u32) + seq(u64)
-
-/// Build a loss beacon for channel sequence `seq`.
-std::vector<std::byte> lossBeacon(std::uint64_t seq);
-/// True when `bytes` is a loss beacon.
-bool isLossBeacon(const std::vector<std::byte>& bytes);
-/// The lost sequence number a beacon names (call only when isLossBeacon).
-std::uint64_t beaconSeq(const std::vector<std::byte>& bytes);
-
-/// --- collective error agreement ----------------------------------------
-
-/// Collective: every rank passes its local error (or nullptr). If any rank
-/// reported one, all ranks throw together — the reporting rank rethrows its
-/// own error, the others throw kRemoteAbort naming the lowest failing rank.
-/// Runs over the comm's internal (never fault-injected) collectives, so it
-/// always terminates. Returns normally iff no rank had an error.
-void agreeOnError(Comm& comm, const Error* local);
 
 }  // namespace pcu::faults
 

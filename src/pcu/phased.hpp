@@ -12,23 +12,20 @@
 /// Two scalability properties of the paper's PCU are reproduced here:
 ///  - all payloads bound for the same peer are coalesced into one physical
 ///    message per (rank, peer) pair and split back into logical messages on
-///    receipt, so per-message overhead (mailbox lock, allocation, frame,
-///    trace record) is paid per *neighbour*, not per payload;
+///    receipt, so per-message overhead (mailbox lock, allocation, trace
+///    record) is paid per *neighbour*, not per payload;
 ///  - the number of inbound messages is agreed on with a sparse
 ///    reduce-scatter over (destination, count) contributions, so per-phase
 ///    collective traffic is proportional to the number of actual neighbour
 ///    pairs (times log P), not to a size-P vector per rank.
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "pcu/buffer.hpp"
 #include "pcu/comm.hpp"
-#include "pcu/error.hpp"
-#include "pcu/faults.hpp"
 #include "pcu/trace.hpp"
 
 namespace pcu {
@@ -81,13 +78,6 @@ inline void unpackSegment(int self, Message physical,
 /// addressed to this rank in the same phase. Every rank of the comm must
 /// call this (possibly with an empty list). Received messages carry their
 /// source rank and arrive in arbitrary source order.
-///
-/// While a fault plan is active the exchange is hardened: physical messages
-/// are framed and verified (one seq/CRC per coalesced segment), injected
-/// stalls are applied, and any rank's structured error (corruption,
-/// duplication, watchdog timeout) is agreed on collectively so every rank
-/// throws together — a faulty phase aborts cleanly instead of hanging or
-/// silently corrupting the caller.
 inline std::vector<Message> phasedExchange(
     Comm& comm, std::vector<std::pair<int, OutBuffer>> outgoing,
     PhasedOptions options = {}) {
@@ -128,44 +118,25 @@ inline std::vector<Message> phasedExchange(
   const long expected = comm.reduceScatterSum(contributions);
   comm.reserveInbound(static_cast<std::size_t>(expected));
 
-  std::vector<Message> received;
-  received.reserve(static_cast<std::size_t>(expected));
-  auto post = [&]() {
-    if (!options.coalesce) {
-      for (auto& [dest, buf] : outgoing)
-        comm.send(dest, kPhasedTag, std::move(buf).take());
-      return;
-    }
+  if (options.coalesce) {
     for (auto& seg : segments)
       comm.sendCoalesced(seg.dest, kPhasedTag, std::move(seg.bytes).take(),
                          seg.count, seg.logical_bytes);
-  };
-  auto collect = [&]() {
-    for (long i = 0; i < expected; ++i) {
-      if (options.coalesce) {
-        detail::unpackSegment(comm.rank(),
-                              comm.recvUntraced(kAnySource, kPhasedTag),
-                              received);
-      } else {
-        received.push_back(comm.recv(kAnySource, kPhasedTag));
-      }
+  } else {
+    for (auto& [dest, buf] : outgoing)
+      comm.send(dest, kPhasedTag, std::move(buf).take());
+  }
+  std::vector<Message> received;
+  received.reserve(static_cast<std::size_t>(expected));
+  for (long i = 0; i < expected; ++i) {
+    if (options.coalesce) {
+      detail::unpackSegment(comm.rank(),
+                            comm.recvUntraced(kAnySource, kPhasedTag),
+                            received);
+    } else {
+      received.push_back(comm.recv(kAnySource, kPhasedTag));
     }
-  };
-  if (!comm.framingEnabled()) {
-    post();
-    collect();
-    return received;
   }
-  comm.faultDomain().maybeStall(comm.rank());
-  std::optional<Error> local;
-  try {
-    post();
-    comm.flushDelayed();
-    collect();
-  } catch (const Error& e) {
-    local = e;
-  }
-  faults::agreeOnError(comm, local ? &*local : nullptr);
   return received;
 }
 

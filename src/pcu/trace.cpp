@@ -118,20 +118,6 @@ thread_local Buffer* tls_buffer = nullptr;
 thread_local int tls_rank = -1;
 thread_local const char* tls_tenant = nullptr;
 
-/// Last begin()-phase per rank, for watchdog failure reports. Fixed size:
-/// ranks beyond the window are simply not tracked.
-constexpr int kPhaseRanks = 1024;
-std::array<std::atomic<const char*>, kPhaseRanks>& phaseRegistry() {
-  static std::array<std::atomic<const char*>, kPhaseRanks> a{};
-  return a;
-}
-
-void notePhase(int rank, const char* name) {
-  if (rank >= 0 && rank < kPhaseRanks)
-    phaseRegistry()[static_cast<std::size_t>(rank)].store(
-        name, std::memory_order_relaxed);
-}
-
 Buffer* threadBuffer() {
   if (tls_buffer == nullptr) {
     auto& r = registry();
@@ -189,14 +175,6 @@ int threadRank() { return tls_rank; }
 void setThreadTenant(const char* tenant) { tls_tenant = tenant; }
 const char* threadTenant() { return tls_tenant; }
 
-const char* lastPhase(int rank) {
-  if (rank < 0 || rank >= kPhaseRanks) return "?";
-  const char* p =
-      phaseRegistry()[static_cast<std::size_t>(rank)].load(
-          std::memory_order_relaxed);
-  return p != nullptr ? p : "?";
-}
-
 const char* intern(std::string_view name) {
   auto& p = internPool();
   std::lock_guard<std::mutex> lock(p.mutex);
@@ -204,14 +182,12 @@ const char* intern(std::string_view name) {
 }
 
 void begin(const char* name) {
-  notePhase(tls_rank, name);
   if (enabled()) record(Kind::kBegin, tls_rank, -1, 0, name);
 }
 void end(const char* name) {
   if (enabled()) record(Kind::kEnd, tls_rank, -1, 0, name);
 }
 void beginAs(int rank, const char* name) {
-  notePhase(rank, name);
   if (enabled()) record(Kind::kBegin, rank, -1, 0, name);
 }
 void endAs(int rank, const char* name) {

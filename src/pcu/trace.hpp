@@ -77,12 +77,6 @@ void setThreadTenant(const char* tenant);
 /// passed directly instead.
 const char* intern(std::string_view name);
 
-/// Most recent begin()-phase name recorded for a rank, or "?" when none.
-/// Maintained even while tracing is disabled (one relaxed pointer store per
-/// begin), so watchdog failure reports can always name each rank's
-/// last-known phase.
-const char* lastPhase(int rank);
-
 /// --- recording (all no-ops when disabled) ------------------------------
 void begin(const char* name);
 void end(const char* name);

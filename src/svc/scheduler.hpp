@@ -15,8 +15,8 @@
 ///
 ///  - a fresh pcu::faults::Domain installed as the thread's ambient domain
 ///    (faults::DomainScope), so the job's chaos spec, reliable-delivery
-///    override, watchdog and hang-detection deadline are scoped to the
-///    tenant — a sibling tenant's traffic never sees them;
+///    override and hang-detection deadline are scoped to the tenant — a
+///    sibling tenant's traffic never sees them;
 ///  - a pcu::trace::TenantScope, so every trace event the job records is
 ///    stamped with the tenant for per-tenant reporting
 ///    (stats::buildTraceReport(merged, tenant)).

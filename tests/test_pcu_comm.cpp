@@ -4,7 +4,9 @@
 #include <numeric>
 #include <vector>
 
+#include "pcu/arq.hpp"
 #include "pcu/comm.hpp"
+#include "pcu/faults.hpp"
 #include "pcu/phased.hpp"
 #include "pcu/runtime.hpp"
 
@@ -290,6 +292,68 @@ TEST(PcuComm, LargePayloadRoundTrip) {
       EXPECT_EQ(data[0], 0);
       EXPECT_EQ(data[big - 1], static_cast<int>(big) - 1);
     }
+  });
+}
+
+TEST(PcuComm, PlainTransportIgnoresFaultPlanAndReliableMode) {
+  // pcu::Comm is the MPI stand-in: fault plans and reliable delivery act on
+  // dist::Network only. Under a plan that drops and corrupts every message,
+  // with reliability on, every payload still arrives exactly once, intact.
+  struct Guard {
+    Guard() {
+      pcu::faults::FaultPlan plan;
+      plan.seed = 3;
+      plan.drop = 1.0;
+      plan.corrupt = 1.0;
+      pcu::faults::setPlan(plan);
+      pcu::arq::setReliable(true);
+    }
+    ~Guard() {
+      pcu::arq::setReliable(false);
+      pcu::faults::clearPlan();
+    }
+  } guard;
+  ASSERT_TRUE(pcu::faults::enabled());
+  constexpr int kRanks = 4;
+  constexpr int kRounds = 3;
+  pcu::run(kRanks, [&](pcu::Comm& c) {
+    for (int round = 0; round < kRounds; ++round) {
+      // Two payloads to every rank, this one included.
+      std::vector<std::pair<int, pcu::OutBuffer>> out;
+      for (int dest = 0; dest < kRanks; ++dest)
+        for (int k = 0; k < 2; ++k) {
+          pcu::OutBuffer b;
+          b.pack<int>(c.rank());
+          b.pack<int>(round * 100 + dest * 10 + k);
+          out.emplace_back(dest, std::move(b));
+        }
+      std::vector<int> got(static_cast<std::size_t>(kRanks * 2), 0);
+      for (auto& m : pcu::phasedExchange(c, std::move(out))) {
+        const int src = m.body.unpack<int>();
+        const int value = m.body.unpack<int>();
+        EXPECT_EQ(src, m.source);
+        const int k = value - (round * 100 + c.rank() * 10);
+        ASSERT_TRUE(k == 0 || k == 1) << "foreign payload " << value;
+        ++got[static_cast<std::size_t>(src * 2 + k)];
+      }
+      for (int n : got) EXPECT_EQ(n, 1) << "rank " << c.rank();
+    }
+  });
+  pcu::run(2, [](pcu::Comm& c) {
+    for (int i = 0; i < 8; ++i) {
+      if (c.rank() == 0) {
+        c.send(1, 1, std::vector<std::byte>(64, std::byte(i)));
+        auto reply = c.recv(1, 2).body.unpackRaw(64);
+        EXPECT_EQ(reply, std::vector<std::byte>(64, std::byte(i + 1)));
+      } else {
+        auto ping = c.recv(0, 1).body.unpackRaw(64);
+        EXPECT_EQ(ping, std::vector<std::byte>(64, std::byte(i)));
+        c.send(0, 2, std::vector<std::byte>(64, std::byte(i + 1)));
+      }
+    }
+    // A repeated payload would either fail a content check above or still
+    // be queued here.
+    EXPECT_FALSE(c.probe(1 - c.rank(), c.rank() == 0 ? 2 : 1));
   });
 }
 

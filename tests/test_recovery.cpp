@@ -3,15 +3,14 @@
 ///
 /// Contract under test (ISSUE: self-healing messaging): with reliable
 /// delivery on, any *transient* fault plan (drop/corrupt/dup/delay at
-/// p <= 5%) must be invisible — pcu exchanges deliver every payload intact
-/// and dist operations commit verify()-clean, across many seeds, with zero
-/// aborts. *Permanent* plans must exhaust the bounded retry budget and
+/// p <= 5%) must be invisible — dist::Network phases deliver every payload
+/// intact and dist operations commit verify()-clean, across many seeds,
+/// with zero aborts. *Permanent* plans must exhaust the bounded retry budget and
 /// surface the existing structured pcu::Error, never hang. And a
 /// checkpointed mesh killed mid-run must restore fingerprint()-identical.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -31,8 +30,6 @@
 #include "pcu/arq.hpp"
 #include "pcu/error.hpp"
 #include "pcu/faults.hpp"
-#include "pcu/phased.hpp"
-#include "pcu/runtime.hpp"
 
 namespace {
 
@@ -67,152 +64,7 @@ faults::FaultPlan transientPlan(std::uint64_t seed, double p) {
   faults::FaultPlan plan;
   plan.seed = seed;
   plan.corrupt = plan.drop = plan.duplicate = plan.delay = p;
-  plan.watchdog_ms = 5000;  // safety net only; recovery should never need it
   return plan;
-}
-
-/// --- tier 1: reliable pcu channels ---------------------------------------
-
-/// Deterministic phased exchanges where every payload is accounted for:
-/// returns (sum sent, sum received) across all ranks — equal iff delivery
-/// was lossless and dedup exact.
-std::pair<long, long> accountedExchanges(int n, int rounds,
-                                         std::uint64_t seed) {
-  std::atomic<long> sent{0};
-  std::atomic<long> received{0};
-  pcu::run(n, [&](pcu::Comm& c) {
-    common::Rng rng(seed + 1000 * static_cast<std::uint64_t>(c.rank()));
-    for (int r = 0; r < rounds; ++r) {
-      std::vector<std::pair<int, pcu::OutBuffer>> out;
-      const int nmsg = 1 + static_cast<int>(rng.below(3));
-      for (int m = 0; m < nmsg; ++m) {
-        const long v = static_cast<long>(rng.below(1000));
-        sent += v;
-        pcu::OutBuffer b;
-        b.pack<long>(v);
-        out.emplace_back(
-            static_cast<int>(rng.below(static_cast<std::uint64_t>(n))),
-            std::move(b));
-      }
-      auto msgs = pcu::phasedExchange(c, std::move(out));
-      for (auto& m : msgs) received += m.body.unpack<long>();
-    }
-  });
-  return {sent.load(), received.load()};
-}
-
-TEST(PcuReliable, TransientChaosDeliversEverySeed) {
-  // The exact workload that completes-or-aborts in test_faults must now
-  // *always* complete with every payload delivered exactly once: 20 seeds,
-  // all four fault kinds live at once.
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    ReliableGuard rel;
-    PlanGuard g(transientPlan(seed, 0.05));
-    const auto [sent, received] = accountedExchanges(4, 5, seed * 31);
-    EXPECT_EQ(sent, received) << "seed " << seed
-                              << ": payloads lost or duplicated";
-  }
-}
-
-TEST(PcuReliable, RecoveryIsExercisedNotVacuous) {
-  // Drive enough traffic through a lossy plan that the ARQ machinery
-  // provably ran: beacons were sent for drops and retransmissions recovered
-  // real payloads.
-  ReliableGuard rel;
-  faults::FaultPlan p;
-  p.seed = 11;
-  p.drop = 0.15;
-  p.watchdog_ms = 5000;
-  PlanGuard g(p);
-  const auto [sent, received] = accountedExchanges(4, 10, 99);
-  EXPECT_EQ(sent, received);
-  const auto st = arq::stats();
-  EXPECT_GT(st.beacons_sent, 0u);
-  EXPECT_GT(st.recovered, 0u);
-}
-
-TEST(PcuReliable, ZeroLossPingPongRecoversNothing) {
-  // With framing on and no loss, every frame reaches its receiver's mailbox
-  // intact, so no store scan may pull one: a 256 KiB frame takes longer to
-  // build than the first RTO interval, and a scan that saw it stored before
-  // it was posted would count a spurious recovery (and copy 256 KiB).
-  ReliableGuard rel;
-  faults::FaultPlan p;
-  p.checksum_only = true;
-  PlanGuard g(p);
-  const std::vector<std::byte> data(std::size_t{256} * 1024, std::byte{7});
-  for (int round = 0; round < 4; ++round) {
-    pcu::run(2, [&](pcu::Comm& c) {
-      for (int i = 0; i < 8; ++i) {
-        if (c.rank() == 0) {
-          c.send(1, 1, std::vector<std::byte>(data));
-          EXPECT_EQ(c.recv(1, 2).body.size(), data.size());
-        } else {
-          EXPECT_EQ(c.recv(0, 1).body.size(), data.size());
-          c.send(0, 2, std::vector<std::byte>(data));
-        }
-      }
-    });
-  }
-  const auto st = arq::stats();
-  EXPECT_EQ(st.recovered, 0u);
-  EXPECT_EQ(st.retransmits, 0u);
-  EXPECT_EQ(st.frames_stored, 64u);
-}
-
-TEST(PcuReliable, PermanentDropExhaustsBudgetStructurally) {
-  // drop=1.0 defeats every retransmission: the bounded budget must convert
-  // to a structured kMessageLost naming the budget — not a hang, and not an
-  // unstructured failure.
-  ReliableGuard rel;
-  faults::FaultPlan p;
-  p.seed = 9;
-  p.drop = 1.0;
-  p.watchdog_ms = 2000;
-  PlanGuard g(p);
-  try {
-    pcu::run(4, [&](pcu::Comm& c) {
-      std::vector<std::pair<int, pcu::OutBuffer>> out;
-      pcu::OutBuffer b;
-      b.pack<int>(c.rank());
-      out.emplace_back((c.rank() + 1) % 4, std::move(b));
-      pcu::phasedExchange(c, std::move(out));
-    });
-    FAIL() << "exchange with every message and retransmission dropped "
-              "completed";
-  } catch (const Error& e) {
-    EXPECT_TRUE(e.code() == ErrorCode::kMessageLost ||
-                e.code() == ErrorCode::kRemoteAbort ||
-                e.code() == ErrorCode::kTimeout)
-        << e.what();
-    if (e.code() == ErrorCode::kMessageLost) {
-      EXPECT_NE(e.detail().find("budget"), std::string::npos) << e.what();
-    }
-  }
-}
-
-TEST(PcuReliable, PermanentCorruptionExhaustsBudgetStructurally) {
-  ReliableGuard rel;
-  faults::FaultPlan p;
-  p.seed = 4;
-  p.corrupt = 1.0;
-  p.watchdog_ms = 2000;
-  PlanGuard g(p);
-  try {
-    pcu::run(4, [&](pcu::Comm& c) {
-      std::vector<std::pair<int, pcu::OutBuffer>> out;
-      pcu::OutBuffer b;
-      b.pack<int>(c.rank());
-      out.emplace_back((c.rank() + 1) % 4, std::move(b));
-      pcu::phasedExchange(c, std::move(out));
-    });
-    FAIL() << "exchange with every frame corrupted completed";
-  } catch (const Error& e) {
-    EXPECT_TRUE(e.code() == ErrorCode::kMessageLost ||
-                e.code() == ErrorCode::kRemoteAbort ||
-                e.code() == ErrorCode::kTimeout)
-        << e.what();
-  }
 }
 
 /// --- tiers 1+2 over dist: the chaos matrix --------------------------------
@@ -261,7 +113,6 @@ TEST_P(RecoveryMatrix, TransientFaultsAreInvisibleToDistOps) {
 
   faults::FaultPlan p;
   p.seed = 41 + static_cast<std::uint64_t>(static_cast<int>(kind));
-  p.watchdog_ms = 5000;
   switch (kind) {
     case FaultKind::kDrop: p.drop = 0.05; break;
     case FaultKind::kCorrupt: p.corrupt = 0.05; break;
@@ -363,10 +214,6 @@ TEST(NetReliable, TransientPlanDeliversEachPayloadOnceInSenderOrder) {
     EXPECT_EQ(got[3], "0.0 0.1 0.2 1.0 1.1 1.2 2.0 2.1 2.2") << phase;
   }
   const auto st = arq::stats();
-  // The transport keeps its resend copies without counting them, and a
-  // phase boundary has no loss beacons to leave.
-  EXPECT_EQ(st.frames_stored, 0u);
-  EXPECT_EQ(st.beacons_sent, 0u);
   EXPECT_EQ(st.retransmits, 11u);
   EXPECT_EQ(st.recovered, 9u);
   EXPECT_EQ(st.duplicates_dropped, 6u);
@@ -398,6 +245,34 @@ TEST(NetReliable, CertainDropExhaustsTheBudgetOnTheFirstChannel) {
   EXPECT_EQ(st.recovered, 0u);
 }
 
+TEST(NetReliable, CertainCorruptionExhaustsTheBudgetOnTheFirstChannel) {
+  // Every frame and every retransmission is corrupted: the destination's
+  // whole batch is discarded as corrupt, and the first channel's first
+  // re-fetch exhausts the budget with the same structured error as loss.
+  auto net = makeBareNetwork();
+  ReliableGuard rel;
+  faults::FaultPlan p;
+  p.seed = 5;
+  p.corrupt = 1.0;
+  PlanGuard g(p);
+  try {
+    driveNetworkPhase(*net);
+    FAIL() << "phase with every transmission corrupted delivered";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kMessageLost) << e.what();
+    EXPECT_EQ(e.rank(), 0);
+    EXPECT_EQ(e.peer(), 1);
+    EXPECT_EQ(e.tag(), dist::kNetChannelTag);
+    EXPECT_EQ(e.detail(),
+              "retransmission budget exhausted after 16 attempts (channel "
+              "seq 0)");
+  }
+  const auto st = arq::stats();
+  EXPECT_EQ(st.corrupt_dropped, 9u);
+  EXPECT_EQ(st.retransmits, 16u);
+  EXPECT_EQ(st.recovered, 0u);
+}
+
 TEST(DistReliable, TwentySeedsMixedChaosZeroAborts) {
   // The headline acceptance criterion: >= 20 seeds of the full mixed plan
   // at p = 2%, reliability on — migrate/ghostLayers/syncGhostTags all
@@ -405,7 +280,7 @@ TEST(DistReliable, TwentySeedsMixedChaosZeroAborts) {
   //
   // Each seed's recovery work is deterministic, so its counters are pinned:
   // {retransmits, recovered, duplicates dropped, corrupt dropped, acked,
-  // operations retried}. The transport counts no stored frames or beacons.
+  // operations retried}.
   struct Pinned {
     std::uint64_t retransmits, recovered, duplicates, corrupt, acked, ops;
   };
@@ -439,8 +314,6 @@ TEST(DistReliable, TwentySeedsMixedChaosZeroAborts) {
        << seed;
     const auto st = arq::stats();
     const Pinned& want = pinned[seed - 1];
-    EXPECT_EQ(st.frames_stored, 0u) << "seed " << seed;
-    EXPECT_EQ(st.beacons_sent, 0u) << "seed " << seed;
     EXPECT_EQ(st.retransmits, want.retransmits) << "seed " << seed;
     EXPECT_EQ(st.recovered, want.recovered) << "seed " << seed;
     EXPECT_EQ(st.duplicates_dropped, want.duplicates) << "seed " << seed;
@@ -734,12 +607,9 @@ TEST(ReliableSpec, ParsesFormsAndRejectsMalformed) {
   EXPECT_TRUE(arq::parseConfig("1").on);
   EXPECT_TRUE(arq::parseConfig("on").on);
   EXPECT_FALSE(arq::parseConfig("off").on);
-  const auto cfg =
-      arq::parseConfig("budget=8,rto_us=100,maxrto_us=5000,opretries=2");
+  const auto cfg = arq::parseConfig("budget=8,opretries=2");
   EXPECT_TRUE(cfg.on);
   EXPECT_EQ(cfg.retry_budget, 8);
-  EXPECT_EQ(cfg.rto_us, 100);
-  EXPECT_EQ(cfg.max_rto_us, 5000);
   EXPECT_EQ(cfg.op_retries, 2);
   for (const char* bad :
        {"maybe", "budget=", "budget=-3", "budget=8x", "rto_us=1e3",
@@ -749,6 +619,18 @@ TEST(ReliableSpec, ParsesFormsAndRejectsMalformed) {
       FAIL() << "accepted malformed PUMI_RELIABLE spec: " << bad;
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), ErrorCode::kValidation) << bad;
+    }
+  }
+  // Keys of knobs that do not exist must be rejected with the token
+  // named, never silently ignored.
+  for (const std::string bad : {"rto_us=100", "maxrto_us=5000"}) {
+    try {
+      arq::parseConfig(bad);
+      FAIL() << "accepted removed PUMI_RELIABLE key: " << bad;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kValidation) << bad;
+      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+          << "error does not name \"" << bad << "\": " << e.what();
     }
   }
 }

@@ -3,15 +3,18 @@
 # end-to-end recovery success rate, and the rank-failure MTTR, and merges
 # them into one BENCH_RECOVERY.json.
 #
-#   * BM_PingPongReliable/{payload}/{drop_permille} runs the hardened
-#     ping-pong with reliable mode on; comparing the 10-permille (1% drop)
-#     median against the 0-permille median of the same payload yields the
-#     retransmit tax. The merge script asserts it stays under 10%, and that
-#     every lossy row recovered at least one frame (a run that injected no
-#     loss measures no tax).
-#   * The 20-seed chaos suites from test_recovery are replayed and their
+#   * BM_NetExchangeReliable/{payload}/{drop_permille} (bench_migration)
+#     runs a bare two-part dist::Network exchange with reliable mode on;
+#     comparing the 10-permille (1% drop) median against the 0-permille
+#     median of the same payload yields the retransmit tax. The rows run
+#     interleaved in random order, 60 repetitions each, so no row gains
+#     from running first in the process. The merge script asserts the tax
+#     stays under 10%, and that every lossy row recovered at least one
+#     frame (a run that injected no loss measures no tax).
+#   * The seeded chaos suites from test_recovery are replayed and their
 #     pass/fail becomes success_rate (asserted == 1.0): every seeded
-#     transient fault schedule must complete with zero aborts.
+#     transient fault schedule must complete with zero aborts, with
+#     sequential and with threaded delivery.
 #   * failover_demo runs the rank-failure acceptance scenario (kill 1 of 16
 #     mid-migrate, hang 1 of 16 mid-balance) and reports the measured
 #     mean-time-to-recovery breakdown (detect + evacuate + rebalance) as
@@ -19,9 +22,9 @@
 #     detection stays within 3x the configured hang deadline.
 #
 # Usage: tools/bench_recovery.sh <build-dir> [out.json]
-# The build dir must contain bench/bench_pcu_msg, tests/test_recovery and
-# examples/failover_demo (build with -DCMAKE_BUILD_TYPE=Release for
-# meaningful numbers).
+# The build dir must contain bench/bench_migration, tests/test_recovery,
+# tests/test_threaded_delivery and examples/failover_demo (build with
+# -DCMAKE_BUILD_TYPE=Release for meaningful numbers).
 set -euo pipefail
 
 BUILD="${1:?usage: tools/bench_recovery.sh <build-dir> [out.json]}"
@@ -34,7 +37,8 @@ if [[ ! -d "$BUILD" ]]; then
   echo "  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j" >&2
   exit 1
 fi
-for bin in bench/bench_pcu_msg tests/test_recovery examples/failover_demo; do
+for bin in bench/bench_migration tests/test_recovery \
+           tests/test_threaded_delivery examples/failover_demo; do
   if [[ ! -x "$BUILD/$bin" ]]; then
     echo "error: missing binary '$BUILD/$bin'; rebuild: cmake --build \"$BUILD\" -j" >&2
     exit 1
@@ -45,18 +49,27 @@ trap 'rm -rf "$TMP"' EXIT
 
 # Note: this google-benchmark build takes --benchmark_min_time as a plain
 # double (seconds), not the newer "0.05x"/"0.05s" suffixed forms.
-"$BUILD/bench/bench_pcu_msg" \
-  --benchmark_filter='BM_PingPongReliable' \
+"$BUILD/bench/bench_migration" \
+  --benchmark_filter='BM_NetExchangeReliable' \
   --benchmark_min_time=0.05 \
-  --benchmark_repetitions=5 \
+  --benchmark_repetitions=60 \
+  --benchmark_enable_random_interleaving=true \
   --benchmark_out="$TMP/reliable.json" --benchmark_out_format=json >&2
 
-# The acceptance chaos matrix: 20 seeds of mixed transient faults at the
-# pcu layer and the dist layer, reliability on, zero aborts tolerated.
+# The acceptance chaos matrix: 20 seeds of mixed transient faults on dist
+# operations, plus the same chaos under threaded delivery, reliability on,
+# zero aborts tolerated.
+# A filter that selects no test passes vacuously, so each run must report
+# at least one passed test.
 SUCCESS=1
-"$BUILD/tests/test_recovery" --gtest_filter=\
-'PcuReliable.TransientChaosDeliversEverySeed:'\
-'DistReliable.TwentySeedsMixedChaosZeroAborts' >&2 || SUCCESS=0
+run_suite() {
+  local log="$TMP/suite.log"
+  "$BUILD/tests/$1" --gtest_filter="$2" > "$log" 2>&1 || SUCCESS=0
+  cat "$log" >&2
+  grep -Eq '^\[  PASSED  \] [1-9][0-9]* test' "$log" || SUCCESS=0
+}
+run_suite test_recovery 'DistReliable.TwentySeedsMixedChaosZeroAborts'
+run_suite test_threaded_delivery '*ThreadCounts.ReliableChaosUnderThreadedDelivery/*'
 
 # Rank-failure MTTR: the demo prints one JSON object on stdout with the
 # detect/evacuate/rebalance breakdown for both incidents.
@@ -69,14 +82,15 @@ src, success, out = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 failover_src = sys.argv[4]
 summary = {"description": (
     "Reliable-delivery (ARQ) overhead and recovery success rate. "
-    "retransmit_tax compares the median reliable ping-pong time at 1% "
-    "message drop against the same run with no injected loss; "
-    "success_rate is the fraction of seeded 20-seed chaos suites that "
-    "complete with zero aborts; rank_failure_mttr is the measured "
+    "retransmit_tax compares the median time of a reliable two-part "
+    "dist::Network exchange phase at 1% message drop against the same run "
+    "with no injected loss (60 randomly interleaved repetitions); "
+    "success_rate is the fraction of seeded chaos suites that complete "
+    "with zero aborts; rank_failure_mttr is the measured "
     "detect/evacuate/rebalance breakdown of the kill-1-of-16-mid-migrate "
     "and hang-1-of-16-mid-balance acceptance scenario. Produced by "
     "tools/bench_recovery.sh."),
-    "ping_pong_reliable": [], "success_rate": None}
+    "net_exchange_reliable": [], "success_rate": None}
 
 # With --benchmark_repetitions the JSON carries per-repetition rows plus
 # aggregate rows; keep the medians.
@@ -84,15 +98,19 @@ rows = {}
 for b in json.load(open(src))["benchmarks"]:
     if b.get("aggregate_name") != "median":
         continue
-    name = b["run_name"]  # BM_PingPongReliable/<payload>/<permille>
+    name = b["run_name"]  # BM_NetExchangeReliable/<payload>/<permille>
     _, payload, permille = name.split("/")
     rows[(int(payload), int(permille))] = b
-    summary["ping_pong_reliable"].append({
+    summary["net_exchange_reliable"].append({
         "payload_bytes": int(payload),
         "drop_permille": int(permille),
         "median_ns_per_op": round(b["real_time"], 1),
         "recovered": b.get("recovered", 0),
     })
+
+# Interleaved repetitions arrive in random order; list rows by payload.
+summary["net_exchange_reliable"].sort(
+    key=lambda r: (r["payload_bytes"], r["drop_permille"]))
 
 # The headline claim: <= 10% retransmit tax at 1% drop. Fail the smoke
 # run if it ever stops holding.
@@ -107,7 +125,7 @@ for (payload, permille), b in sorted(rows.items()):
         f"payload {payload} at {permille/10:.1f}% drop recovered no frame: "
         f"the run injected no loss")
     tax = b["real_time"] / clean["real_time"] - 1.0
-    for row in summary["ping_pong_reliable"]:
+    for row in summary["net_exchange_reliable"]:
         if (row["payload_bytes"], row["drop_permille"]) == (payload, permille):
             row["retransmit_tax_vs_clean"] = round(tax, 4)
     assert tax < 0.10, (
