@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <unordered_set>
 #include <vector>
 
 #include "core/measure.hpp"
@@ -13,7 +12,6 @@ namespace adapt {
 
 using common::Vec3;
 using core::Ent;
-using core::EntHash;
 using core::Mesh;
 using core::Topo;
 
@@ -63,10 +61,12 @@ bool replacementKeepsShape(const Mesh& mesh, Ent elem, Ent remove,
   return false;  // collapse supports simplex meshes only
 }
 
-/// Vertices joined to v by an edge.
-std::unordered_set<Ent, EntHash> vertexLink(const Mesh& mesh, Ent v) {
-  std::unordered_set<Ent, EntHash> link;
-  for (Ent e : mesh.up(v)) link.insert(otherVertex(mesh, e, v));
+/// Vertices joined to v by an edge (one per edge: an edge is unique per
+/// vertex pair). A vertex has a few dozen edges at most, so a linear
+/// search of an inline list beats hashing.
+core::AdjVec vertexLink(const Mesh& mesh, Ent v) {
+  core::AdjVec link;
+  for (Ent e : mesh.up(v)) link.push_back(otherVertex(mesh, e, v));
   return link;
 }
 
@@ -87,7 +87,7 @@ bool canCollapse(const Mesh& mesh, Ent edge, Ent remove) {
   const auto keep_link = vertexLink(mesh, keep);
   for (Ent e : mesh.up(remove)) {
     const Ent c = otherVertex(mesh, e, remove);
-    if (c == keep || !keep_link.count(c)) continue;
+    if (c == keep || !keep_link.contains(c)) continue;
     std::array<Ent, 3> tri{mesh.verts(edge)[0], mesh.verts(edge)[1], c};
     if (!mesh.findEntity(Topo::Tri, tri)) return false;
   }

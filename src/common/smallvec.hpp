@@ -69,11 +69,13 @@ class SmallVec {
     data()[size_++] = v;
   }
 
-  /// Remove the first occurrence of v; returns whether it was present.
-  /// Order is not preserved (back-swap removal).
+  /// Remove the last occurrence of v; returns whether it was present.
+  /// Order is not preserved (back-swap removal). The scan runs from the
+  /// back: in an up-list, which holds each entity once, the newest entries
+  /// are the likeliest to go.
   bool eraseValue(const T& v) {
     T* p = data();
-    for (std::uint32_t i = 0; i < size_; ++i) {
+    for (std::uint32_t i = size_; i-- > 0;) {
       if (p[i] == v) {
         p[i] = p[size_ - 1];
         --size_;
@@ -91,6 +93,21 @@ class SmallVec {
   }
 
   void clear() { size_ = 0; }
+
+  /// Replace the contents with the n elements at src, growing the
+  /// capacity as a push_back sequence would.
+  void assign(const T* src, std::uint32_t n) {
+    if (n > capacity()) {
+      std::uint32_t cap = capacity();
+      while (cap < n) cap *= 2;
+      T* bigger = new T[cap];
+      delete[] heap_;
+      heap_ = bigger;
+      heap_capacity_ = cap;
+    }
+    size_ = n;
+    if (n != 0) std::memcpy(data(), src, n * sizeof(T));
+  }
 
  private:
   [[nodiscard]] std::uint32_t capacity() const {

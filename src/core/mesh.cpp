@@ -9,19 +9,11 @@ namespace core {
 
 namespace {
 
-/// Compare two small vertex sets irrespective of order. Vertex lists are at
+/// True when every vertex of `want` is among `have`. Vertex lists are at
 /// most 8 long (hex), so a quadratic containment check beats sorting.
-bool sameVertexSet(std::span<const Ent> a, std::span<const Ent> b) {
-  if (a.size() != b.size()) return false;
-  for (const Ent& x : a) {
-    bool found = false;
-    for (const Ent& y : b)
-      if (x == y) {
-        found = true;
-        break;
-      }
-    if (!found) return false;
-  }
+bool holdsAll(std::span<const Ent> want, std::span<const Ent> have) {
+  for (const Ent& x : want)
+    if (std::find(have.begin(), have.end(), x) == have.end()) return false;
   return true;
 }
 
@@ -221,10 +213,59 @@ void Mesh::destroy(Ent e) {
   ++topo_version_;
 }
 
-bool Mesh::alive(Ent e) const {
-  if (e.null()) return false;
-  const Pool& p = pool(e.topo());
-  return e.index() < p.slots() && p.alive[e.index()];
+void Mesh::saveImage(Image& out) const {
+  for (std::size_t t = 0; t < pools_.size(); ++t) {
+    const Pool& p = pools_[t];
+    Image::PoolImage& o = out.pools_[t];
+    o.stride_verts = p.stride_verts;
+    o.stride_down = p.stride_down;
+    o.verts.assign(p.verts.begin(), p.verts.end());
+    o.down.assign(p.down.begin(), p.down.end());
+    o.cls.assign(p.cls.begin(), p.cls.end());
+    o.alive.assign(p.alive.begin(), p.alive.end());
+    o.free_list.assign(p.free_list.begin(), p.free_list.end());
+    o.live = p.live;
+    o.up_first.resize(p.up.size() + 1);
+    std::uint32_t at = 0;
+    for (std::size_t i = 0; i < p.up.size(); ++i) {
+      o.up_first[i] = at;
+      at += p.up[i].size();
+    }
+    o.up_first[p.up.size()] = at;
+    o.up.resize(at);
+    Ent* dst = o.up.data();
+    for (const UpList& u : p.up) dst = std::copy(u.begin(), u.end(), dst);
+  }
+  out.coords_.assign(coords_.begin(), coords_.end());
+  out.model_ = model_;
+  out.tags_ = tags_;
+  out.sets_ = sets_;
+}
+
+void Mesh::restoreImage(const Image& in) {
+  for (std::size_t t = 0; t < pools_.size(); ++t) {
+    Pool& p = pools_[t];
+    const Image::PoolImage& o = in.pools_[t];
+    p.stride_verts = o.stride_verts;
+    p.stride_down = o.stride_down;
+    p.verts.assign(o.verts.begin(), o.verts.end());
+    p.down.assign(o.down.begin(), o.down.end());
+    p.cls.assign(o.cls.begin(), o.cls.end());
+    p.alive.assign(o.alive.begin(), o.alive.end());
+    p.free_list.assign(o.free_list.begin(), o.free_list.end());
+    p.live = o.live;
+    const std::size_t n = o.up_first.size() - 1;
+    p.up.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+      p.up[i].assign(o.up.data() + o.up_first[i],
+                     o.up_first[i + 1] - o.up_first[i]);
+  }
+  coords_.assign(in.coords_.begin(), in.coords_.end());
+  model_ = in.model_;
+  tags_ = in.tags_;
+  sets_ = in.sets_;
+  ++topo_version_;  // as copyFrom: the ledger re-hashes all
+  ++data_version_;
 }
 
 std::size_t Mesh::count(int d) const {
@@ -241,40 +282,16 @@ int Mesh::dim() const {
   return -1;
 }
 
-Vec3 Mesh::point(Ent v) const {
-  assert(v.topo() == Topo::Vertex && alive(v));
-  return coords_[v.index()];
-}
-
 void Mesh::setPoint(Ent v, const Vec3& x) {
   assert(v.topo() == Topo::Vertex && alive(v));
   coords_[v.index()] = x;
   ++data_version_;
 }
 
-gmi::Entity* Mesh::classification(Ent e) const {
-  assert(alive(e));
-  return pool(e.topo()).cls[e.index()];
-}
-
 void Mesh::classify(Ent e, gmi::Entity* cls) {
   assert(alive(e));
   pool(e.topo()).cls[e.index()] = cls;
   ++data_version_;
-}
-
-std::span<const Ent> Mesh::verts(Ent e) const {
-  assert(alive(e));
-  if (e.topo() == Topo::Vertex) {
-    // A vertex's canonical vertex list is itself; materialize from storage
-    // is impossible (vertices are not stored in their own verts array), so
-    // callers should special-case; we return an empty span here and the
-    // public downward() handles vertices.
-    return {};
-  }
-  const Pool& p = pool(e.topo());
-  return {p.verts.data() + std::size_t{e.index()} * p.stride_verts,
-          static_cast<std::size_t>(p.stride_verts)};
 }
 
 int Mesh::downward(Ent e, int d, Ent* out) const {
@@ -327,11 +344,6 @@ int Mesh::downward(Ent e, int d, Ent* out) const {
     assert(out[i] && "mesh incomplete: missing edge of region");
   }
   return ne;
-}
-
-const UpList& Mesh::up(Ent e) const {
-  assert(alive(e));
-  return pool(e.topo()).up[e.index()];
 }
 
 std::vector<Ent> Mesh::adjacent(Ent e, int d) const {
@@ -402,20 +414,32 @@ Ent Mesh::findEntity(Topo t, std::span<const Ent> vs) const {
   const int d = topoDim(t);
   if (d == 0) return vs[0];
   if (d == 1) {
-    for (Ent e : up(vs[0]))
-      if (e.topo() == t && sameVertexSet(verts(e), vs)) return e;
+    for (Ent e : up(vs[0])) {
+      const auto ev = verts(e);
+      if ((ev[0] == vs[0] && ev[1] == vs[1]) ||
+          (ev[0] == vs[1] && ev[1] == vs[0]))
+        return e;
+    }
     return {};
   }
   // Find one boundary entity from the canonical template, then scan its
   // upward adjacency. Bounded work: upward lists are O(1) in mesh size.
+  // Every entity in up(b) holds b's vertices, and has as many vertices as
+  // vs when its type is t, so it is the one when it holds the rest of vs.
   const Topo bt = topoBoundaryTopo(t, d - 1, 0);
   const auto idxs = topoBoundaryVerts(t, d - 1, 0);
   std::array<Ent, 4> bverts{};
   for (std::size_t k = 0; k < idxs.size(); ++k) bverts[k] = vs[idxs[k]];
   const Ent b = findEntity(bt, {bverts.data(), idxs.size()});
   if (!b) return {};
+  std::array<Ent, 8> rest{};
+  std::size_t nrest = 0;
+  for (std::size_t k = 0; k < vs.size(); ++k)
+    if (std::find(idxs.begin(), idxs.end(), static_cast<int>(k)) == idxs.end())
+      rest[nrest++] = vs[k];
   for (Ent e : up(b))
-    if (e.topo() == t && sameVertexSet(verts(e), vs)) return e;
+    if (e.topo() == t && holdsAll({rest.data(), nrest}, verts(e)))
+      return e;
   return {};
 }
 
@@ -429,27 +453,6 @@ Mesh::EntIter::EntIter(const Mesh* mesh, int dim, bool at_end)
     return;
   }
   settle();
-}
-
-Ent Mesh::EntIter::operator*() const {
-  return Ent(topos_[topo_pos_], index_);
-}
-
-Mesh::EntIter& Mesh::EntIter::operator++() {
-  ++index_;
-  settle();
-  return *this;
-}
-
-void Mesh::EntIter::settle() {
-  while (topo_pos_ < topos_.size()) {
-    const Pool& p = mesh_->pool(topos_[topo_pos_]);
-    while (index_ < p.slots() && !p.alive[index_]) ++index_;
-    if (index_ < p.slots()) return;
-    ++topo_pos_;
-    index_ = 0;
-  }
-  index_ = 0;  // canonical end state
 }
 
 std::vector<Ent> Mesh::all(int d) const {

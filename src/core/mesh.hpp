@@ -74,8 +74,8 @@ class Mesh {
   /// so handles taken against `other` address the same entities here; Tag
   /// pointers do NOT carry over — re-find() them by name. Classification
   /// pointers are shared with `other`'s model, which must outlive both.
-  /// This is the snapshot primitive behind transactional distributed
-  /// operations (dist::PartedMesh rollback).
+  /// Transactional rollback snapshots use the flat Image below instead;
+  /// restoring one is equivalent to this copy of the saved mesh.
   void copyFrom(const Mesh& other) {
     pools_ = other.pools_;
     coords_ = other.coords_;
@@ -85,6 +85,44 @@ class Mesh {
     ++topo_version_;  // new topology and data: the ledger re-hashes all
     ++data_version_;
   }
+
+  /// A flat copy of a mesh's full state, for rollback snapshots: each
+  /// pool's arrays copied whole and its upward lists flattened into one
+  /// offsets array plus one entries array, so a snapshot costs a few array
+  /// copies instead of one heap list per entity (SmallVec spills most
+  /// vertex and edge up-lists). Coords, classification, tags and sets are
+  /// copied as copyFrom() copies them. An image reused for the next
+  /// saveImage() keeps its array capacity.
+  class Image {
+   private:
+    friend class Mesh;
+    struct PoolImage {
+      int stride_verts = 0;
+      int stride_down = 0;
+      std::vector<Ent> verts;
+      std::vector<Ent> down;
+      std::vector<gmi::Entity*> cls;
+      std::vector<char> alive;
+      std::vector<std::uint32_t> free_list;
+      std::size_t live = 0;
+      std::vector<std::uint32_t> up_first = {0};  ///< slots + 1 offsets into up
+      std::vector<Ent> up;
+    };
+    std::array<PoolImage, kTopoCount> pools_;
+    std::vector<Vec3> coords_;
+    gmi::Model* model_ = nullptr;
+    Tags tags_;
+    std::unordered_map<std::string, Set> sets_;
+  };
+
+  /// Record this mesh's full state into `out` (its earlier content is
+  /// replaced).
+  void saveImage(Image& out) const;
+
+  /// Put back the state `in` recorded, exactly as copyFrom() of the saved
+  /// mesh would: same pool slots, free-list order and up-list order, and
+  /// the same version bumps. Tag pointers do not carry over.
+  void restoreImage(const Image& in);
 
   [[nodiscard]] gmi::Model* model() const { return model_; }
 
@@ -259,6 +297,60 @@ class Mesh {
   /// checksum ledger and the deterministic memory-fault injector.
   friend struct integrity::MeshAccess;
 };
+
+/// --- hot accessors, inline: every per-entity loop calls them -------------
+
+inline bool Mesh::alive(Ent e) const {
+  if (e.null()) return false;
+  const Pool& p = pool(e.topo());
+  return e.index() < p.slots() && p.alive[e.index()];
+}
+
+inline Vec3 Mesh::point(Ent v) const {
+  assert(v.topo() == Topo::Vertex && alive(v));
+  return coords_[v.index()];
+}
+
+inline gmi::Entity* Mesh::classification(Ent e) const {
+  assert(alive(e));
+  return pool(e.topo()).cls[e.index()];
+}
+
+inline std::span<const Ent> Mesh::verts(Ent e) const {
+  assert(alive(e));
+  // A vertex is not stored in a verts array of its own: its list is empty
+  // here, and downward() answers for vertices.
+  if (e.topo() == Topo::Vertex) return {};
+  const Pool& p = pool(e.topo());
+  return {p.verts.data() + std::size_t{e.index()} * p.stride_verts,
+          static_cast<std::size_t>(p.stride_verts)};
+}
+
+inline const UpList& Mesh::up(Ent e) const {
+  assert(alive(e));
+  return pool(e.topo()).up[e.index()];
+}
+
+inline Ent Mesh::EntIter::operator*() const {
+  return Ent(topos_[topo_pos_], index_);
+}
+
+inline Mesh::EntIter& Mesh::EntIter::operator++() {
+  ++index_;
+  settle();
+  return *this;
+}
+
+inline void Mesh::EntIter::settle() {
+  while (topo_pos_ < topos_.size()) {
+    const Pool& p = mesh_->pool(topos_[topo_pos_]);
+    while (index_ < p.slots() && !p.alive[index_]) ++index_;
+    if (index_ < p.slots()) return;
+    ++topo_pos_;
+    index_ = 0;
+  }
+  index_ = 0;  // canonical end state
+}
 
 }  // namespace core
 

@@ -139,6 +139,17 @@ void TagPlan::SlotView::write(Ent e, pcu::SizedWriter& out) const {
               [&out](const void* p, std::size_t n) { out.putBytes(p, n); });
 }
 
+std::size_t TagPlan::SlotView::recordBytes(Ent e) const {
+  const auto t = static_cast<std::size_t>(e.topo());
+  std::size_t n = sizeof(std::uint32_t);
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    const auto& row = rows_[i][t];
+    if (e.index() < row.size() && row[e.index()].count != kNoValue)
+      n += plan_.entries_[i].recordBytes(row[e.index()].count);
+  }
+  return n;
+}
+
 void skipTags(pcu::InBuffer& buf) {
   const auto count = buf.unpack<std::uint32_t>();
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -60,6 +60,9 @@ class TagPlan {
     /// Write `e`'s record: the bytes pack() appends for it.
     void write(Ent e, pcu::SizedWriter& out) const;
 
+    /// Bytes write() writes for `e`.
+    [[nodiscard]] std::size_t recordBytes(Ent e) const;
+
    private:
     const TagPlan& plan_;
     std::vector<SlotRows> rows_;  ///< [entry][topo][slot]

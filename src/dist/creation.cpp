@@ -17,19 +17,19 @@ namespace {
 /// Unpack a T, rejecting a truncated record instead of reading past it.
 template <typename T>
 T take(pcu::InBuffer& b, PartId part) {
-  if (b.remaining() < sizeof(T)) malformed(part, "truncated");
-  return b.unpack<T>();
+  T v;
+  if (!b.tryUnpack(v)) malformed(part, "truncated");
+  return v;
 }
 
-GKey takeKey(pcu::InBuffer& b, PartId part) {
-  GKey k;
+// takeKey and takeRef fill their result in place: returning a GKey or a
+// Ref by value assembles it through the stack on every call.
+void takeKey(pcu::InBuffer& b, PartId part, GKey& k) {
   k.part = take<std::int32_t>(b, part);
   k.ent = Ent::unpack(take<std::uint64_t>(b, part));
-  return k;
 }
 
-Ref takeRef(pcu::InBuffer& b, PartId part) {
-  Ref r;
+void takeRef(pcu::InBuffer& b, PartId part, Ref& r) {
   const auto tag = take<std::int32_t>(b, part);
   if (tag == -1) {
     r.ordinal = take<std::uint32_t>(b, part);
@@ -39,7 +39,6 @@ Ref takeRef(pcu::InBuffer& b, PartId part) {
   } else {
     malformed(part, "bad reference tag " + std::to_string(tag));
   }
-  return r;
 }
 
 }  // namespace
@@ -56,7 +55,7 @@ void packKey(pcu::OutBuffer& b, const GKey& k) {
 
 Record decode(pcu::InBuffer& b, PartId part) {
   Record r;
-  r.key = takeKey(b, part);
+  takeKey(b, part, r.key);
   const auto code = take<std::uint8_t>(b, part);
   if (code >= core::kTopoCount)
     malformed(part, "topology code " + std::to_string(code) + " out of range");
@@ -73,13 +72,13 @@ Record decode(pcu::InBuffer& b, PartId part) {
     malformed(part,
               std::to_string(r.nv) + " vertices for topology " + name);
   for (int k = 0; k < r.nv; ++k)
-    r.verts[static_cast<std::size_t>(k)] = takeRef(b, part);
+    takeRef(b, part, r.verts[static_cast<std::size_t>(k)]);
   r.nb = take<std::uint8_t>(b, part);
   if (r.nb != boundaryRefs(r.topo))
     malformed(part, std::to_string(r.nb) +
                         " boundary entities for topology " + name);
   for (int k = 0; k < r.nb; ++k)
-    r.down[static_cast<std::size_t>(k)] = takeRef(b, part);
+    takeRef(b, part, r.down[static_cast<std::size_t>(k)]);
   return r;
 }
 

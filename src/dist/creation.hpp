@@ -53,6 +53,12 @@ using KeyMap = common::FlatMap<GKey, Ent, GKeyHash>;
 /// Ordinal of "no earlier record in this payload".
 inline constexpr std::uint32_t kNoOrdinal = 0xffffffffu;
 
+/// Fewest bytes a record occupies: key, topology, classification and an
+/// empty tag record's count. Bounds a record count by the bytes left.
+inline constexpr std::size_t kMinRecordBytes =
+    sizeof(std::int32_t) + sizeof(std::uint64_t) + sizeof(std::uint8_t) +
+    2 * sizeof(std::int32_t) + sizeof(std::uint32_t);
+
 /// One entity a record refers to: an earlier record of the same payload
 /// when `ordinal` is set, else the full key.
 struct Ref {
@@ -79,42 +85,56 @@ struct Record {
 
 void packKey(pcu::OutBuffer& b, const GKey& k);
 
-/// Append the record of entity `e` of `mesh`. `keyOf(Ent) -> GKey` names
-/// any entity canonically; `ordinalOf(Ent) -> std::uint32_t` returns the
-/// record ordinal of an entity travelling earlier in the same payload, or
-/// kNoOrdinal.
+/// Write the record of entity `e` of `mesh` up to its tag values, one
+/// value at a time through `put(const T&)`. `keyOf(Ent) -> GKey` names any
+/// entity canonically; `ordinalOf(Ent) -> std::uint32_t` returns the record
+/// ordinal of an entity travelling earlier in the same payload, or
+/// kNoOrdinal. The one definition of the layout above: pack() appends to an
+/// OutBuffer through it, and a summing `put` sizes a record.
+template <typename Put, typename KeyOf, typename OrdinalOf>
+void writeRecord(Put&& put, const core::Mesh& mesh, Ent e, KeyOf&& keyOf,
+                 OrdinalOf&& ordinalOf) {
+  auto putKey = [&](const GKey& k) {
+    put(std::int32_t{k.part});
+    put(k.ent.packed());
+  };
+  auto putRef = [&](Ent x) {
+    const std::uint32_t ord = ordinalOf(x);
+    if (ord != kNoOrdinal) {
+      put(std::int32_t{-1});
+      put(ord);
+    } else {
+      putKey(keyOf(x));
+    }
+  };
+  putKey(keyOf(e));
+  put(static_cast<std::uint8_t>(e.topo()));
+  gmi::Entity* cls = mesh.classification(e);
+  put(std::int32_t{cls ? cls->dim() : -1});
+  put(std::int32_t{cls ? cls->tag() : -1});
+  if (e.topo() == core::Topo::Vertex) {
+    put(mesh.point(e));
+  } else {
+    const auto vs = mesh.verts(e);
+    put(static_cast<std::uint8_t>(vs.size()));
+    for (Ent v : vs) putRef(v);
+    const int nb = boundaryRefs(e.topo());
+    put(static_cast<std::uint8_t>(nb));
+    if (nb > 0) {
+      std::array<Ent, core::kMaxDown> down{};
+      mesh.downward(e, core::topoDim(e.topo()) - 1, down.data());
+      for (int k = 0; k < nb; ++k) putRef(down[static_cast<std::size_t>(k)]);
+    }
+  }
+}
+
+/// Append the record of entity `e` of `mesh` (writeRecord, then its tag
+/// values).
 template <typename KeyOf, typename OrdinalOf>
 void pack(pcu::OutBuffer& b, const core::Mesh& mesh,
           const core::TagPlan& tags, Ent e, KeyOf&& keyOf,
           OrdinalOf&& ordinalOf) {
-  auto packRef = [&](Ent x) {
-    const std::uint32_t ord = ordinalOf(x);
-    if (ord != kNoOrdinal) {
-      b.pack<std::int32_t>(-1);
-      b.pack<std::uint32_t>(ord);
-    } else {
-      packKey(b, keyOf(x));
-    }
-  };
-  packKey(b, keyOf(e));
-  b.pack<std::uint8_t>(static_cast<std::uint8_t>(e.topo()));
-  gmi::Entity* cls = mesh.classification(e);
-  b.pack<std::int32_t>(cls ? cls->dim() : -1);
-  b.pack<std::int32_t>(cls ? cls->tag() : -1);
-  if (e.topo() == core::Topo::Vertex) {
-    b.pack(mesh.point(e));
-  } else {
-    const auto vs = mesh.verts(e);
-    b.pack<std::uint8_t>(static_cast<std::uint8_t>(vs.size()));
-    for (Ent v : vs) packRef(v);
-    const int nb = boundaryRefs(e.topo());
-    b.pack<std::uint8_t>(static_cast<std::uint8_t>(nb));
-    if (nb > 0) {
-      std::array<Ent, core::kMaxDown> down{};
-      mesh.downward(e, core::topoDim(e.topo()) - 1, down.data());
-      for (int k = 0; k < nb; ++k) packRef(down[static_cast<std::size_t>(k)]);
-    }
-  }
+  writeRecord([&b](const auto& v) { b.pack(v); }, mesh, e, keyOf, ordinalOf);
   tags.pack(e, b);
 }
 

@@ -24,6 +24,7 @@
 #include "dist/integrity.hpp"
 #include "dist/keymaps_impl.hpp"
 #include "dist/partedmesh.hpp"
+#include "dist/slotindex.hpp"
 #include "dist/tagio.hpp"
 #include "pcu/trace.hpp"
 
@@ -44,10 +45,27 @@ void PartedMesh::ghostLayersBody(int layers) {
   KeyMaps keys;
   buildKeyMaps(keys);
   std::array<Ent, core::kMaxDown> buf{};
+  // Per-part scratch, reused for every part: the slot-indexed remote
+  // records, each vertex's "reached while growing layers toward q" stamp,
+  // and each closure entity's ordinal within its dimension's list
+  // (kNoOrdinal outside the current payload's closure).
+  SlotIndex<Remote> remote_of;
+  std::vector<std::uint32_t> reached;
+  std::uint32_t stamp = 0;
+  std::array<std::vector<std::uint32_t>, core::kTopoCount> ordinal;
+  std::vector<std::vector<Ent>> closure(static_cast<std::size_t>(dim) + 1);
+  std::vector<Ent> frontier;
+  std::vector<Ent> new_elems;
 
   // Post one closure payload per (part, neighbour) pair.
   for (const auto& pp : parts_) {
     Part& p = *pp;
+    remote_of.build(p.mesh(), p.remotes_);
+    reached.assign(p.mesh().slots(core::Topo::Vertex), 0);
+    for (int d = 0; d < dim; ++d)
+      for (core::Topo t : core::toposOfDim(d))
+        ordinal[static_cast<std::size_t>(t)].assign(p.mesh().slots(t),
+                                                    creation::kNoOrdinal);
     // Boundary vertices shared with each neighbour.
     common::FlatMap<PartId, std::vector<Ent>> seeds;
     for (const auto& [e, r] : p.remotes_) {
@@ -55,14 +73,16 @@ void PartedMesh::ghostLayersBody(int layers) {
       for (const Copy& c : r.copies) seeds[c.part].push_back(e);
     }
     const TagPlan tag_plan(p.mesh());
+    const TagPlan::SlotView tags(tag_plan, p.mesh());
     core::AdjVec adj;
     for (auto& [q, verts] : seeds) {
       // Grow `layers` element layers from the seed vertices.
+      ++stamp;
+      for (Ent v : verts) reached[v.index()] = stamp;
       common::FlatSet<Ent, EntHash> elems;
-      common::FlatSet<Ent, EntHash> known_verts(verts.begin(), verts.end());
-      std::vector<Ent> frontier(verts.begin(), verts.end());
+      frontier.assign(verts.begin(), verts.end());
       for (int layer = 0; layer < layers && !frontier.empty(); ++layer) {
-        std::vector<Ent> new_elems;
+        new_elems.clear();
         for (Ent v : frontier) {
           const int na = p.mesh().adjacentInto(v, dim, adj);
           for (int k = 0; k < na; ++k) {
@@ -73,39 +93,40 @@ void PartedMesh::ghostLayersBody(int layers) {
         frontier.clear();
         for (Ent elem : new_elems) {
           const int nv = p.mesh().downward(elem, 0, buf.data());
-          for (int k = 0; k < nv; ++k)
-            if (known_verts.insert(buf[static_cast<std::size_t>(k)]).second)
-              frontier.push_back(buf[static_cast<std::size_t>(k)]);
+          for (int k = 0; k < nv; ++k) {
+            const Ent v = buf[static_cast<std::size_t>(k)];
+            if (reached[v.index()] == stamp) continue;
+            reached[v.index()] = stamp;
+            frontier.push_back(v);
+          }
         }
       }
       if (elems.empty()) continue;
       // Closure of the element set, dimension-ascending, skipping entities
       // the neighbour already holds as real copies.
-      auto held_by_q = [&](Ent e) {
-        const Remote* r = p.remote(e);
-        if (r == nullptr) return false;
-        return std::any_of(r->copies.begin(), r->copies.end(),
+      auto held_by_q = [&](const Remote* r) {
+        return r != nullptr &&
+               std::any_of(r->copies.begin(), r->copies.end(),
                            [&](const Copy& c) { return c.part == q; });
       };
-      std::vector<std::vector<Ent>> closure(static_cast<std::size_t>(dim) + 1);
-      // Closure entity -> its index within its dimension's list; records go
-      // out dimension-ascending, so boundaries travel before the entities
-      // they bound and can be named by record ordinal.
-      common::FlatMap<Ent, std::uint32_t, EntHash> in_closure;
+      for (auto& level : closure) level.clear();
       for (Ent elem : elems) {
         for (int d = 0; d < dim; ++d) {
           const int n = p.mesh().downward(elem, d, buf.data());
           for (int k = 0; k < n; ++k) {
             const Ent e = buf[static_cast<std::size_t>(k)];
-            if (held_by_q(e)) continue;
+            auto& ord = ordinal[static_cast<std::size_t>(e.topo())][e.index()];
+            if (ord != creation::kNoOrdinal || held_by_q(remote_of.find(e)))
+              continue;
             auto& level = closure[static_cast<std::size_t>(d)];
-            if (in_closure.emplace(e, static_cast<std::uint32_t>(level.size()))
-                    .second)
-              level.push_back(e);
+            ord = static_cast<std::uint32_t>(level.size());
+            level.push_back(e);
           }
         }
         closure[static_cast<std::size_t>(dim)].push_back(elem);
       }
+      // Records go out dimension-ascending, so boundaries travel before
+      // the entities they bound and can be named by record ordinal.
       std::array<std::uint32_t, 4> first{};  // ordinal of each level's head
       std::uint32_t total = 0;
       for (int d = 0; d <= dim; ++d) {
@@ -114,18 +135,35 @@ void PartedMesh::ghostLayersBody(int layers) {
             closure[static_cast<std::size_t>(d)].size());
       }
       auto ordinalOf = [&](Ent e) {
-        const auto it = in_closure.find(e);
-        if (it == in_closure.end()) return creation::kNoOrdinal;
-        return first[static_cast<std::size_t>(core::topoDim(e.topo()))] +
-               it->second;
+        const std::uint32_t ord =
+            ordinal[static_cast<std::size_t>(e.topo())][e.index()];
+        if (ord == creation::kNoOrdinal) return ord;
+        return first[static_cast<std::size_t>(core::topoDim(e.topo()))] + ord;
       };
-      auto key = [&](Ent e) { return keyOf(p, e); };
-      pcu::OutBuffer b;
-      b.pack(total);
+      auto key = [&](Ent e) { return keyOf(p.id(), e, remote_of.find(e)); };
+      // Size the payload, then fill it. A record's size depends only on
+      // which references travel as ordinals, so sizing resolves no keys.
+      std::size_t bytes = sizeof(total);
       for (const auto& level : closure)
-        for (Ent e : level)
-          creation::pack(b, p.mesh(), tag_plan, e, key, ordinalOf);
-      net_.send(p.id(), q, std::move(b));
+        for (Ent e : level) {
+          creation::writeRecord(
+              [&bytes](const auto& v) { bytes += sizeof(v); }, p.mesh(), e,
+              [](Ent) { return GKey{}; }, ordinalOf);
+          bytes += tags.recordBytes(e);
+        }
+      pcu::SizedWriter out(bytes);
+      out.put(total);
+      for (const auto& level : closure)
+        for (Ent e : level) {
+          creation::writeRecord([&out](const auto& v) { out.put(v); },
+                                p.mesh(), e, key, ordinalOf);
+          tags.write(e, out);
+        }
+      net_.send(p.id(), q, pcu::OutBuffer(std::move(out).take()));
+      for (int d = 0; d < dim; ++d)
+        for (Ent e : closure[static_cast<std::size_t>(d)])
+          ordinal[static_cast<std::size_t>(e.topo())][e.index()] =
+              creation::kNoOrdinal;
     }
   }
 
@@ -139,6 +177,14 @@ void PartedMesh::ghostLayersBody(int layers) {
     auto& local = earlier[static_cast<std::size_t>(to)];
     local.clear();
     const auto total = body.unpack<std::uint32_t>();
+    // Reserve for every record the payload can hold, so a hostile count
+    // cannot size the tables.
+    const std::size_t fit = std::min<std::size_t>(
+        total, body.remaining() / creation::kMinRecordBytes);
+    by_key.reserve(by_key.size() + fit);
+    p.ghost_source_.reserve(p.ghost_source_.size() + fit);
+    local.reserve(fit);
+    bool touched = false;
     for (std::uint32_t i = 0; i < total; ++i) {
       const creation::Record rec = creation::decode(body, to);
       Ent e;
@@ -155,8 +201,11 @@ void PartedMesh::ghostLayersBody(int layers) {
       e = creation::create(p.mesh(), rec, to, by_key, local, model_);
       unpackTags(p.mesh(), e, body);
       by_key.emplace(rec.key, e);
+      if (!touched) {  // one fresh table version covers the whole payload
+        p.touchTables();
+        touched = true;
+      }
       p.ghost_source_.emplace(e, Copy{rec.key.part, rec.key.ent});
-      p.touchTables();
       replies[static_cast<std::size_t>(to)].push_back(
           creation::Reply{rec.key.part, rec.key.ent, e});
       local.push_back(e);
@@ -180,21 +229,31 @@ void PartedMesh::unghost() {
   // entry, seal on exit, as runTransactional does for inactive operations.
   integrity::Armor* armor = armorIfActive();
   if (armor != nullptr) armor->auditAndRepair("unghost");
+  std::array<std::vector<char>, core::kTopoCount> is_ghost;
   for (const auto& pp : parts_) {
     Part& p = *pp;
-    std::vector<Ent> ghosts;
-    ghosts.reserve(p.ghost_source_.size());
+    if (p.ghost_source_.empty() && p.ghosted_on_.empty()) continue;
+    for (auto& row : is_ghost) row.assign(row.size(), 0);
     for (const auto& [e, src] : p.ghost_source_) {
       (void)src;
-      ghosts.push_back(e);
+      auto& row = is_ghost[static_cast<std::size_t>(e.topo())];
+      if (row.size() <= e.index())
+        row.resize(std::max<std::size_t>(p.mesh().slots(e.topo()),
+                                         std::size_t{e.index()} + 1),
+                   0);
+      row[e.index()] = 1;
     }
-    std::sort(ghosts.begin(), ghosts.end(), [](Ent a, Ent b) {
-      if (core::topoDim(a.topo()) != core::topoDim(b.topo()))
-        return core::topoDim(a.topo()) > core::topoDim(b.topo());
-      return b < a;
-    });
-    if (ghosts.empty() && p.ghosted_on_.empty()) continue;
-    for (Ent e : ghosts) p.mesh().destroy(e);
+    // Destroy dimension-descending, then handle-descending (type, then
+    // slot): elements before their boundary, and every freed slot enters
+    // its free list in one fixed order.
+    for (int d = 3; d >= 0; --d) {
+      const auto topos = core::toposOfDim(d);
+      for (auto t = topos.rbegin(); t != topos.rend(); ++t) {
+        const auto& row = is_ghost[static_cast<std::size_t>(*t)];
+        for (std::size_t i = row.size(); i-- > 0;)
+          if (row[i]) p.mesh().destroy(Ent(*t, static_cast<std::uint32_t>(i)));
+      }
+    }
     p.ghost_source_.clear();
     p.ghosted_on_.clear();
     p.touchTables();
@@ -203,7 +262,8 @@ void PartedMesh::unghost() {
 }
 
 void PartedMesh::syncSharedTags(const std::string& only) {
-  runTransactional("syncSharedTags", [&] { syncSharedTagsBody(only); });
+  runTransactional("syncSharedTags", [&] { syncSharedTagsBody(only); },
+                   Writes::kTagValues);
 }
 
 void PartedMesh::syncSharedTagsBody(const std::string& only) {
@@ -229,7 +289,8 @@ void PartedMesh::syncSharedTagsBody(const std::string& only) {
 }
 
 void PartedMesh::syncGhostTags() {
-  runTransactional("syncGhostTags", [&] { syncGhostTagsBody(); });
+  runTransactional("syncGhostTags", [&] { syncGhostTagsBody(); },
+                   Writes::kTagValues);
 }
 
 void PartedMesh::syncGhostTagsBody() {

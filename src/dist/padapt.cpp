@@ -342,6 +342,9 @@ PartedCoarsenStats coarsenParted(PartedMesh& pm, const adapt::SizeField& size,
       auto& mesh = part.mesh();
       // Short edges whose whole collapse cavity is part-interior: the
       // removed vertex and everything adjacent to it must be unshared.
+      // Elements are never shared (verify(): "element is shared"), so the
+      // walk stops below the element dimension; "any shared" needs no
+      // deduplication, so it walks the up-lists directly.
       std::vector<std::pair<double, Ent>> marked;
       for (Ent e : mesh.entities(1)) {
         const auto vs = mesh.verts(e);
@@ -357,17 +360,13 @@ PartedCoarsenStats coarsenParted(PartedMesh& pm, const adapt::SizeField& size,
         const auto vs = mesh.verts(e);
         for (Ent remove : {vs[0], vs[1]}) {
           if (part.isShared(remove)) continue;
-          bool interior = true;
-          core::AdjVec star;
-          for (int d = 1; d <= dim && interior; ++d) {
-            const int na = mesh.adjacentInto(remove, d, star);
-            for (int ai = 0; ai < na; ++ai)
-              if (part.isShared(star[static_cast<std::size_t>(ai)])) {
-                interior = false;
-                break;
-              }
-          }
-          if (!interior) continue;
+          auto sharedAbove = [&](auto&& self, Ent e, int d) -> bool {
+            if (d >= dim) return false;
+            for (Ent u : mesh.up(e))
+              if (part.isShared(u) || self(self, u, d + 1)) return true;
+            return false;
+          };
+          if (sharedAbove(sharedAbove, remove, 1)) continue;
           if (adapt::collapseEdge(mesh, e, remove, opts.transfer)) {
             ++done;
             break;

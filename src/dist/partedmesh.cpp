@@ -15,6 +15,7 @@
 #include "common/smallvec.hpp"
 #include "core/order.hpp"
 #include "dist/integrity.hpp"
+#include "dist/slotindex.hpp"
 #include "dist/tagio.hpp"
 #include "gmi/model.hpp"
 #include "pcu/arq.hpp"
@@ -83,6 +84,15 @@ std::vector<PartId> Part::neighborParts(int d) const {
 
 /// --- PartedMesh basics ------------------------------------------------------
 
+/// One part's rollback snapshot for an operation that may write anything:
+/// the flat mesh image and copies of the three tables.
+struct PartedMesh::Rollback {
+  core::Mesh::Image mesh;
+  common::FlatMap<Ent, Remote, EntHash> remotes;
+  common::FlatMap<Ent, Copy, EntHash> ghost_source;
+  common::FlatMap<Ent, std::vector<Copy>, EntHash> ghosted_on;
+};
+
 PartedMesh::PartedMesh(gmi::Model* model, int nparts, PartMap map,
                        OwnerRule rule)
     : model_(model), map_(map), net_(map), rule_(rule) {
@@ -125,11 +135,7 @@ std::size_t PartedMesh::globalCount(int d) const {
 }
 
 GKey PartedMesh::keyOf(const Part& p, Ent e) const {
-  const Remote* r = p.remote(e);
-  if (r == nullptr || r->owner == p.id()) return GKey{p.id(), e};
-  for (const Copy& c : r->copies)
-    if (c.part == r->owner) return GKey{c.part, c.ent};
-  throw std::logic_error("keyOf: owner copy not found in remote list");
+  return keyOf(p.id(), e, p.remote(e));
 }
 
 /// --- distribute --------------------------------------------------------------
@@ -251,7 +257,8 @@ std::unique_ptr<PartedMesh> PartedMesh::distribute(
 /// --- transactional execution -------------------------------------------------
 
 void PartedMesh::runTransactional(const char* opname,
-                                  const std::function<void()>& body) {
+                                  const std::function<void()>& body,
+                                  Writes writes) {
   const bool active = transactional_ || pcu::faults::enabled();
   // Armor entry audit: catch (and repair) any bit flipped since the last
   // boundary BEFORE the snapshot below copies it, and before the operation
@@ -273,43 +280,49 @@ void PartedMesh::runTransactional(const char* opname,
       op_retries_ >= 0
           ? op_retries_
           : (pcu::arq::enabled() ? pcu::arq::config().op_retries : 0);
+  const bool values_only = writes == Writes::kTagValues;
   for (int attempt = 0;; ++attempt) {
-    // Stage: deep-copy every part's full state (mesh, boundary and ghost
-    // records) so an abort can restore it exactly.
-    struct Saved {
-      std::unique_ptr<core::Mesh> mesh;
-      common::FlatMap<Ent, Remote, EntHash> remotes;
-      common::FlatMap<Ent, Copy, EntHash> ghost_source;
-      common::FlatMap<Ent, std::vector<Copy>, EntHash> ghosted_on;
-    };
-    std::vector<Saved> saved;
-    saved.reserve(parts_.size());
-    for (const auto& pp : parts_) {
-      Saved s;
-      s.mesh = std::make_unique<core::Mesh>(model_);
-      s.mesh->copyFrom(pp->mesh_);
-      s.remotes = pp->remotes_;
-      s.ghost_source = pp->ghost_source_;
-      s.ghosted_on = pp->ghosted_on_;
-      saved.push_back(std::move(s));
+    // Stage: snapshot what the operation may write so an abort can restore
+    // it exactly — each part's tag registry for a values-only operation,
+    // else each part's flat mesh image and its boundary and ghost tables.
+    std::vector<core::Mesh::Tags> saved_tags;
+    if (values_only) {
+      saved_tags.reserve(parts_.size());
+      for (const auto& pp : parts_) saved_tags.push_back(pp->mesh_.tags());
+    } else {
+      rollback_.resize(parts_.size());
+      for (std::size_t i = 0; i < parts_.size(); ++i) {
+        const Part& p = *parts_[i];
+        Rollback& r = rollback_[i];
+        p.mesh_.saveImage(r.mesh);
+        r.remotes = p.remotes_;
+        r.ghost_source = p.ghost_source_;
+        r.ghosted_on = p.ghosted_on_;
+      }
     }
     const auto nparts_before = parts_.size();
     const int dim_before = dim_;
     try {
       body();
-      verify();  // commit gate: structural invariants must hold
+      commitGate();  // structural invariants must hold
       if (armor != nullptr) armor->sealAndMaybeInject();
       return;
     } catch (...) {
       // Abort: restore every part, drop parts added mid-operation, and
       // clear any messages or channel state the failed phases left behind.
+      gate_stamps_.clear();
       while (parts_.size() > nparts_before) parts_.pop_back();
-      for (std::size_t i = 0; i < saved.size(); ++i) {
+      for (std::size_t i = 0; i < nparts_before; ++i) {
         Part& p = *parts_[i];
-        p.mesh_.copyFrom(*saved[i].mesh);
-        p.remotes_ = std::move(saved[i].remotes);
-        p.ghost_source_ = std::move(saved[i].ghost_source);
-        p.ghosted_on_ = std::move(saved[i].ghosted_on);
+        if (values_only) {
+          p.mesh_.tags() = std::move(saved_tags[i]);
+          continue;
+        }
+        Rollback& r = rollback_[i];
+        p.mesh_.restoreImage(r.mesh);
+        p.remotes_ = std::move(r.remotes);
+        p.ghost_source_ = std::move(r.ghost_source);
+        p.ghosted_on_ = std::move(r.ghosted_on);
         p.touchTables();
       }
       dim_ = dim_before;
@@ -337,6 +350,30 @@ void PartedMesh::runTransactional(const char* opname,
       net_.bumpFaultEpoch();
     }
   }
+}
+
+std::vector<std::uint64_t> PartedMesh::gateStamps() const {
+  std::vector<std::uint64_t> out;
+  out.reserve(2 + 4 * parts_.size());
+  out.push_back(parts_.size());
+  out.push_back(static_cast<std::uint64_t>(dim_ + 1));
+  for (const auto& pp : parts_) {
+    out.push_back(pp->generation());
+    out.push_back(pp->mesh_.topoVersion());
+    out.push_back(pp->mesh_.dataVersion());
+    out.push_back(pp->tableVersion());
+  }
+  return out;
+}
+
+void PartedMesh::commitGate() {
+  // verify() reads only state these stamps cover, and every legitimate
+  // write moves one of them; corruption that moves none is the armor's to
+  // find, at the audit that opens every commit point.
+  std::vector<std::uint64_t> now = gateStamps();
+  if (now == gate_stamps_) return;
+  verify();
+  gate_stamps_ = std::move(now);
 }
 
 std::uint64_t PartedMesh::fingerprint() const {
@@ -497,6 +534,24 @@ void residenceOf(PartId self, const Remote& r, ResidenceVec& out) {
 
 void PartedMesh::verify() const {
   const int dim = dim_;
+  // Slot-indexed views of every part's remote, ghost-source and ghosted-on
+  // records, read once: the per-entity loop below asks them about its own
+  // part and about each copy's part.
+  struct Views {
+    SlotIndex<Remote> remote;
+    SlotIndex<Copy> ghost_source;
+    SlotIndex<std::vector<Copy>> ghosted_on;
+  };
+  std::vector<Views> views(parts_.size());
+  for (std::size_t i = 0; i < parts_.size(); ++i) {
+    const Part& p = *parts_[i];
+    views[i].remote.build(p.mesh(), p.remotes_);
+    views[i].ghost_source.build(p.mesh(), p.ghost_source_);
+    views[i].ghosted_on.build(p.mesh(), p.ghosted_on_);
+  }
+  auto viewOf = [&views](PartId q) -> const Views& {
+    return views.at(static_cast<std::size_t>(q));
+  };
   // Residence rule support: per topology, slot-indexed marks of the
   // downward closure of this part's non-ghost elements.
   std::array<std::vector<char>, core::kTopoCount> in_closure;
@@ -505,31 +560,42 @@ void PartedMesh::verify() const {
   ResidenceVec qres;
   for (const auto& pp : parts_) {
     const Part& p = *pp;
+    const Views& pv = viewOf(p.id());
+    auto mark = [&in_closure](Ent b) {
+      in_closure[static_cast<std::size_t>(b.topo())][b.index()] = 1;
+    };
     for (int d = 0; d < dim; ++d)
       for (core::Topo t : core::toposOfDim(d))
         in_closure[static_cast<std::size_t>(t)].assign(p.mesh().slots(t), 0);
     if (dim >= 1) {
+      // Mark the closure level by level: the non-ghost elements' boundary,
+      // then the boundary of every marked entity, one dimension down.
       for (Ent elem : p.mesh().entities(dim)) {
-        if (p.isGhost(elem)) continue;
-        for (int d = 0; d < dim; ++d) {
-          const int n = p.mesh().downward(elem, d, buf.data());
-          for (int k = 0; k < n; ++k) {
-            const Ent b = buf[static_cast<std::size_t>(k)];
-            in_closure[static_cast<std::size_t>(b.topo())][b.index()] = 1;
+        if (pv.ghost_source.find(elem) != nullptr) continue;
+        const int n = p.mesh().downward(elem, dim - 1, buf.data());
+        for (int k = 0; k < n; ++k) mark(buf[static_cast<std::size_t>(k)]);
+      }
+      for (int d = dim - 1; d >= 1; --d) {
+        for (core::Topo t : core::toposOfDim(d)) {
+          const auto& marks = in_closure[static_cast<std::size_t>(t)];
+          for (std::uint32_t i = 0; i < marks.size(); ++i) {
+            const Ent e(t, i);
+            if (!marks[i] || !p.mesh().alive(e)) continue;
+            const int n = p.mesh().downward(e, d - 1, buf.data());
+            for (int k = 0; k < n; ++k) mark(buf[static_cast<std::size_t>(k)]);
           }
         }
       }
     }
     for (int d = 0; d <= dim; ++d) {
       for (Ent e : p.mesh().entities(d)) {
-        const Remote* r = p.remote(e);
-        if (p.isGhost(e)) {
+        const Remote* r = pv.remote.find(e);
+        if (const Copy* src = pv.ghost_source.find(e)) {
           if (r != nullptr) vfail("ghost entity has remote record", p.id(), e);
-          const Copy src = p.ghostSource(e);
-          const Part& sp = part(src.part);
-          if (!sp.mesh().alive(src.ent))
+          const Part& sp = part(src->part);
+          if (!sp.mesh().alive(src->ent))
             vfail("ghost source entity is dead", p.id(), e);
-          const auto* gcopies = sp.ghostCopies(src.ent);
+          const auto* gcopies = viewOf(src->part).ghosted_on.find(src->ent);
           if (gcopies == nullptr ||
               std::find(gcopies->begin(), gcopies->end(),
                         Copy{p.id(), e}) == gcopies->end())
@@ -552,7 +618,7 @@ void PartedMesh::verify() const {
             if (!q.mesh().alive(c.ent)) vfail("dead remote copy", p.id(), e);
             if (c.ent.topo() != e.topo())
               vfail("remote copy topology mismatch", p.id(), e);
-            const Remote* rq = q.remote(c.ent);
+            const Remote* rq = viewOf(c.part).remote.find(c.ent);
             if (rq == nullptr) vfail("remote copy not shared", p.id(), e);
             if (rq->owner != r->owner)
               vfail("owner disagreement across copies", p.id(), e);
@@ -597,7 +663,7 @@ void PartedMesh::verify() const {
     for (const auto& [e, gcopies] : p.ghosted_on_) {
       if (!p.mesh().alive(e))
         vfail("ghost-copy record for dead entity", p.id(), e);
-      if (p.isGhost(e))
+      if (pv.ghost_source.find(e) != nullptr)
         vfail("ghost entity tracks ghost copies of its own", p.id(), e);
       for (const Copy& c : gcopies) {
         if (c.part < 0 || c.part >= parts() || c.part == p.id())
@@ -607,11 +673,11 @@ void PartedMesh::verify() const {
         if (!q.mesh().alive(c.ent))
           vfail("tracked ghost copy is dead", p.id(), e,
                 "on part " + std::to_string(c.part));
-        if (!q.isGhost(c.ent))
+        const Copy* back = viewOf(c.part).ghost_source.find(c.ent);
+        if (back == nullptr)
           vfail("tracked ghost copy is not a ghost", p.id(), e,
                 "on part " + std::to_string(c.part));
-        const Copy back = q.ghostSource(c.ent);
-        if (back.part != p.id() || !(back.ent == e))
+        if (back->part != p.id() || !(back->ent == e))
           vfail("ghost copy does not point back at its source", p.id(), e,
                 "on part " + std::to_string(c.part));
       }

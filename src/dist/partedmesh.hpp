@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -244,12 +245,23 @@ class PartedMesh {
   /// --- transactional execution ------------------------------------------
   /// When transactional mode is on (or a fault plan is active,
   /// pcu::faults::enabled()), every distributed operation above runs as a
-  /// transaction: the full per-part state is snapshotted up front, verify()
-  /// gates the commit, and any failure — injected fault, validation error,
-  /// broken invariant — rolls the mesh back bit-identically to its pre-op
-  /// state (fingerprint()-equal), resets the transport, and rethrows a
-  /// structured pcu::Error. Caveat: rollback re-creates tag storage, so
-  /// cached Tag pointers must be re-find()-ed by name afterwards.
+  /// transaction: the per-part state it may write is snapshotted up front,
+  /// verify() gates the commit, and any failure — injected fault,
+  /// validation error, broken invariant — rolls the mesh back
+  /// bit-identically to its pre-op state (fingerprint()-equal), resets the
+  /// transport, and rethrows a structured pcu::Error.
+  ///  - migrate() and ghostLayers() snapshot each part's flat mesh image
+  ///    (core::Mesh::Image) and its boundary and ghost tables.
+  ///  - syncGhostTags() and syncSharedTags() write tag values only: they
+  ///    snapshot each part's tag registry alone, and an abort restores it
+  ///    without moving any topology or table version.
+  ///  - The commit gate skips verify() when nothing it reads has moved
+  ///    since the last passing gate: same part count and dim, and per part
+  ///    the same generation, topoVersion, dataVersion and tableVersion. Any
+  ///    moved stamp runs verify() in full; an abort forgets the memo. The
+  ///    public verify() always runs in full.
+  /// Caveat: rollback re-creates tag storage, so cached Tag pointers must
+  /// be re-find()-ed by name afterwards.
   void setTransactional(bool on) { transactional_ = on; }
   [[nodiscard]] bool transactional() const { return transactional_; }
 
@@ -290,11 +302,30 @@ class PartedMesh {
  private:
   friend struct CheckpointAccess;  ///< checkpoint.cpp restores dim_
   struct KeyMaps;
+  struct Rollback;
   void buildKeyMaps(KeyMaps& maps) const;
   [[nodiscard]] GKey keyOf(const Part& p, Ent e) const;
+  /// keyOf() of entity `e` of part `self`, given its remote record `r`
+  /// (nullptr for an interior entity). Inline: ghost payloads name every
+  /// record and reference through it.
+  [[nodiscard]] static GKey keyOf(PartId self, Ent e, const Remote* r) {
+    if (r == nullptr || r->owner == self) return GKey{self, e};
+    for (const Copy& c : r->copies)
+      if (c.part == r->owner) return GKey{c.part, c.ent};
+    throw std::logic_error("keyOf: owner copy not found in remote list");
+  }
+  /// What a transactional operation may write, which sets what its
+  /// snapshot holds.
+  enum class Writes { kAll, kTagValues };
   /// Run `body` under the transactional protocol described at
   /// setTransactional(); plain pass-through when inactive.
-  void runTransactional(const char* opname, const std::function<void()>& body);
+  void runTransactional(const char* opname, const std::function<void()>& body,
+                        Writes writes = Writes::kAll);
+  /// The commit gate: verify(), unless no stamp it reads moved since the
+  /// last passing gate.
+  void commitGate();
+  /// Part count, dim, then per part generation, topo/data/table versions.
+  [[nodiscard]] std::vector<std::uint64_t> gateStamps() const;
   /// Migration phases A0..D (migrate() validates, then runs this
   /// transactionally).
   void migrateBody(const MigrationPlan& plan);
@@ -313,6 +344,10 @@ class PartedMesh {
   int integrity_override_ = -1;  ///< -1 auto (env/fault plan), 0 off, 1 on
   std::unique_ptr<integrity::Armor> armor_;
   std::vector<std::unique_ptr<Part>> parts_;
+  /// Per-part rollback images, reused from one transaction to the next.
+  std::vector<Rollback> rollback_;
+  /// gateStamps() at the last passing commit gate; empty when none.
+  std::vector<std::uint64_t> gate_stamps_;
 };
 
 }  // namespace dist

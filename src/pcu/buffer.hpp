@@ -11,37 +11,44 @@
 /// A read past the end of an InBuffer throws pcu::Error(kProtocol), so a
 /// truncated or hostile stream is an error, never an out-of-bounds read.
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "pcu/error.hpp"
 
 namespace pcu {
 
-/// A growable byte buffer with typed append ("pack") operations.
+/// A growable byte buffer with typed append ("pack") operations. Appends
+/// copy into spare room at the end of the storage and grow it (doubling)
+/// only when the room runs out, so a packed field costs one bounds check
+/// and one fixed-size copy.
 class OutBuffer {
  public:
   OutBuffer() = default;
+  /// Adopt an already filled byte stream (a SizedWriter's); later packs
+  /// append to it.
+  explicit OutBuffer(std::vector<std::byte> bytes)
+      : bytes_(std::move(bytes)), size_(bytes_.size()) {}
 
   /// Append one trivially-copyable value.
   template <typename T>
   void pack(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "pack requires a trivially copyable type");
-    const auto* src = reinterpret_cast<const std::byte*>(&value);
-    bytes_.insert(bytes_.end(), src, src + sizeof(T));
+    packBytes(&value, sizeof(T));
   }
 
   /// Append a length-prefixed string.
   void packString(const std::string& s) {
     pack<std::uint64_t>(s.size());
-    const auto* src = reinterpret_cast<const std::byte*>(s.data());
-    bytes_.insert(bytes_.end(), src, src + s.size());
+    packBytes(s.data(), s.size());
   }
 
   /// Append a length-prefixed vector of trivially-copyable elements.
@@ -50,32 +57,43 @@ class OutBuffer {
     static_assert(std::is_trivially_copyable_v<T>,
                   "packVector requires trivially copyable elements");
     pack<std::uint64_t>(v.size());
-    const auto* src = reinterpret_cast<const std::byte*>(v.data());
-    bytes_.insert(bytes_.end(), src, src + v.size() * sizeof(T));
+    packBytes(v.data(), v.size() * sizeof(T));
   }
 
   /// Append raw bytes (no length prefix).
   void packBytes(const void* data, std::size_t n) {
-    const auto* src = static_cast<const std::byte*>(data);
-    bytes_.insert(bytes_.end(), src, src + n);
+    if (n > bytes_.size() - size_) grow(n);
+    if (n != 0) std::memcpy(bytes_.data() + size_, data, n);
+    size_ += n;
   }
 
   /// Pre-size the underlying storage (e.g. when the total coalesced
   /// segment size is known up front).
-  void reserve(std::size_t n) { bytes_.reserve(n); }
+  void reserve(std::size_t n) {
+    if (n > bytes_.size()) bytes_.resize(n);
+  }
 
-  [[nodiscard]] std::size_t size() const { return bytes_.size(); }
-  [[nodiscard]] bool empty() const { return bytes_.empty(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] const std::byte* data() const { return bytes_.data(); }
 
   /// Surrender the underlying storage.
-  std::vector<std::byte> take() && { return std::move(bytes_); }
-  [[nodiscard]] const std::vector<std::byte>& storage() const { return bytes_; }
+  std::vector<std::byte> take() && {
+    bytes_.resize(size_);
+    size_ = 0;
+    return std::move(bytes_);
+  }
 
-  void clear() { bytes_.clear(); }
+  void clear() { size_ = 0; }
 
  private:
-  std::vector<std::byte> bytes_;
+  /// Make room for `n` more bytes: at least double the storage.
+  void grow(std::size_t n) {
+    bytes_.resize(std::max({2 * bytes_.size(), size_ + n, std::size_t{64}}));
+  }
+
+  std::vector<std::byte> bytes_;  ///< [0, size_) written, the rest spare
+  std::size_t size_ = 0;
 };
 
 /// A byte stream of known exact size, filled in place: the writer of the
@@ -127,6 +145,18 @@ class InBuffer {
     std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
     return value;
+  }
+
+  /// Read a T into `out` when enough bytes remain; false (nothing read)
+  /// otherwise. For decoders that report a short stream in their own terms.
+  template <typename T>
+  bool tryUnpack(T& out) {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "tryUnpack requires a trivially copyable type");
+    if (remaining() < sizeof(T)) return false;
+    std::memcpy(&out, bytes_.data() + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return true;
   }
 
   std::string unpackString() {

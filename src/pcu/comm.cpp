@@ -91,7 +91,7 @@ Comm::Comm(std::shared_ptr<Group> group, int rank)
 
 void Comm::send(int dest, int tag, const OutBuffer& buf) {
   assert(tag >= 0 && "negative tags are reserved for collectives");
-  send(dest, tag, std::vector<std::byte>(buf.storage()));
+  send(dest, tag, std::vector<std::byte>(buf.data(), buf.data() + buf.size()));
 }
 
 void Comm::send(int dest, int tag, std::vector<std::byte> bytes) {

@@ -304,6 +304,48 @@ TEST(Crc32, SlicedWalkMatchesTheBytewiseOracle) {
   }
 }
 
+TEST(Crc32, EveryPathMatchesTheBytewiseOracle) {
+  // crc32() folds 16-byte blocks with PCLMULQDQ when the CPU has it; the
+  // sliced walk is the fallback. Every length 0..512 at every 16-byte
+  // alignment covers the 64-byte entry bound, the 4-lane loop, the
+  // single-lane loop and the tail; 1 MiB covers a long fold.
+  std::vector<std::byte> buf((1u << 20) + 16);
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    buf[i] = static_cast<std::byte>((i * 2246822519u) >> 11);
+  auto oracle = [](const std::byte* p, std::size_t len) {
+    return common::detail::crcUpdateBytewise<0xEDB88320u>(0xFFFFFFFFu, p,
+                                                          len) ^
+           0xFFFFFFFFu;
+  };
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 512; ++len) {
+      const std::byte* p = buf.data() + off;
+      ASSERT_EQ(common::crc32(p, len), oracle(p, len))
+          << "length " << len << " alignment " << off;
+      ASSERT_EQ(common::detail::crcUpdateScalar<0xEDB88320u>(0xFFFFFFFFu, p,
+                                                             len) ^
+                    0xFFFFFFFFu,
+                oracle(p, len))
+          << "length " << len << " alignment " << off;
+    }
+  }
+  for (std::size_t off : {std::size_t{0}, std::size_t{5}})
+    EXPECT_EQ(common::crc32(buf.data() + off, 1u << 20),
+              oracle(buf.data() + off, 1u << 20))
+        << "1 MiB at alignment " << off;
+#if PUMI_CRC32_CLMUL
+  if (common::detail::crc32ClmulAvailable()) {
+    for (std::size_t len = 64; len <= 512; len += 16) {
+      ASSERT_EQ(common::detail::crc32UpdateClmul(0xFFFFFFFFu, buf.data() + 3,
+                                                 len),
+                common::detail::crcUpdateBytewise<0xEDB88320u>(
+                    0xFFFFFFFFu, buf.data() + 3, len))
+          << "folded length " << len;
+    }
+  }
+#endif
+}
+
 TEST(Crc32c, MatchesCastagnoliKnownAnswersOnEveryPath) {
   // CRC-32C (Castagnoli) — the in-memory integrity checksum. The SSE4.2
   // hardware path and the scalar table fallback must agree bit-for-bit, so
@@ -338,6 +380,37 @@ TEST(Crc32c, MatchesCastagnoliKnownAnswersOnEveryPath) {
                                                    buf.size()) ^
       0xFFFFFFFFu;
   EXPECT_EQ(common::crc32c(buf.data(), buf.size()), scalar);
+}
+
+TEST(Crc32c, ThreeStreamPathMatchesTheBytewiseOracle) {
+  // Long spans run three crc32 streams over consecutive 80-byte, 256-byte
+  // or 8 KiB blocks and join them by zero-shift tables. Lengths around both
+  // block bounds, at every 8-byte alignment, and one long chained span
+  // must all match the one-byte table walk.
+  std::vector<std::byte> buf(3 * 8192 * 3 + 64);
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    buf[i] = static_cast<std::byte>((i * 2654435761u) >> 17);
+  auto oracle = [](const std::byte* p, std::size_t len, std::uint32_t seed) {
+    return common::detail::crcUpdateBytewise<0x82F63B78u>(seed ^ 0xFFFFFFFFu,
+                                                          p, len) ^
+           0xFFFFFFFFu;
+  };
+  std::vector<std::size_t> lens;
+  for (std::size_t base :
+       {std::size_t{3 * 80}, std::size_t{3 * 256}, std::size_t{3 * 8192}})
+    for (std::size_t d = 0; d < 24; ++d) {
+      lens.push_back(base - 12 + d);
+      lens.push_back(2 * base + d);
+    }
+  lens.push_back(buf.size() - 8);
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len : lens) {
+      const std::byte* p = buf.data() + off;
+      ASSERT_EQ(common::crc32c(p, len), oracle(p, len, 0))
+          << "length " << len << " alignment " << off;
+      ASSERT_EQ(common::crc32c(p, len, 0x1234567u), oracle(p, len, 0x1234567u))
+          << "seeded, length " << len << " alignment " << off;
+    }
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <set>
+#include <vector>
 
+#include "common/rng.hpp"
+#include "core/integrity.hpp"
 #include "core/measure.hpp"
 #include "core/mesh.hpp"
 #include "core/topo.hpp"
@@ -326,6 +330,185 @@ TEST(Mesh, EntHandleBasics) {
   EXPECT_NE(e, Ent(Topo::Tet, 43));
   EXPECT_NE(e, Ent(Topo::Hex, 42));
   EXPECT_LT(Ent(Topo::Tri, 5), Ent(Topo::Tet, 0));
+}
+
+/// --- flat rollback image ----------------------------------------------------
+
+/// An n^3 grid of cubes, each split into six tets along its main diagonal.
+void buildKuhnGrid(Mesh& m, int n) {
+  std::vector<Ent> vs;
+  for (int k = 0; k <= n; ++k)
+    for (int j = 0; j <= n; ++j)
+      for (int i = 0; i <= n; ++i)
+        vs.push_back(m.createVertex({double(i), double(j), double(k)}));
+  auto at = [&](int i, int j, int k) {
+    return vs[static_cast<std::size_t>((k * (n + 1) + j) * (n + 1) + i)];
+  };
+  const std::array<std::array<int, 3>, 6> perms{
+      {{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}};
+  for (int k = 0; k < n; ++k)
+    for (int j = 0; j < n; ++j)
+      for (int i = 0; i < n; ++i)
+        for (const auto& p : perms) {
+          std::array<int, 3> c{i, j, k};
+          std::array<Ent, 4> tet{at(c[0], c[1], c[2])};
+          for (int s = 0; s < 3; ++s) {
+            ++c[static_cast<std::size_t>(p[static_cast<std::size_t>(s)])];
+            tet[static_cast<std::size_t>(s) + 1] = at(c[0], c[1], c[2]);
+          }
+          m.buildElement(Topo::Tet, tet);
+        }
+}
+
+/// Seeded refine/coarsen churn: split a random tet at its centroid, or
+/// undo a random earlier split whose four children are untouched. Both
+/// free slots that later creations reuse.
+void churn(Mesh& m, common::Rng& rng, int ops) {
+  struct Split {
+    std::array<Ent, 4> parent;
+    Ent center;
+    std::array<Ent, 4> kids;
+  };
+  std::vector<Split> splits;
+  for (int op = 0; op < ops; ++op) {
+    if (!splits.empty() && rng.uniform() < 0.4) {
+      const std::size_t pick = rng.below(splits.size());
+      const Split s = splits[pick];
+      splits.erase(splits.begin() + static_cast<std::ptrdiff_t>(pick));
+      // Untouched: every child alive over its own vertices (a split
+      // child's slot may since hold some other tet).
+      bool intact = true;
+      for (int k = 0; k < 4 && intact; ++k) {
+        const Ent kid = s.kids[static_cast<std::size_t>(k)];
+        auto want = s.parent;
+        want[static_cast<std::size_t>(k)] = s.center;
+        intact = m.alive(kid) && std::ranges::equal(m.verts(kid), want);
+      }
+      if (!intact) continue;
+      for (Ent kid : s.kids) m.destroy(kid);
+      for (int d = 2; d >= 1; --d)
+        for (Ent e : m.adjacent(s.center, d))
+          if (m.up(e).empty()) m.destroy(e);
+      m.destroy(s.center);
+      m.buildElement(Topo::Tet, s.parent);
+      continue;
+    }
+    const auto tets = m.all(3);
+    const Ent t = tets[rng.below(tets.size())];
+    Split s;
+    const auto vs = m.verts(t);
+    std::copy(vs.begin(), vs.end(), s.parent.begin());
+    Vec3 c{0, 0, 0};
+    for (Ent v : s.parent) c = c + m.point(v) * 0.25;
+    m.destroy(t);
+    s.center = m.createVertex(c);
+    for (int k = 0; k < 4; ++k) {
+      auto kid = s.parent;
+      kid[static_cast<std::size_t>(k)] = s.center;
+      s.kids[static_cast<std::size_t>(k)] = m.buildElement(Topo::Tet, kid);
+    }
+    splits.push_back(s);
+  }
+}
+
+/// Every pool array, free list and up-list of `a` and `b` agree.
+void expectSameState(const Mesh& a, const Mesh& b) {
+  const auto sa = core::integrity::MeshAccess::sections(a);
+  const auto sb = core::integrity::MeshAccess::sections(b);
+  ASSERT_EQ(sa.size(), sb.size());
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i].name, sb[i].name);
+    EXPECT_TRUE(std::equal(sa[i].bytes.begin(), sa[i].bytes.end(),
+                           sb[i].bytes.begin(), sb[i].bytes.end()))
+        << sa[i].name;
+  }
+  for (int t = 0; t < core::kTopoCount; ++t) {
+    const auto topo = static_cast<Topo>(t);
+    ASSERT_EQ(a.slots(topo), b.slots(topo));
+    EXPECT_EQ(a.countTopo(topo), b.countTopo(topo));
+    for (std::uint32_t i = 0; i < a.slots(topo); ++i) {
+      const Ent e(topo, i);
+      ASSERT_EQ(a.alive(e), b.alive(e));
+      if (!a.alive(e)) continue;
+      const auto& ua = a.up(e);
+      const auto& ub = b.up(e);
+      EXPECT_TRUE(std::equal(ua.begin(), ua.end(), ub.begin(), ub.end()))
+          << core::topoName(topo) << " #" << i << " up-list";
+    }
+  }
+}
+
+/// Drain every free list of `m` by creating entities, in one fixed order:
+/// the handles they get spell the free lists.
+std::vector<Ent> drain(Mesh& m) {
+  std::vector<Ent> got;
+  const double z = 100.0;
+  auto freeSlots = [&m] {
+    std::size_t n = 0;
+    for (Topo t : {Topo::Vertex, Topo::Edge, Topo::Tri, Topo::Tet})
+      n += m.slots(t) - m.countTopo(t);
+    return n;
+  };
+  for (int k = 0; freeSlots() > 0; ++k) {
+    std::array<Ent, 4> vs{};
+    for (int i = 0; i < 4; ++i) {
+      vs[static_cast<std::size_t>(i)] =
+          m.createVertex({double(k), double(i), z});
+      got.push_back(vs[static_cast<std::size_t>(i)]);
+    }
+    got.push_back(m.buildElement(Topo::Tet, vs));
+    for (int d = 1; d <= 2; ++d)
+      for (Ent e : m.adjacent(got.back(), d)) got.push_back(e);
+  }
+  return got;
+}
+
+TEST(MeshImage, RestoreMatchesCopyFromAfterFreeListChurn) {
+  Mesh m;
+  buildKuhnGrid(m, 3);
+  common::Rng rng(2028);
+  churn(m, rng, 120);
+  auto* tag = m.tags().create<double>("w");
+  for (Ent v : m.entities(0)) m.tags().setScalar<double>(tag, v, 1.5);
+
+  Mesh oracle;
+  oracle.copyFrom(m);
+  Mesh::Image image;
+  m.saveImage(image);
+
+  // Mutate past the snapshot: more churn (reusing and growing pools),
+  // moved points, new tag values.
+  churn(m, rng, 150);
+  for (Ent v : m.entities(0)) m.setPoint(v, m.point(v) * 2.0);
+  tag = m.tags().find("w");
+  for (Ent v : m.entities(0)) m.tags().setScalar<double>(tag, v, -1.0);
+
+  const auto topo0 = m.topoVersion();
+  const auto data0 = m.dataVersion();
+  m.restoreImage(image);
+  EXPECT_EQ(m.topoVersion(), topo0 + 1);
+  EXPECT_EQ(m.dataVersion(), data0 + 1);
+  expectSameState(m, oracle);
+  auto* restored = m.tags().find("w");
+  ASSERT_NE(restored, nullptr);
+  for (Ent v : m.entities(0))
+    EXPECT_EQ(m.tags().getScalar<double>(restored, v), 1.5);
+  core::verify(m);
+
+  // The same creations on both get the same handles: free lists agree.
+  Mesh copy;
+  copy.copyFrom(m);
+  EXPECT_EQ(drain(copy), drain(oracle));
+
+  // An image is reusable: a second save into it replaces its content.
+  churn(m, rng, 40);
+  Mesh oracle2;
+  oracle2.copyFrom(m);
+  m.saveImage(image);
+  churn(m, rng, 40);
+  m.restoreImage(image);
+  expectSameState(m, oracle2);
+  EXPECT_EQ(drain(m), drain(oracle2));
 }
 
 TEST(Measure, TetVolumeSigned) {

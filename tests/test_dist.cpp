@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "core/measure.hpp"
 #include "core/verify.hpp"
@@ -431,6 +432,105 @@ TEST(Ghost, MigrateRefusesWhileGhosted) {
   pm->unghost();
   EXPECT_NO_THROW(pm->migrate(plan));
   pm->verify();
+}
+
+/// The pool slots `mesh`'s free lists hand out next, per type in enum
+/// order: drains a copy by allocating every free slot (the last freed slot
+/// comes back first), so free-list order is observed through the public
+/// API alone.
+std::vector<std::uint32_t> drainFreeSlots(const core::Mesh& mesh) {
+  core::Mesh scratch;
+  scratch.copyFrom(mesh);
+  std::vector<std::uint32_t> out;
+  for (int d = 0; d <= 3; ++d) {
+    for (core::Topo t : core::toposOfDim(d)) {
+      const std::size_t n = scratch.slots(t) - scratch.countTopo(t);
+      for (std::size_t i = 0; i < n; ++i) {
+        Ent e;
+        if (d == 0) {
+          e = scratch.createVertex({0, 0, 0});
+        } else {
+          std::array<Ent, 8> verts{};
+          const auto vs = scratch.all(0);
+          for (int k = 0; k < core::topoVertexCount(t); ++k)
+            verts[static_cast<std::size_t>(k)] = vs[static_cast<std::size_t>(k)];
+          std::array<Ent, core::kMaxDown> down{};
+          const int nb = d == 1 ? 2 : core::topoBoundaryCount(t, d - 1);
+          for (int k = 0; k < nb; ++k) {
+            const core::Topo bt =
+                d == 1 ? core::Topo::Vertex : core::topoBoundaryTopo(t, d - 1, k);
+            for (Ent b : scratch.entities(core::topoDim(bt)))
+              if (b.topo() == bt) {
+                down[static_cast<std::size_t>(k)] = b;
+                break;
+              }
+          }
+          e = scratch.createEntity(
+              t, {verts.data(), static_cast<std::size_t>(core::topoVertexCount(t))},
+              {down.data(), static_cast<std::size_t>(nb)});
+        }
+        out.push_back(e.index());
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Ghost, RoundTripKeepsHandlesAndFreeListOrderPinned) {
+  // Seeded churn (a random migration), then two ghost round trips. The
+  // ghosts' handles while ghosted and every pool's free-list order after
+  // unghost are pinned by one CRC-32C per case: ghost creation and
+  // deletion must reuse pool slots in exactly this order.
+  auto pinOf = [](bool three_d) {
+    auto gen = three_d ? meshgen::boxTets(4, 4, 4) : meshgen::boxTris(8, 8);
+    const int nparts = 4;
+    auto pm = dist::PartedMesh::distribute(
+        *gen.mesh, gen.model.get(), stripeByX(*gen.mesh, nparts),
+        flatMap(nparts));
+    pm->setTransactional(true);
+    for (PartId p = 0; p < nparts; ++p) {
+      auto& m = pm->part(p).mesh();
+      auto* t = m.tags().create<double>("u");
+      for (Ent v : m.entities(0)) m.tags().setScalar<double>(t, v, p + 0.5);
+    }
+    common::Rng rng(28);
+    dist::MigrationPlan plan(nparts);
+    for (PartId p = 0; p < nparts; ++p)
+      for (Ent e : pm->part(p).elements())
+        if (rng.uniform() < 0.2) {
+          const auto dest = static_cast<PartId>(rng.below(nparts));
+          if (dest != p) plan[static_cast<std::size_t>(p)][e] = dest;
+        }
+    pm->migrate(plan);
+    std::uint32_t crc = 0;
+    auto mix = [&crc](std::uint64_t v) { crc = common::crc32cOf(v, crc); };
+    for (int layers = 1; layers <= 2; ++layers) {
+      pm->ghostLayers(layers);
+      pm->syncGhostTags();
+      pm->verify();
+      for (PartId p = 0; p < nparts; ++p) {
+        const auto& part = pm->part(p);
+        for (int d = 0; d <= part.mesh().dim(); ++d)
+          for (Ent e : part.mesh().entities(d))
+            if (part.isGhost(e)) {
+              mix(e.packed());
+              mix(part.ghostSource(e).ent.packed());
+            }
+      }
+      pm->unghost();
+      pm->verify();
+      for (PartId p = 0; p < nparts; ++p) {
+        mix(0xf7eeu);
+        for (std::uint32_t slot : drainFreeSlots(pm->part(p).mesh()))
+          mix(slot);
+      }
+    }
+    return crc;
+  };
+  const std::uint32_t tets = pinOf(true);
+  const std::uint32_t tris = pinOf(false);
+  EXPECT_EQ(tets, 0x9399b08bu);
+  EXPECT_EQ(tris, 0x11813116u);
 }
 
 TEST(Network, TwoLevelTrafficAccounting) {

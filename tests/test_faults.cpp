@@ -826,4 +826,131 @@ TEST(Transactional, FingerprintIsStateSensitive) {
       << "fingerprint must change when elements move";
 }
 
+/// --- values-only transactions ----------------------------------------------
+
+/// Every stamp the commit gate reads, part by part.
+std::vector<std::uint64_t> versionStamps(const dist::PartedMesh& pm) {
+  std::vector<std::uint64_t> out;
+  for (PartId q = 0; q < pm.parts(); ++q) {
+    const auto& part = pm.part(q);
+    out.push_back(part.generation());
+    out.push_back(part.mesh().topoVersion());
+    out.push_back(part.mesh().dataVersion());
+    out.push_back(part.tableVersion());
+  }
+  return out;
+}
+
+/// Part q's "u" values, entity by entity in iteration order.
+std::vector<double> uValues(const dist::PartedMesh& pm, PartId q) {
+  const auto& m = pm.part(q).mesh();
+  auto* tag = m.tags().find("u");
+  std::vector<double> out;
+  if (tag == nullptr) return out;
+  for (Ent v : m.entities(0))
+    out.push_back(tag->has(v) ? m.tags().getScalar<double>(tag, v) : -1.0);
+  return out;
+}
+
+/// A ghosted 4-part mesh whose owners have moved their "u" values on
+/// after ghosting: a syncGhostTags would write a new value on every ghost.
+std::unique_ptr<dist::PartedMesh> staleGhostMesh(
+    const meshgen::Generated& gen) {
+  auto pm = makeMesh(gen, 4);
+  pm->setTransactional(true);
+  for (PartId q = 0; q < pm->parts(); ++q) {
+    auto& m = pm->part(q).mesh();
+    auto* tag = m.tags().create<double>("u");
+    for (Ent v : m.entities(0)) m.tags().setScalar<double>(tag, v, q);
+  }
+  pm->ghostLayers(1);
+  for (PartId q = 0; q < pm->parts(); ++q) {
+    auto& part = pm->part(q);
+    auto* tag = part.mesh().tags().find("u");
+    for (Ent v : part.mesh().entities(0))
+      if (!part.isGhost(v)) part.mesh().tags().setScalar<double>(tag, v, 100 + q);
+  }
+  return pm;
+}
+
+TEST(ValuesOnlyTransaction, AbortRestoresTagValuesAndMovesNoVersion) {
+  auto gen = meshgen::boxTets(3, 3, 3);
+  auto pm = staleGhostMesh(gen);
+  // The last part to receive holds "u" as an int tag, so unpacking the
+  // first double value there throws — after parts 0..2 wrote theirs.
+  const PartId last = pm->parts() - 1;
+  auto& lm = pm->part(last).mesh();
+  lm.tags().destroy(lm.tags().find("u"));
+  auto* bad = lm.tags().create<int>("u");
+  lm.tags().setScalar<int>(bad, lm.all(0).front(), 7);
+  ASSERT_GT(pm->part(0).ghostCount(), 0u);
+
+  std::vector<std::vector<double>> before;
+  for (PartId q = 0; q < last; ++q) before.push_back(uValues(*pm, q));
+  const auto stamps = versionStamps(*pm);
+  const std::uint64_t fp = pm->fingerprint();
+  try {
+    pm->syncGhostTags();
+    FAIL() << "syncGhostTags committed into a mistyped tag";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kProtocol) << e.what();
+    EXPECT_NE(std::string(e.what()).find("tag type mismatch: u"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(versionStamps(*pm), stamps);
+  for (PartId q = 0; q < last; ++q)
+    EXPECT_EQ(uValues(*pm, q), before[static_cast<std::size_t>(q)])
+        << "part " << q;
+  EXPECT_EQ(pm->fingerprint(), fp);
+
+  // An injected transport fault aborts the same way.
+  faults::FaultPlan p;
+  p.seed = 3;
+  p.drop = 1.0;
+  {
+    PlanGuard g(p);
+    EXPECT_THROW(pm->syncSharedTags("u"), Error);
+  }
+  EXPECT_EQ(versionStamps(*pm), stamps);
+  EXPECT_EQ(pm->fingerprint(), fp);
+  EXPECT_NO_THROW(pm->verify());
+}
+
+TEST(ValuesOnlyTransaction, GateRerunsVerifyAfterATableWrite) {
+  auto gen = meshgen::boxTets(3, 3, 3);
+  auto pm = staleGhostMesh(gen);
+  pm->syncGhostTags();  // commits; the gate has nothing new to verify
+
+  // Break copy symmetry: the peer's back-link names another vertex.
+  const Ent v = firstTwoPartVertex(*pm);
+  ASSERT_TRUE(v);
+  const dist::Copy peer = pm->part(0).remote(v)->copies.front();
+  dist::Remote r = *pm->part(peer.part).remote(peer.ent);
+  for (dist::Copy& c : r.copies)
+    if (c.part == 0) c.ent = Ent(c.ent.topo(), c.ent.index() == 0 ? 1 : 0);
+  pm->part(peer.part).setRemote(peer.ent, std::move(r));
+
+  try {
+    pm->syncGhostTags();
+    FAIL() << "values-only operation committed over broken copy symmetry";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kProtocol) << e.what();
+    EXPECT_NE(std::string(e.what()).find("copy symmetry broken"),
+              std::string::npos)
+        << e.what();
+  }
+  expectVerifyFails(*pm, "copy symmetry broken", 0, v);
+
+  // Mending the record lets the next values-only operation commit.
+  dist::Remote fixed = *pm->part(peer.part).remote(peer.ent);
+  for (dist::Copy& c : fixed.copies)
+    if (c.part == 0) c.ent = v;
+  pm->part(peer.part).setRemote(peer.ent, std::move(fixed));
+  EXPECT_NO_THROW(pm->syncGhostTags());
+  pm->part(peer.part).eraseRemote(peer.ent);
+  EXPECT_THROW(pm->syncGhostTags(), Error);
+  EXPECT_THROW(pm->verify(), std::logic_error);
+}
+
 }  // namespace

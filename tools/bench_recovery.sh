@@ -98,8 +98,8 @@ rows = {}
 for b in json.load(open(src))["benchmarks"]:
     if b.get("aggregate_name") != "median":
         continue
-    name = b["run_name"]  # BM_NetExchangeReliable/<payload>/<permille>
-    _, payload, permille = name.split("/")
+    # BM_NetExchangeReliable/<payload>/<permille>[/iterations:<n>]
+    _, payload, permille = b["run_name"].split("/")[:3]
     rows[(int(payload), int(permille))] = b
     summary["net_exchange_reliable"].append({
         "payload_bytes": int(payload),
