@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "dist/partedmesh.hpp"
 #include "pcu/error.hpp"
 
 namespace dist::creation {
@@ -43,14 +44,25 @@ void takeRef(pcu::InBuffer& b, PartId part, Ref& r) {
 
 }  // namespace
 
+std::vector<KeyMap> keyMaps(const PartedMesh& pm) {
+  std::vector<KeyMap> maps(static_cast<std::size_t>(pm.parts()));
+  for (PartId p = 0; p < pm.parts(); ++p) {
+    const Part& part = pm.part(p);
+    auto& map = maps[static_cast<std::size_t>(p)];
+    // Count first so the build is a single allocation, not a rehash chain.
+    std::size_t n = 0;
+    for (const auto& [e, r] : part.remotes())
+      if (r.owner != p) ++n;
+    map.reserve(n);
+    for (const auto& [e, r] : part.remotes())
+      if (r.owner != p) map.emplace(keyOf(p, e, &r), e);
+  }
+  return maps;
+}
+
 int boundaryRefs(core::Topo t) {
   const int d = core::topoDim(t);
   return d >= 2 ? core::topoBoundaryCount(t, d - 1) : 0;
-}
-
-void packKey(pcu::OutBuffer& b, const GKey& k) {
-  b.pack<std::int32_t>(k.part);
-  b.pack<std::uint64_t>(k.ent.packed());
 }
 
 Record decode(pcu::InBuffer& b, PartId part) {
@@ -136,6 +148,28 @@ void postReplies(Network& net, std::vector<std::vector<Reply>>& replies) {
         net.send(static_cast<PartId>(q), static_cast<PartId>(o),
                  std::exchange(out[o], pcu::OutBuffer{}));
   }
+}
+
+void writeRemote(pcu::OutBuffer& b, Ent local, PartId owner,
+                 std::span<const Copy> copies) {
+  b.pack<std::uint64_t>(local.packed());
+  b.pack<std::int32_t>(owner);
+  b.pack<std::uint32_t>(static_cast<std::uint32_t>(copies.size()));
+  for (const Copy& c : copies) {
+    b.pack<std::int32_t>(c.part);
+    b.pack<std::uint64_t>(c.ent.packed());
+  }
+}
+
+std::pair<Ent, Remote> readRemote(pcu::InBuffer& b, PartId part) {
+  const Ent local = Ent::unpack(b.unpack<std::uint64_t>());
+  Remote r{{}, b.unpack<std::int32_t>()};
+  for (auto n = b.unpack<std::uint32_t>(); n > 0; --n) {
+    const PartId p = b.unpack<std::int32_t>();
+    const Ent e = Ent::unpack(b.unpack<std::uint64_t>());
+    if (p != part) r.copies.push_back({p, e});
+  }
+  return {local, std::move(r)};
 }
 
 }  // namespace dist::creation

@@ -32,6 +32,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/flatmap.hpp"
@@ -42,6 +43,10 @@
 #include "gmi/model.hpp"
 #include "pcu/buffer.hpp"
 
+namespace dist {
+class PartedMesh;
+}
+
 namespace dist::creation {
 
 using core::Ent;
@@ -49,6 +54,9 @@ using core::Ent;
 /// One part's canonical key -> local handle table (remote-owned shared
 /// entities plus entities created during the current operation).
 using KeyMap = common::FlatMap<GKey, Ent, GKeyHash>;
+
+/// Every part's KeyMap of its remote-owned shared entities, by part.
+[[nodiscard]] std::vector<KeyMap> keyMaps(const PartedMesh& pm);
 
 /// Ordinal of "no earlier record in this payload".
 inline constexpr std::uint32_t kNoOrdinal = 0xffffffffu;
@@ -82,8 +90,6 @@ struct Record {
 /// Boundary references a record of type `t` carries: its one-level
 /// boundary count for faces and regions, 0 for vertices and edges.
 [[nodiscard]] int boundaryRefs(core::Topo t);
-
-void packKey(pcu::OutBuffer& b, const GKey& k);
 
 /// Write the record of entity `e` of `mesh` up to its tag values, one
 /// value at a time through `put(const T&)`. `keyOf(Ent) -> GKey` names any
@@ -164,6 +170,18 @@ struct Reply {
 /// order) as one payload per (receiver, owner) pair, keeping creation
 /// order within each payload, then clear them.
 void postReplies(Network& net, std::vector<std::vector<Reply>>& replies);
+
+/// A remote record in flight: how an owner tells one copy its entity's
+/// owning part and every copy (the receiver's own included).
+///
+///     u64 handle, i32 owner, u32 n, n x (i32 part, u64 handle)
+void writeRemote(pcu::OutBuffer& b, Ent local, PartId owner,
+                 std::span<const Copy> copies);
+
+/// Read one record writeRemote wrote, on part `part`: the receiver's
+/// entity and its Remote (the copies on other parts).
+[[nodiscard]] std::pair<Ent, Remote> readRemote(pcu::InBuffer& b,
+                                                PartId part);
 
 /// Read one payload postReplies wrote, calling fn(real, local) per reply
 /// in creation order.

@@ -20,12 +20,12 @@
 #include <utility>
 
 #include "common/flatmap.hpp"
+#include "core/tagio.hpp"
 #include "dist/creation.hpp"
 #include "dist/integrity.hpp"
-#include "dist/keymaps_impl.hpp"
 #include "dist/partedmesh.hpp"
 #include "dist/slotindex.hpp"
-#include "dist/tagio.hpp"
+#include "dist/plan.hpp"
 #include "pcu/trace.hpp"
 
 namespace dist {
@@ -42,8 +42,7 @@ void PartedMesh::ghostLayers(int layers) {
 void PartedMesh::ghostLayersBody(int layers) {
   const int dim = dim_;
   pcu::trace::Scope trace_scope("dist:ghostLayers");
-  KeyMaps keys;
-  buildKeyMaps(keys);
+  auto keys = creation::keyMaps(*this);
   std::array<Ent, core::kMaxDown> buf{};
   // Per-part scratch, reused for every part: the slot-indexed remote
   // records, each vertex's "reached while growing layers toward q" stamp,
@@ -72,8 +71,8 @@ void PartedMesh::ghostLayersBody(int layers) {
       if (e.topo() != core::Topo::Vertex) continue;
       for (const Copy& c : r.copies) seeds[c.part].push_back(e);
     }
-    const TagPlan tag_plan(p.mesh());
-    const TagPlan::SlotView tags(tag_plan, p.mesh());
+    const core::TagPlan tag_plan(p.mesh());
+    const core::TagPlan::SlotView tags(tag_plan, p.mesh());
     core::AdjVec adj;
     for (auto& [q, verts] : seeds) {
       // Grow `layers` element layers from the seed vertices.
@@ -173,7 +172,7 @@ void PartedMesh::ghostLayersBody(int layers) {
   std::vector<std::vector<creation::Reply>> replies(parts_.size());
   net_.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
     Part& p = *parts_[static_cast<std::size_t>(to)];
-    auto& by_key = keys.by_key[static_cast<std::size_t>(to)];
+    auto& by_key = keys[static_cast<std::size_t>(to)];
     auto& local = earlier[static_cast<std::size_t>(to)];
     local.clear();
     const auto total = body.unpack<std::uint32_t>();
@@ -194,12 +193,12 @@ void PartedMesh::ghostLayersBody(int layers) {
         e = it->second;
       }
       if (e) {  // already held: a real copy or an earlier payload's ghost
-        skipTags(body);
+        core::skipTags(body);
         local.push_back(e);
         continue;
       }
       e = creation::create(p.mesh(), rec, to, by_key, local, model_);
-      unpackTags(p.mesh(), e, body);
+      core::unpackTags(p.mesh(), e, body);
       by_key.emplace(rec.key, e);
       if (!touched) {  // one fresh table version covers the whole payload
         p.touchTables();
@@ -262,63 +261,33 @@ void PartedMesh::unghost() {
 }
 
 void PartedMesh::syncSharedTags(const std::string& only) {
-  runTransactional("syncSharedTags", [&] { syncSharedTagsBody(only); },
-                   Writes::kTagValues);
-}
-
-void PartedMesh::syncSharedTagsBody(const std::string& only) {
-  pcu::trace::Scope trace_scope("dist:syncSharedTags");
-  for (const auto& pp : parts_) {
-    Part& p = *pp;
-    const TagPlan tag_plan(p.mesh(), only);
-    for (const auto& [e, r] : p.remotes_) {
-      if (r.owner != p.id()) continue;
-      for (const Copy& c : r.copies) {
-        pcu::OutBuffer b;
-        b.pack<std::uint64_t>(c.ent.packed());
-        tag_plan.pack(e, b);
-        net_.send(p.id(), c.part, std::move(b));
-      }
-    }
-  }
-  net_.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
-    Part& p = *parts_[static_cast<std::size_t>(to)];
-    const Ent local = Ent::unpack(body.unpack<std::uint64_t>());
-    unpackTags(p.mesh(), local, body);
-  });
+  runTransactional("syncSharedTags", [&] {
+    pcu::trace::Scope trace_scope("dist:syncSharedTags");
+    bcastTags(Plan::shared(*this), only);
+  }, Writes::kTagValues);
 }
 
 void PartedMesh::syncGhostTags() {
-  runTransactional("syncGhostTags", [&] { syncGhostTagsBody(); },
-                   Writes::kTagValues);
+  runTransactional("syncGhostTags", [&] {
+    pcu::trace::Scope trace_scope("dist:syncGhostTags");
+    bcastTags(Plan::ghosts(*this), "");
+  }, Writes::kTagValues);
 }
 
-void PartedMesh::syncGhostTagsBody() {
-  pcu::trace::Scope trace_scope("dist:syncGhostTags");
-  // One payload per (real part, ghost part) pair, in ghosted_on_ order.
-  std::vector<pcu::OutBuffer> out(parts_.size());
-  for (const auto& pp : parts_) {
-    Part& p = *pp;
-    const TagPlan tag_plan(p.mesh());
-    for (const auto& [real, ghosts] : p.ghosted_on_) {
-      for (const Copy& g : ghosts) {
-        auto& b = out[static_cast<std::size_t>(g.part)];
-        b.pack<std::uint64_t>(g.ent.packed());
-        tag_plan.pack(real, b);
-      }
-    }
-    for (std::size_t q = 0; q < out.size(); ++q)
-      if (out[q].size() > 0)
-        net_.send(p.id(), static_cast<PartId>(q),
-                  std::exchange(out[q], pcu::OutBuffer{}));
-  }
-  net_.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
-    Part& p = *parts_[static_cast<std::size_t>(to)];
-    while (!body.done()) {
-      const Ent ghost = Ent::unpack(body.unpack<std::uint64_t>());
-      unpackTags(p.mesh(), ghost, body);
-    }
-  });
+void PartedMesh::bcastTags(const Plan& plan, const std::string& only) {
+  // Every sender's tags are resolved before the first delivery, which may
+  // create tags on its receiver.
+  std::vector<core::TagPlan> tags;
+  tags.reserve(parts_.size());
+  for (const auto& pp : parts_) tags.emplace_back(pp->mesh(), only);
+  plan.bcast(
+      net_,
+      [&](PartId p, Ent e, pcu::OutBuffer& out) {
+        tags[static_cast<std::size_t>(p)].pack(e, out);
+      },
+      [&](PartId p, Ent e, pcu::InBuffer& in) {
+        core::unpackTags(parts_[static_cast<std::size_t>(p)]->mesh(), e, in);
+      });
 }
 
 }  // namespace dist

@@ -27,10 +27,9 @@
 #include <stdexcept>
 
 #include "common/flatmap.hpp"
+#include "core/tagio.hpp"
 #include "dist/creation.hpp"
-#include "dist/keymaps_impl.hpp"
 #include "dist/partedmesh.hpp"
-#include "dist/tagio.hpp"
 #include "pcu/error.hpp"
 #include "pcu/trace.hpp"
 
@@ -49,22 +48,6 @@ struct Record {
 };
 
 }  // namespace
-
-void PartedMesh::buildKeyMaps(KeyMaps& maps) const {
-  maps.by_key.assign(parts_.size(), {});
-  for (const auto& pp : parts_) {
-    auto& map = maps.by_key[static_cast<std::size_t>(pp->id())];
-    // Count first so the rebuild is a single allocation, not a rehash chain.
-    std::size_t n = 0;
-    for (const auto& [e, r] : pp->remotes_)
-      if (r.owner != pp->id()) ++n;
-    map.reserve(n);
-    for (const auto& [e, r] : pp->remotes_) {
-      if (r.owner == pp->id()) continue;
-      map.emplace(keyOf(*pp, e), e);
-    }
-  }
-}
 
 void PartedMesh::migrate(const MigrationPlan& plan) {
   const int dim = dim_;
@@ -108,8 +91,7 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
   const int dim = dim_;
   pcu::trace::Scope trace_scope("dist:migrate");
   const std::size_t nparts = parts_.size();
-  KeyMaps keys;
-  buildKeyMaps(keys);
+  auto keys = creation::keyMaps(*this);
 
   // Element loads before migration (for the LeastLoaded owner rule).
   std::vector<std::size_t> load(nparts, 0);
@@ -228,7 +210,7 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
   pcu::trace::begin("migrate:B-create");
   // One tag plan per part, rebuilt for every dimension's payloads: a
   // delivery may create tags on the receiving parts.
-  std::vector<TagPlan> tag_plans;
+  std::vector<core::TagPlan> tag_plans;
   // Every boundary entity of a round-d record exists on the receiver by
   // then (held before, or created in an earlier round), so each payload is
   // one record naming its references by full key.
@@ -242,9 +224,9 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
   auto createFromPayload = [&](PartId to, pcu::InBuffer& body) {
     const creation::Record rec = creation::decode(body, to);
     Part& p = *parts_[static_cast<std::size_t>(to)];
-    auto& by_key = keys.by_key[static_cast<std::size_t>(to)];
+    auto& by_key = keys[static_cast<std::size_t>(to)];
     const Ent local = creation::create(p.mesh(), rec, to, by_key, {}, model_);
-    unpackTags(p.mesh(), local, body);
+    core::unpackTags(p.mesh(), local, body);
     by_key[rec.key] = local;
     return creation::Reply{rec.key.part, rec.key.ent, local};
   };
@@ -325,13 +307,7 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
       for (const Copy& c : final_copies) {
         pcu::OutBuffer b;
         b.pack<std::uint8_t>(1);  // kind: finalize
-        b.pack<std::uint64_t>(c.ent.packed());
-        b.pack<std::int32_t>(new_owner);
-        b.pack<std::uint32_t>(static_cast<std::uint32_t>(final_copies.size()));
-        for (const Copy& o : final_copies) {
-          b.pack<std::int32_t>(o.part);
-          b.pack<std::uint64_t>(o.ent.packed());
-        }
+        creation::writeRemote(b, c.ent, new_owner, final_copies);
         net_.send(p.id(), c.part, std::move(b));
       }
       // Dropped parts get a release.
@@ -349,23 +325,14 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
   net_.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
     Part& p = *parts_[static_cast<std::size_t>(to)];
     const auto kind = body.unpack<std::uint8_t>();
-    const Ent local = Ent::unpack(body.unpack<std::uint64_t>());
     p.touchTables();
     if (kind == 0) {
+      const Ent local = Ent::unpack(body.unpack<std::uint64_t>());
       p.remotes_.erase(local);
       to_delete[static_cast<std::size_t>(to)].push_back(local);
       return;
     }
-    const PartId owner = body.unpack<std::int32_t>();
-    const auto n = body.unpack<std::uint32_t>();
-    Remote r;
-    r.owner = owner;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      Copy c;
-      c.part = body.unpack<std::int32_t>();
-      c.ent = Ent::unpack(body.unpack<std::uint64_t>());
-      if (c.part != to) r.copies.push_back(c);
-    }
+    auto [local, r] = creation::readRemote(body, to);
     if (r.copies.empty())
       p.remotes_.erase(local);  // became interior
     else

@@ -10,6 +10,7 @@
 #include "common/flatmap.hpp"
 #include "adapt/split.hpp"
 #include "core/measure.hpp"
+#include "dist/creation.hpp"
 #include "dist/integrity.hpp"
 #include "gmi/model.hpp"
 #include "pcu/trace.hpp"
@@ -20,16 +21,6 @@ using core::Ent;
 using core::EntHash;
 
 namespace {
-
-/// Canonical key of an entity through its owner copy (public-API variant
-/// of PartedMesh::keyOf).
-GKey keyOf(const Part& p, Ent e) {
-  const Remote* r = p.remote(e);
-  if (r == nullptr || r->owner == p.id()) return GKey{p.id(), e};
-  for (const Copy& c : r->copies)
-    if (c.part == r->owner) return GKey{c.part, c.ent};
-  throw std::logic_error("padapt: owner copy not found");
-}
 
 /// One split this part must perform.
 struct Split {
@@ -209,35 +200,16 @@ PartedRefineStats refineParted(PartedMesh& pm, const adapt::SizeField& size,
         const PartId owner = group.copies.front().part;
         for (const Copy& member : group.copies) {
           pcu::OutBuffer b;
-          b.pack<std::uint64_t>(member.ent.packed());
-          b.pack<std::int32_t>(owner);
-          b.pack<std::uint32_t>(
-              static_cast<std::uint32_t>(group.copies.size()));
-          for (const Copy& c : group.copies) {
-            b.pack<std::int32_t>(c.part);
-            b.pack<std::uint64_t>(c.ent.packed());
-          }
+          creation::writeRemote(b, member.ent, owner, group.copies);
           net.send(p, member.part, std::move(b));
         }
       }
     }
-    auto applyRemote = [&](PartId to, pcu::InBuffer& body) {
-      Part& part = pm.part(to);
-      const Ent local = Ent::unpack(body.unpack<std::uint64_t>());
-      Remote r;
-      r.owner = body.unpack<std::int32_t>();
-      const auto n = body.unpack<std::uint32_t>();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        Copy c;
-        c.part = body.unpack<std::int32_t>();
-        c.ent = Ent::unpack(body.unpack<std::uint64_t>());
-        if (c.part != to) r.copies.push_back(c);
-      }
-      part.setRemote(local, std::move(r));
+    auto applyRemote = [&](PartId to, PartId, pcu::InBuffer body) {
+      auto [local, r] = creation::readRemote(body, to);
+      pm.part(to).setRemote(local, std::move(r));
     };
-    net.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
-      applyRemote(to, body);
-    });
+    net.deliverAll(applyRemote);
 
     // --- 4. signature rendezvous for the other new boundary entities ------
     for (PartId p = 0; p < pm.parts(); ++p) {
@@ -299,20 +271,12 @@ PartedRefineStats refineParted(PartedMesh& pm, const adapt::SizeField& size,
         const PartId owner = members.front().part;
         for (const Copy& member : members) {
           pcu::OutBuffer b;
-          b.pack<std::uint64_t>(member.ent.packed());
-          b.pack<std::int32_t>(owner);
-          b.pack<std::uint32_t>(static_cast<std::uint32_t>(members.size()));
-          for (const Copy& c : members) {
-            b.pack<std::int32_t>(c.part);
-            b.pack<std::uint64_t>(c.ent.packed());
-          }
+          creation::writeRemote(b, member.ent, owner, members);
           net.send(r, member.part, std::move(b));
         }
       }
     }
-    net.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
-      applyRemote(to, body);
-    });
+    net.deliverAll(applyRemote);
 
     // --- 5. sweep boundary records of the split (destroyed) entities ------
     for (PartId p = 0; p < pm.parts(); ++p) pm.part(p).sweepDeadRemotes();

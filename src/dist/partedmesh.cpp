@@ -14,9 +14,9 @@
 #include "common/crc32.hpp"
 #include "common/smallvec.hpp"
 #include "core/order.hpp"
+#include "core/tagio.hpp"
 #include "dist/integrity.hpp"
 #include "dist/slotindex.hpp"
-#include "dist/tagio.hpp"
 #include "gmi/model.hpp"
 #include "pcu/arq.hpp"
 #include "pcu/error.hpp"
@@ -134,10 +134,6 @@ std::size_t PartedMesh::globalCount(int d) const {
   return n;
 }
 
-GKey PartedMesh::keyOf(const Part& p, Ent e) const {
-  return keyOf(p.id(), e, p.remote(e));
-}
-
 /// --- distribute --------------------------------------------------------------
 
 std::unique_ptr<PartedMesh> PartedMesh::distribute(
@@ -198,7 +194,7 @@ std::unique_ptr<PartedMesh> PartedMesh::distribute(
   }
 
   // Per-part copies of each serial entity, created dimension-ascending.
-  const TagPlan serial_tags(serial);
+  const core::TagPlan serial_tags(serial);
   common::FlatMap<Ent, std::vector<Copy>, EntHash> copies;
   copies.reserve(res.size());
   std::array<Ent, core::kMaxDown> vbuf{};
@@ -232,7 +228,7 @@ std::unique_ptr<PartedMesh> PartedMesh::distribute(
         pcu::OutBuffer tags;
         serial_tags.pack(e, tags);
         pcu::InBuffer in(std::move(tags).take());
-        unpackTags(part.mesh_, local, in);
+        core::unpackTags(part.mesh_, local, in);
         cps.push_back(Copy{pid, local});
       }
     }
@@ -453,7 +449,7 @@ std::uint64_t PartedMesh::fingerprint() const {
   };
   for (std::size_t i = 0; i < parts_.size(); ++i) {
     const Part& p = *parts_[i];
-    const TagPlan tag_plan(p.mesh());
+    const core::TagPlan tag_plan(p.mesh());
     const int pd = p.mesh().dim();
     for (int d = 0; d <= pd; ++d) {
       // Entities are visited in canonical-name order, so the byte stream

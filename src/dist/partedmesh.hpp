@@ -39,6 +39,7 @@ using core::EntHash;
 namespace integrity {
 class Armor;
 }
+class Plan;
 
 /// Element-migration plan: for each part (by index), the elements leaving
 /// it and their destination parts. Elements not listed stay. Open-addressing
@@ -156,6 +157,7 @@ class Part {
   friend class PartedMesh;
   friend struct CheckpointAccess;  ///< checkpoint.cpp (de)serializes the maps
   friend class integrity::Armor;   ///< memory-fault spans
+  friend class Plan;               ///< lanes from the ghost tables
   /// Draw a new table version (after any write to the three tables).
   void touchTables() { table_version_ = nextStamp(); }
   static std::uint64_t nextStamp();
@@ -171,6 +173,11 @@ class Part {
   common::FlatMap<Ent, Copy, EntHash> ghost_source_;
   common::FlatMap<Ent, std::vector<Copy>, EntHash> ghosted_on_;
 };
+
+/// keyOf() of entity `e` of part `p`, through its remote record.
+inline GKey keyOf(const Part& p, Ent e) {
+  return keyOf(p.id(), e, p.remote(e));
+}
 
 /// The distributed mesh.
 class PartedMesh {
@@ -301,19 +308,7 @@ class PartedMesh {
 
  private:
   friend struct CheckpointAccess;  ///< checkpoint.cpp restores dim_
-  struct KeyMaps;
   struct Rollback;
-  void buildKeyMaps(KeyMaps& maps) const;
-  [[nodiscard]] GKey keyOf(const Part& p, Ent e) const;
-  /// keyOf() of entity `e` of part `self`, given its remote record `r`
-  /// (nullptr for an interior entity). Inline: ghost payloads name every
-  /// record and reference through it.
-  [[nodiscard]] static GKey keyOf(PartId self, Ent e, const Remote* r) {
-    if (r == nullptr || r->owner == self) return GKey{self, e};
-    for (const Copy& c : r->copies)
-      if (c.part == r->owner) return GKey{c.part, c.ent};
-    throw std::logic_error("keyOf: owner copy not found in remote list");
-  }
   /// What a transactional operation may write, which sets what its
   /// snapshot holds.
   enum class Writes { kAll, kTagValues };
@@ -330,8 +325,9 @@ class PartedMesh {
   /// transactionally).
   void migrateBody(const MigrationPlan& plan);
   void ghostLayersBody(int layers);
-  void syncSharedTagsBody(const std::string& only);
-  void syncGhostTagsBody();
+  /// Send every root's transportable tag values (only the tag `only` when
+  /// that is non-empty) to its leaves on `plan`: one payload per lane.
+  void bcastTags(const Plan& plan, const std::string& only);
 
   gmi::Model* model_;
   PartMap map_;

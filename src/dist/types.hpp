@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "core/entity.hpp"
@@ -61,6 +62,15 @@ struct Remote {
   std::vector<Copy> copies;  ///< copies on other parts, sorted by part id
   PartId owner = -1;
 };
+
+/// The canonical key of entity `e` of part `self`, given its remote record
+/// `r` (nullptr for an interior entity): the owner copy's part and handle.
+inline GKey keyOf(PartId self, core::Ent e, const Remote* r) {
+  if (r == nullptr || r->owner == self) return GKey{self, e};
+  for (const Copy& c : r->copies)
+    if (c.part == r->owner) return GKey{c.part, c.ent};
+  throw std::logic_error("keyOf: owner copy not found in remote list");
+}
 
 /// How the owning part of a shared entity is chosen (paper II-A: "one part
 /// is designated as owning part").

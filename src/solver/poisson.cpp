@@ -4,11 +4,11 @@
 #include <array>
 #include <cassert>
 #include <cmath>
-#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "core/measure.hpp"
+#include "dist/plan.hpp"
 #include "field/field.hpp"
 #include "gmi/model.hpp"
 #include "pcu/buffer.hpp"
@@ -78,117 +78,42 @@ struct PartData {
   std::vector<double> u, b, r, p, q, z, diag;
 };
 
-/// The rows of one part whose values travel on one (part, peer) lane, in
-/// the order the exchange adds or assigns them.
-struct Lane {
-  PartId peer = -1;
-  std::vector<int> rows;
-};
-
-/// A part's lanes: outbound in send order, inbound sorted by peer.
-struct PartLanes {
-  std::vector<Lane> reduce_out;  ///< copy rows -> their owner part
-  std::vector<Lane> reduce_in;   ///< owned rows <- a copy part
-  std::vector<Lane> bcast_out;   ///< owned rows -> a copy part
-  std::vector<Lane> bcast_in;    ///< copy rows <- their owner part
-};
-
-const Lane& laneOf(const std::vector<Lane>& lanes, PartId peer) {
-  const auto it = std::lower_bound(
-      lanes.begin(), lanes.end(), peer,
-      [](const Lane& l, PartId q) { return l.peer < q; });
-  if (it == lanes.end() || it->peer != peer)
-    throw std::logic_error("poisson: message from a part with no lane");
-  return *it;
-}
-
 class Context {
  public:
-  Context(dist::PartedMesh& pm) : pm_(pm), parts_(pm.parts()) {}
+  explicit Context(dist::PartedMesh& pm)
+      : pm_(pm), plan_(dist::Plan::shared(pm, 0)) {}
 
   std::vector<PartData> data;
 
-  /// Build the per-solve exchange plan: one round of entity handles per
-  /// direction names, for every (part, peer) lane, the rows its values
-  /// land in. Shared vertices are walked in the part's remote-table order,
-  /// so each lane lists its rows in the order the per-vertex exchange
-  /// posted them. Requires `data` (the vertex rows) to be set up.
-  void buildPlan() {
-    auto& net = pm_.network();
-    lanes_.assign(static_cast<std::size_t>(parts_), {});
-    // Copies name their owner's handle; owners name each copy's handle.
-    for (const bool reduce : {true, false}) {
-      for (PartId p = 0; p < parts_; ++p) {
-        auto& out = reduce ? lanes_[static_cast<std::size_t>(p)].reduce_out
-                           : lanes_[static_cast<std::size_t>(p)].bcast_out;
-        std::vector<std::vector<std::uint64_t>> names;  // per lane
-        std::vector<int> lane_of(static_cast<std::size_t>(parts_), -1);
-        auto add = [&](PartId peer, int row, Ent remote) {
-          int& k = lane_of[static_cast<std::size_t>(peer)];
-          if (k < 0) {
-            k = static_cast<int>(out.size());
-            out.push_back({peer, {}});
-            names.emplace_back();
-          }
-          out[static_cast<std::size_t>(k)].rows.push_back(row);
-          names[static_cast<std::size_t>(k)].push_back(remote.packed());
-        };
-        const auto& d = data[static_cast<std::size_t>(p)];
-        for (const auto& [e, rem] : pm_.part(p).remotes()) {
-          if (e.topo() != core::Topo::Vertex) continue;
-          if (reduce != (rem.owner != p)) continue;
-          for (const dist::Copy& c : rem.copies)
-            if (!reduce || c.part == rem.owner) add(c.part, d.row(e), c.ent);
-        }
-        for (std::size_t k = 0; k < out.size(); ++k) {
-          pcu::OutBuffer msg;
-          msg.packVector(names[k]);
-          net.send(p, out[k].peer, std::move(msg));
-        }
-      }
-      net.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
-        const auto names = body.unpackVector<std::uint64_t>();
-        const auto& d = data[static_cast<std::size_t>(to)];
-        Lane lane{from, {}};
-        lane.rows.reserve(names.size());
-        for (std::uint64_t h : names)
-          lane.rows.push_back(d.row(Ent::unpack(h)));
-        auto& in = reduce ? lanes_[static_cast<std::size_t>(to)].reduce_in
-                          : lanes_[static_cast<std::size_t>(to)].bcast_in;
-        in.push_back(std::move(lane));
-      });
-    }
-    for (auto& l : lanes_) {
-      auto byPeer = [](const Lane& a, const Lane& b) {
-        return a.peer < b.peer;
-      };
-      std::sort(l.reduce_in.begin(), l.reduce_in.end(), byPeer);
-      std::sort(l.bcast_in.begin(), l.bcast_in.end(), byPeer);
-    }
-  }
-
   /// Sum partial values of shared vertices across parts, then broadcast
   /// the totals back so every copy agrees: one payload of doubles per
-  /// (part, peer) lane and direction. Owners add the copies' values in
-  /// delivery order (source part, then the source's lane order), exactly
-  /// the additions of a per-vertex exchange, so results are bitwise
-  /// independent of the plan.
+  /// lane and direction. Each row appears at most once in a lane, so an
+  /// owner row adds its copies' values in delivery order, by ascending
+  /// copy part: the additions of a per-vertex exchange, whatever the
+  /// order of rows within a lane.
   void accumulate(std::vector<double> PartData::* vec) {
-    exchange(vec, &PartLanes::reduce_out, &PartLanes::reduce_in,
-             [](double& into, double v) { into += v; });
-    exchange(vec, &PartLanes::bcast_out, &PartLanes::bcast_in,
-             [](double& into, double v) { into = v; });
+    auto value = [&](PartId p, Ent v) -> double& {
+      auto& d = data[static_cast<std::size_t>(p)];
+      return (d.*vec)[static_cast<std::size_t>(d.row(v))];
+    };
+    auto write = [&](PartId p, Ent v, pcu::OutBuffer& out) {
+      out.pack<double>(value(p, v));
+    };
+    plan_.reduce(pm_.network(), write, [&](PartId p, Ent v, pcu::InBuffer& in) {
+      value(p, v) += in.unpack<double>();
+    });
+    plan_.bcast(pm_.network(), write, [&](PartId p, Ent v, pcu::InBuffer& in) {
+      value(p, v) = in.unpack<double>();
+    });
   }
 
   /// Global dot product, counting each vertex once (on its owner).
   [[nodiscard]] double dot(std::vector<double> PartData::* a,
                            std::vector<double> PartData::* b) const {
     double sum = 0.0;
-    for (PartId p = 0; p < parts_; ++p) {
-      const auto& d = data[static_cast<std::size_t>(p)];
+    for (const auto& d : data)
       for (std::size_t i = 0; i < d.verts.size(); ++i)
         if (d.owned[i]) sum += (d.*a)[i] * (d.*b)[i];
-    }
     return sum;
   }
 
@@ -212,37 +137,8 @@ class Context {
   }
 
  private:
-  /// Post every `out` lane's values of `vec`, then apply each arrival to
-  /// the rows of the receiver's `in` lane for its source part.
-  template <typename Apply>
-  void exchange(std::vector<double> PartData::* vec,
-                std::vector<Lane> PartLanes::* out,
-                std::vector<Lane> PartLanes::* in, Apply apply) {
-    auto& net = pm_.network();
-    for (PartId p = 0; p < parts_; ++p) {
-      const auto& values = data[static_cast<std::size_t>(p)].*vec;
-      for (const Lane& lane : lanes_[static_cast<std::size_t>(p)].*out) {
-        pcu::OutBuffer msg;
-        msg.reserve(lane.rows.size() * sizeof(double));
-        for (int r : lane.rows)
-          msg.pack<double>(values[static_cast<std::size_t>(r)]);
-        net.send(p, lane.peer, std::move(msg));
-      }
-    }
-    net.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
-      const Lane& lane =
-          laneOf(lanes_[static_cast<std::size_t>(to)].*in, from);
-      if (body.size() != lane.rows.size() * sizeof(double))
-        throw std::logic_error("poisson: lane payload does not match its plan");
-      auto& values = data[static_cast<std::size_t>(to)].*vec;
-      for (int r : lane.rows)
-        apply(values[static_cast<std::size_t>(r)], body.unpack<double>());
-    });
-  }
-
   dist::PartedMesh& pm_;
-  int parts_;
-  std::vector<PartLanes> lanes_;
+  const dist::Plan plan_;  ///< shared vertices
 };
 
 }  // namespace
@@ -333,7 +229,6 @@ PoissonReport solvePoisson(dist::PartedMesh& pm,
       }
     }
   }
-  ctx.buildPlan();
   ctx.accumulate(&PartData::b);
   // Jacobi preconditioner: the accumulated stiffness diagonal.
   for (auto& d : ctx.data) {

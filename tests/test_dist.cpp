@@ -11,7 +11,9 @@
 #include "core/measure.hpp"
 #include "core/verify.hpp"
 #include "dist/creation.hpp"
+#include "dist/numbering.hpp"
 #include "dist/partedmesh.hpp"
+#include "dist/plan.hpp"
 #include "dist/ptnmodel.hpp"
 #include "meshgen/boxmesh.hpp"
 #include "pcu/error.hpp"
@@ -580,18 +582,20 @@ TEST(OwnerRule, LeastLoadedPicksLighterPart) {
 
 /// --- creation records (the shared ghost/migration codec) -----------------
 
+/// A full key reference to part 1's entity (t, i).
+void packFullRef(pcu::OutBuffer& b, core::Topo t, std::uint32_t i) {
+  b.pack<std::int32_t>(1);
+  b.pack<std::uint64_t>(Ent(t, i).packed());
+}
+
 /// A record header: key, topology code, classification.
 pcu::OutBuffer recordHeader(std::uint8_t topo) {
   pcu::OutBuffer b;
-  dist::creation::packKey(b, dist::GKey{1, Ent(core::Topo::Tet, 7)});
+  packFullRef(b, core::Topo::Tet, 7);
   b.pack<std::uint8_t>(topo);
   b.pack<std::int32_t>(-1);
   b.pack<std::int32_t>(-1);
   return b;
-}
-
-void packFullRef(pcu::OutBuffer& b, core::Topo t, std::uint32_t i) {
-  dist::creation::packKey(b, dist::GKey{1, Ent(t, i)});
 }
 
 /// Decode must reject `b` with a structured protocol error whose detail
@@ -711,6 +715,287 @@ TEST(CreationRecord, RoundTripCreatesWithoutSearchAndRejectsUnknownRefs) {
         << e.detail();
   }
   EXPECT_EQ(empty.count(2), 0u);
+}
+
+/// --- exchange plans ------------------------------------------------------------
+
+/// A churned mesh: `nparts` x-striped parts, then one seeded migration.
+std::unique_ptr<dist::PartedMesh> churned(const meshgen::Generated& gen,
+                                          int nparts, std::uint64_t seed) {
+  auto pm = dist::PartedMesh::distribute(
+      *gen.mesh, gen.model.get(), stripeByX(*gen.mesh, nparts),
+      flatMap(nparts));
+  common::Rng rng(seed);
+  dist::MigrationPlan plan(static_cast<std::size_t>(nparts));
+  for (PartId p = 0; p < nparts; ++p)
+    for (Ent e : pm->part(p).elements())
+      if (rng.uniform() < 0.2) {
+        const auto dest = static_cast<PartId>(rng.below(nparts));
+        if (dest != p) plan[static_cast<std::size_t>(p)][e] = dest;
+      }
+  pm->migrate(plan);
+  return pm;
+}
+
+/// Every root lane has its leaf's lane and every leaf lane its root's, of
+/// the same length; slot k of both names one entity, as the leaf's own
+/// record (`rootOf(leaf part, leaf entity)`) says; and each lane runs in
+/// root-handle order. Returns the items on root lanes.
+template <typename RootOf>
+std::size_t expectLanesAgree(const dist::PartedMesh& pm,
+                             const dist::Plan& plan, RootOf&& rootOf) {
+  std::size_t items = 0;
+  std::size_t root_lanes = 0;
+  std::size_t leaf_lanes = 0;
+  for (PartId r = 0; r < pm.parts(); ++r) {
+    leaf_lanes += plan.leafLanes(r).size();
+    for (const auto& lane : plan.rootLanes(r)) {
+      ++root_lanes;
+      const auto& leaves = plan.leafLanes(lane.peer);
+      const auto it = std::find_if(leaves.begin(), leaves.end(),
+                                   [&](const auto& l) { return l.peer == r; });
+      if (it == leaves.end() || it->items.size() != lane.items.size()) {
+        ADD_FAILURE() << "lane " << r << " -> " << lane.peer
+                      << " has no leaf side of its length";
+        continue;
+      }
+      EXPECT_FALSE(lane.items.empty());
+      for (std::size_t k = 0; k < lane.items.size(); ++k) {
+        const dist::Copy root = rootOf(lane.peer, it->items[k]);
+        EXPECT_EQ(root.part, r) << "slot " << k;
+        EXPECT_EQ(root.ent, lane.items[k]) << r << " -> " << lane.peer
+                                           << " slot " << k;
+        if (k > 0) {
+          EXPECT_LT(lane.items[k - 1].packed(), lane.items[k].packed());
+        }
+      }
+      items += lane.items.size();
+    }
+  }
+  EXPECT_EQ(root_lanes, leaf_lanes);
+  return items;
+}
+
+TEST(PlanExchange, RootAndLeafNameTheSameEntitiesSlotBySlot) {
+  for (const bool three_d : {false, true}) {
+    for (const int nparts : {2, 4, 7}) {
+      SCOPED_TRACE(std::string(three_d ? "tets" : "tris") + " x" +
+                   std::to_string(nparts));
+      auto gen = three_d ? meshgen::boxTets(4, 4, 4) : meshgen::boxTris(8, 8);
+      auto pm = churned(gen, nparts, 29 + static_cast<std::uint64_t>(nparts));
+      auto ownerCopy = [&](PartId p, Ent e) {
+        const dist::GKey k = dist::keyOf(pm->part(p), e);
+        return dist::Copy{k.part, k.ent};
+      };
+      // Shared: one slot per (owner, other copy); the vertex plan is the
+      // full plan's vertex items.
+      std::size_t copies = 0;
+      std::size_t vertex_copies = 0;
+      for (PartId p = 0; p < nparts; ++p)
+        for (const auto& [e, r] : pm->part(p).remotes())
+          if (r.owner == p) {
+            copies += r.copies.size();
+            if (e.topo() == core::Topo::Vertex) vertex_copies += r.copies.size();
+          }
+      ASSERT_GT(copies, 0u);
+      EXPECT_EQ(expectLanesAgree(*pm, dist::Plan::shared(*pm), ownerCopy),
+                copies);
+      const dist::Plan vertices = dist::Plan::shared(*pm, 0);
+      EXPECT_EQ(expectLanesAgree(*pm, vertices, ownerCopy), vertex_copies);
+      for (PartId p = 0; p < nparts; ++p)
+        for (const auto& lane : vertices.leafLanes(p))
+          for (Ent e : lane.items) EXPECT_EQ(e.topo(), core::Topo::Vertex);
+
+      pm->ghostLayers(1);
+      std::size_t ghosts = 0;
+      for (PartId p = 0; p < nparts; ++p) ghosts += pm->part(p).ghostCount();
+      ASSERT_GT(ghosts, 0u);
+      EXPECT_EQ(expectLanesAgree(*pm, dist::Plan::ghosts(*pm),
+                                 [&](PartId p, Ent e) {
+                                   return pm->part(p).ghostSource(e);
+                                 }),
+                ghosts);
+      EXPECT_EQ(expectLanesAgree(*pm, dist::Plan::shared(*pm), ownerCopy),
+                copies);
+    }
+  }
+}
+
+TEST(PlanExchange, BuildingAPlanSendsNothing) {
+  auto gen = meshgen::boxTets(3, 3, 3);
+  auto pm = churned(gen, 4, 7);
+  pm->ghostLayers(1);
+  const pcu::CommStats before = pm->network().stats();
+  (void)dist::Plan::shared(*pm);
+  (void)dist::Plan::shared(*pm, 0);
+  (void)dist::Plan::ghosts(*pm);
+  const pcu::CommStats& after = pm->network().stats();
+  EXPECT_EQ(after.messages_sent, before.messages_sent);
+  EXPECT_EQ(after.bytes_sent, before.bytes_sent);
+  EXPECT_EQ(after.physical_messages, before.physical_messages);
+  EXPECT_EQ(after.physical_bytes, before.physical_bytes);
+  EXPECT_FALSE(pm->network().pending());
+}
+
+TEST(PlanExchange, PayloadThatDoesNotMatchItsLaneIsAProtocolError) {
+  auto gen = meshgen::boxTets(3, 3, 3);
+  auto pm = dist::PartedMesh::distribute(*gen.mesh, gen.model.get(),
+                                         stripeByX(*gen.mesh, 2), flatMap(2));
+  const dist::Plan plan = dist::Plan::shared(*pm);
+  ASSERT_EQ(plan.rootLanes(0).size(), 1u);
+  const Ent last = plan.rootLanes(0).front().items.back();
+  // Part 0's payload to part 1 drops its last value (delta -1) or carries
+  // one more (delta +1).
+  for (const int delta : {-1, 1}) {
+    auto write = [&](PartId p, Ent e, pcu::OutBuffer& out) {
+      if (p == 0 && e == last && delta < 0) return;
+      out.pack<double>(1.0);
+      if (p == 0 && e == last && delta > 0) out.pack<double>(2.0);
+    };
+    auto read = [](PartId, Ent, pcu::InBuffer& in) {
+      (void)in.unpack<double>();
+    };
+    try {
+      plan.bcast(pm->network(), write, read);
+      FAIL() << "a payload of delta " << delta << " was read";
+    } catch (const pcu::Error& e) {
+      EXPECT_EQ(e.code(), pcu::ErrorCode::kProtocol) << e.what();
+      EXPECT_EQ(e.rank(), 1) << e.what();
+      EXPECT_EQ(e.peer(), 0) << e.what();
+      EXPECT_NE(e.detail().find("plan lane 0 -> 1"), std::string::npos)
+          << e.detail();
+    }
+    pm->network().resetTransport();
+  }
+  // The matching payload moves every value.
+  double sum = 0.0;
+  plan.bcast(
+      pm->network(),
+      [](PartId, Ent, pcu::OutBuffer& out) { out.pack<double>(0.5); },
+      [&](PartId, Ent, pcu::InBuffer& in) { sum += in.unpack<double>(); });
+  EXPECT_EQ(sum, 0.5 * static_cast<double>(
+                           plan.rootLanes(0).front().items.size()));
+}
+
+/// --- tag-sync pins ------------------------------------------------------------
+
+/// Every part's tags in name order, each with its component count and
+/// every value, entity by entity in iteration order, folded into `crc`.
+std::uint32_t tagValuesCrc(const dist::PartedMesh& pm, std::uint32_t crc) {
+  for (PartId p = 0; p < pm.parts(); ++p) {
+    const auto& m = pm.part(p).mesh();
+    auto tags = m.tags().list();
+    std::sort(tags.begin(), tags.end(),
+              [](const auto* a, const auto* b) { return a->name() < b->name(); });
+    for (const auto* t : tags) {
+      crc = common::crc32c(reinterpret_cast<const std::byte*>(t->name().data()),
+                           t->name().size(), crc);
+      crc = common::crc32cOf(std::uint64_t{t->components()}, crc);
+      for (int d = 0; d <= m.dim(); ++d)
+        for (Ent e : m.entities(d)) {
+          const auto bytes = t->valueBytes(e);
+          crc = common::crc32cOf(std::uint64_t{t->has(e)}, crc);
+          crc = common::crc32c(bytes.data(), bytes.size(), crc);
+        }
+    }
+  }
+  return crc;
+}
+
+/// Every part's tag names in registry (creation) order, one line a part.
+std::string registryOrder(const dist::PartedMesh& pm) {
+  std::string out;
+  for (PartId p = 0; p < pm.parts(); ++p) {
+    out += std::to_string(p) + ":";
+    for (const auto* t : pm.part(p).mesh().tags().list()) out += " " + t->name();
+    out += "\n";
+  }
+  return out;
+}
+
+/// A 4-part tets mesh with int, long and double multi-component tags: two
+/// on every part, two created on the even parts only and set sparsely on
+/// what those parts own. Numbers the vertices, syncs every shared tag, then
+/// ghosts one layer, moves the owners' values on and syncs the ghosts,
+/// folding every part's tags into the CRC and appending its
+/// registryOrder() to `registry` after each step. Returns the CRC.
+std::uint32_t syncPin(int threads, std::string& registry) {
+  auto gen = meshgen::boxTets(3, 3, 3);
+  const int nparts = 4;
+  auto pm = dist::PartedMesh::distribute(
+      *gen.mesh, gen.model.get(), stripeByX(*gen.mesh, nparts),
+      flatMap(nparts));
+  pm->network().setDeliveryThreads(threads);
+  for (PartId p = 0; p < nparts; ++p) {
+    auto& part = pm->part(p);
+    auto& m = part.mesh();
+    auto* dense_i = m.tags().create<int>("i2", 2);
+    auto* dense_d = m.tags().create<double>("d3", 3);
+    // Odd parts lack both sparse tags: each one creates them on the first
+    // record that carries one, so record order shows in its registry.
+    auto* sparse_l = p % 2 == 0 ? m.tags().create<long>("l2", 2) : nullptr;
+    auto* sparse_d = p % 2 == 0 ? m.tags().create<double>("s1", 1) : nullptr;
+    for (int d = 0; d <= 3; ++d)
+      for (Ent e : m.entities(d)) {
+        if (!part.isOwned(e)) continue;
+        const auto i = static_cast<int>(e.index());
+        m.tags().set<int>(dense_i, e, {p * 1000 + i, d});
+        m.tags().set<double>(dense_d, e, {i + 0.25, p + 0.5, d * 1.5});
+        if (sparse_l != nullptr && i % 3 == 0)
+          m.tags().set<long>(sparse_l, e, {7L * i, -1L - p});
+        if (sparse_d != nullptr && i % 4 == 1)
+          m.tags().set<double>(sparse_d, e, {i / 8.0});
+      }
+  }
+  std::uint32_t crc = 0;
+  dist::numberEntities(*pm, 0, "gid");
+  crc = tagValuesCrc(*pm, crc);
+  registry += registryOrder(*pm);
+  pm->syncSharedTags("");
+  crc = tagValuesCrc(*pm, crc);
+  registry += registryOrder(*pm);
+  pm->ghostLayers(1);
+  for (PartId p = 0; p < nparts; ++p) {
+    auto& part = pm->part(p);
+    auto& m = part.mesh();
+    auto* dense_d = m.tags().find("d3");
+    for (int d = 0; d <= 3; ++d)
+      for (Ent e : m.entities(d))
+        if (!part.isGhost(e) && part.isOwned(e))
+          m.tags().set<double>(dense_d, e, {-1.0 * e.index(), p * 2.0, 0.5});
+  }
+  pm->syncGhostTags();
+  crc = tagValuesCrc(*pm, crc);
+  registry += registryOrder(*pm);
+  pm->verify();
+  return crc;
+}
+
+TEST(SyncPins, TagRegistriesAndValuesArePinnedUnderAnyDeliveryThreads) {
+  // Recorded with the per-entity shared sync and the handle-prefixed ghost
+  // sync: receivers now read each lane's records in root-handle order, and
+  // every value must come out the same.
+  constexpr std::uint32_t kValuesCrc = 0xc72bcfb8u;
+  // An odd part creates the sparse tags in the order their first records
+  // arrive: part 3's first record from part 2 carrying one of them, in
+  // part 2's root-handle order, carries s1. The per-entity sync gave part
+  // 3 "l2 s1", the iteration order of part 2's remote hash table.
+  const std::string kNumbered =
+      "0: i2 d3 l2 s1 gid\n"
+      "1: i2 d3 gid\n"
+      "2: i2 d3 l2 s1 gid\n"
+      "3: i2 d3 gid\n";
+  const std::string kSynced =
+      "0: i2 d3 l2 s1 gid\n"
+      "1: i2 d3 gid s1 l2\n"
+      "2: i2 d3 l2 s1 gid\n"
+      "3: i2 d3 gid s1 l2\n";
+  for (int threads : {0, 4}) {
+    std::string registry;
+    EXPECT_EQ(syncPin(threads, registry), kValuesCrc) << threads << " threads";
+    EXPECT_EQ(registry, kNumbered + kSynced + kSynced)
+        << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -942,6 +942,23 @@ TEST(ValuesOnlyTransaction, GateRerunsVerifyAfterATableWrite) {
   }
   expectVerifyFails(*pm, "copy symmetry broken", 0, v);
 
+  // A shared-tag sync trusts the same link to lay out its lanes: the gate
+  // refuses its commit and every value stays as it was.
+  std::vector<std::vector<double>> before;
+  for (PartId q = 0; q < pm->parts(); ++q) before.push_back(uValues(*pm, q));
+  try {
+    pm->syncSharedTags();
+    FAIL() << "shared-tag sync committed over broken copy symmetry";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kProtocol) << e.what();
+    EXPECT_NE(std::string(e.what()).find("copy symmetry broken"),
+              std::string::npos)
+        << e.what();
+  }
+  for (PartId q = 0; q < pm->parts(); ++q)
+    EXPECT_EQ(uValues(*pm, q), before[static_cast<std::size_t>(q)])
+        << "part " << q;
+
   // Mending the record lets the next values-only operation commit.
   dist::Remote fixed = *pm->part(peer.part).remote(peer.ent);
   for (dist::Copy& c : fixed.copies)
