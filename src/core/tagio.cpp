@@ -127,16 +127,27 @@ TagPlan::SlotView::SlotView(const TagPlan& plan, const Mesh& mesh)
   }
 }
 
-void TagPlan::SlotView::write(Ent e, pcu::SizedWriter& out) const {
+common::SmallVec<TagPlan::Found, 8> TagPlan::SlotView::found(Ent e) const {
   const auto t = static_cast<std::size_t>(e.topo());
-  common::SmallVec<Found, 8> found;
+  common::SmallVec<Found, 8> out;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const auto& row = rows_[i][t];
     if (e.index() < row.size() && row[e.index()].count != kNoValue)
-      found.push_back({&plan_.entries_[i], row[e.index()]});
+      out.push_back({&plan_.entries_[i], row[e.index()]});
   }
-  writeRecord({found.data(), found.size()},
+  return out;
+}
+
+void TagPlan::SlotView::write(Ent e, pcu::SizedWriter& out) const {
+  const auto values = found(e);
+  writeRecord({values.data(), values.size()},
               [&out](const void* p, std::size_t n) { out.putBytes(p, n); });
+}
+
+void TagPlan::SlotView::write(Ent e, pcu::OutBuffer& out) const {
+  const auto values = found(e);
+  writeRecord({values.data(), values.size()},
+              [&out](const void* p, std::size_t n) { out.packBytes(p, n); });
 }
 
 std::size_t TagPlan::SlotView::recordBytes(Ent e) const {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/smallvec.hpp"
 #include "core/mesh.hpp"
 #include "pcu/buffer.hpp"
 
@@ -32,6 +33,12 @@ class TagPlan {
   struct Value {
     const std::byte* bytes = nullptr;
     std::uint64_t count = 0;  ///< elements, not bytes
+  };
+  struct Entry;
+  /// One tag's value found on an entity.
+  struct Found {
+    const Entry* entry;
+    Value v;
   };
   /// One tag's values by topology and pool slot.
   using SlotRows = std::array<std::vector<Value>, kTopoCount>;
@@ -59,11 +66,15 @@ class TagPlan {
 
     /// Write `e`'s record: the bytes pack() appends for it.
     void write(Ent e, pcu::SizedWriter& out) const;
+    void write(Ent e, pcu::OutBuffer& out) const;
 
     /// Bytes write() writes for `e`.
     [[nodiscard]] std::size_t recordBytes(Ent e) const;
 
    private:
+    /// The values attached to `e`, in plan order.
+    [[nodiscard]] common::SmallVec<Found, 8> found(Ent e) const;
+
     const TagPlan& plan_;
     std::vector<SlotRows> rows_;  ///< [entry][topo][slot]
     std::size_t value_bytes_ = 0;
@@ -83,10 +94,6 @@ class TagPlan {
                          SlotRows& rows) = nullptr;
     /// Bytes of one value's record: name, type code, components, values.
     [[nodiscard]] std::size_t recordBytes(std::uint64_t count) const;
-  };
-  struct Found {
-    const Entry* entry;
-    Value v;
   };
   template <typename T>
   static bool findTyped(const void* table, Ent e, Value& out);

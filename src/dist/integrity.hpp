@@ -7,7 +7,8 @@
 /// repair at every transactional commit point.
 ///
 /// The Armor owns one core::integrity::Ledger per part. At each boundary
-/// (operation entry/exit, balancing round end, service phase) it:
+/// (transaction entry/exit — a balancing round is one transaction — and
+/// service phase) it:
 ///   * audits every part — the mesh-owned sections through the ledger's
 ///     version-gated byte hashes, the remote/ghost tables through
 ///     canonical serialized streams — localizing any mismatch to an exact
@@ -123,7 +124,7 @@ class Armor {
   void sealAndMaybeInject();
 
   /// One full boundary: audit/repair, then seal and maybe inject. The
-  /// balancing and service layers call this between rounds/phases.
+  /// service layer calls this between phases.
   void boundary(const char* where) {
     auditAndRepair(where);
     sealAndMaybeInject();

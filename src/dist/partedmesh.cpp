@@ -255,6 +255,17 @@ std::unique_ptr<PartedMesh> PartedMesh::distribute(
 void PartedMesh::runTransactional(const char* opname,
                                   const std::function<void()>& body,
                                   Writes writes) {
+  if (open_) {
+    // Nesting rule: join the enclosing transaction, whose snapshot, gate,
+    // seal and retries cover this operation too.
+    body();
+    return;
+  }
+  open_ = true;
+  struct Close {
+    bool& open;
+    ~Close() { open = false; }
+  } close{open_};
   const bool active = transactional_ || pcu::faults::enabled();
   // Armor entry audit: catch (and repair) any bit flipped since the last
   // boundary BEFORE the snapshot below copies it, and before the operation
@@ -392,95 +403,151 @@ std::uint64_t PartedMesh::fingerprint() const {
   // fall back to iteration order, which keeps the digest deterministic for
   // a fixed layout (duplicate vertex positions do not occur within a part
   // of a verified distributed mesh).
-  std::vector<common::FlatMap<Ent, std::uint64_t, EntHash>> ord(parts_.size());
+  //
+  // Names live in slot-indexed rows: ord[part][topo][slot], kNoName for a
+  // slot that holds no live entity.
+  constexpr std::uint64_t kNoName = ~std::uint64_t{0};
+  using Names = std::array<std::vector<std::uint64_t>, core::kTopoCount>;
+  std::vector<Names> ord(parts_.size());
   std::vector<std::array<std::vector<Ent>, 4>> canon(parts_.size());
   for (std::size_t i = 0; i < parts_.size(); ++i) {
     const core::Mesh& m = parts_[i]->mesh();
-    std::size_t total = 0;
-    for (int d = 0; d <= m.dim(); ++d) total += m.count(d);
-    ord[i].reserve(total);
-    auto coordKey = [&m](Ent v) {
-      const common::Vec3 x = m.point(v);
-      return std::array<std::uint64_t, 3>{std::bit_cast<std::uint64_t>(x.x),
-                                          std::bit_cast<std::uint64_t>(x.y),
-                                          std::bit_cast<std::uint64_t>(x.z)};
+    for (int t = 0; t < core::kTopoCount; ++t)
+      ord[i][static_cast<std::size_t>(t)].assign(
+          m.slots(static_cast<core::Topo>(t)), kNoName);
+    // Vertices: sorted by coordinate bits, then slot (iteration order).
+    struct VertexKey {
+      std::array<std::uint64_t, 3> x;
+      std::uint32_t slot;
     };
-    std::vector<Ent> vs = m.all(0);
-    std::stable_sort(vs.begin(), vs.end(), [&](Ent a, Ent b) {
-      return coordKey(a) < coordKey(b);
-    });
-    std::uint64_t k = 0;
-    for (Ent v : vs) ord[i].emplace(v, k++);
-    canon[i][0] = std::move(vs);
+    std::vector<VertexKey> vkeys;
+    vkeys.reserve(m.count(0));
+    for (Ent v : m.entities(0)) {
+      const common::Vec3 x = m.point(v);
+      vkeys.push_back({{std::bit_cast<std::uint64_t>(x.x),
+                        std::bit_cast<std::uint64_t>(x.y),
+                        std::bit_cast<std::uint64_t>(x.z)},
+                       v.index()});
+    }
+    std::sort(vkeys.begin(), vkeys.end(),
+              [](const VertexKey& a, const VertexKey& b) {
+                return a.x != b.x ? a.x < b.x : a.slot < b.slot;
+              });
+    auto& vnames = ord[i][static_cast<std::size_t>(core::Topo::Vertex)];
+    auto& vlist = canon[i][0];
+    vlist.reserve(vkeys.size());
+    for (std::uint32_t k = 0; k < vkeys.size(); ++k) {
+      vnames[vkeys[k].slot] = k;
+      vlist.push_back(Ent(core::Topo::Vertex, vkeys[k].slot));
+    }
+    // Higher entities: ordered by (type, sorted vertex names), then slot,
+    // through an LSD counting sort over the key words. Every pass is
+    // stable, so iteration (slot) order breaks ties. Words past a type's
+    // vertex count hold nv_names, above every vertex name; the type word
+    // comes first, so they never decide an order.
+    const auto nv_names = static_cast<std::uint32_t>(vkeys.size());
+    std::vector<Ent> ents;
+    std::vector<std::uint32_t> words;
+    std::vector<std::uint32_t> perm;
+    std::vector<std::uint32_t> next;
+    std::vector<std::uint32_t> count;
     std::array<Ent, core::kMaxDown> vbuf{};
     for (int d = 1; d <= m.dim(); ++d) {
-      using Key = std::array<std::uint64_t, 9>;  // topo + up to 8 vertices
-      std::vector<std::pair<Key, Ent>> keyed;
-      keyed.reserve(m.count(d));
+      std::size_t width = 1;
+      for (core::Topo t : core::toposOfDim(d))
+        if (m.countTopo(t) > 0)
+          width = std::max(width, std::size_t{1} + static_cast<std::size_t>(
+                                                       core::topoVertexCount(t)));
+      ents.clear();
+      words.clear();
       for (Ent e : m.entities(d)) {
-        Key key;
-        key.fill(~std::uint64_t{0});
-        key[0] = static_cast<std::uint64_t>(e.topo());
+        ents.push_back(e);
+        const std::size_t at = words.size();
+        words.resize(at + width, nv_names);
+        words[at] = static_cast<std::uint32_t>(e.topo());
         const int nv = m.downward(e, 0, vbuf.data());
         for (int v = 0; v < nv; ++v)
-          key[static_cast<std::size_t>(v) + 1] =
-              ord[i].at(vbuf[static_cast<std::size_t>(v)]);
-        std::sort(key.begin() + 1, key.begin() + 1 + nv);
-        keyed.emplace_back(key, e);
+          words[at + 1 + static_cast<std::size_t>(v)] = static_cast<std::uint32_t>(
+              vnames[vbuf[static_cast<std::size_t>(v)].index()]);
+        std::sort(words.begin() + static_cast<std::ptrdiff_t>(at) + 1,
+                  words.begin() + static_cast<std::ptrdiff_t>(at) + 1 + nv);
       }
-      std::stable_sort(
-          keyed.begin(), keyed.end(),
-          [](const auto& a, const auto& b) { return a.first < b.first; });
+      const std::size_t n = ents.size();
+      perm.resize(n);
+      next.resize(n);
+      for (std::uint32_t k = 0; k < n; ++k) perm[k] = k;
+      count.assign(std::max<std::size_t>(nv_names, core::kTopoCount) + 2, 0);
+      for (std::size_t w = width; w-- > 0;) {
+        std::fill(count.begin(), count.end(), 0);
+        for (std::uint32_t k : perm) ++count[words[k * width + w] + 1];
+        if (std::find(count.begin(), count.end(), n) != count.end())
+          continue;  // one value throughout: the pass would not move anything
+        for (std::size_t b = 1; b < count.size(); ++b) count[b] += count[b - 1];
+        for (std::uint32_t k : perm) next[count[words[k * width + w]]++] = k;
+        perm.swap(next);
+      }
       auto& list = canon[i][static_cast<std::size_t>(d)];
-      list.reserve(keyed.size());
+      list.reserve(n);
       std::uint64_t kk = 0;
-      for (const auto& [key, e] : keyed) {
-        ord[i].emplace(e, (static_cast<std::uint64_t>(d) << 48) | kk++);
+      for (std::uint32_t k : perm) {
+        const Ent e = ents[k];
+        ord[i][static_cast<std::size_t>(e.topo())][e.index()] =
+            (static_cast<std::uint64_t>(d) << 48) | kk++;
         list.push_back(e);
       }
     }
   }
   auto refOf = [&ord](PartId part, Ent e) -> std::uint64_t {
-    const auto& map = ord[static_cast<std::size_t>(part)];
-    const auto it = map.find(e);
+    const auto& row =
+        ord[static_cast<std::size_t>(part)][static_cast<std::size_t>(e.topo())];
+    const std::uint64_t name =
+        e.index() < row.size() ? row[e.index()] : kNoName;
     // Dead cross-part handle (never in a verified mesh): fall back to the
     // raw handle so the digest stays total instead of crashing.
-    return it == map.end() ? e.packed() : it->second;
+    return name == kNoName ? e.packed() : name;
   };
+  SlotIndex<Remote> remotes;
+  SlotIndex<Copy> ghost_source;
+  SlotIndex<std::vector<Copy>> ghosted_on;
+  pcu::OutBuffer tags;
+  std::vector<Copy> gs;
   for (std::size_t i = 0; i < parts_.size(); ++i) {
     const Part& p = *parts_[i];
-    const core::TagPlan tag_plan(p.mesh());
-    const int pd = p.mesh().dim();
-    for (int d = 0; d <= pd; ++d) {
+    const core::Mesh& m = p.mesh();
+    const core::TagPlan tag_plan(m);
+    const core::TagPlan::SlotView tag_values(tag_plan, m);
+    remotes.build(m, p.remotes_);
+    ghost_source.build(m, p.ghost_source_);
+    ghosted_on.build(m, p.ghosted_on_);
+    for (int d = 0; d <= m.dim(); ++d) {
       // Entities are visited in canonical-name order, so the byte stream
       // mixed below is identical for any storage layout of the same mesh.
       for (Ent e : canon[i][static_cast<std::size_t>(d)]) {
         mix(h, static_cast<std::uint64_t>(e.topo()) + 1);
         if (d == 0) {
-          const common::Vec3 x = p.mesh().point(e);
+          const common::Vec3 x = m.point(e);
           mix(h, std::bit_cast<std::uint64_t>(x.x));
           mix(h, std::bit_cast<std::uint64_t>(x.y));
           mix(h, std::bit_cast<std::uint64_t>(x.z));
         }
-        const gmi::Entity* cls = p.mesh().classification(e);
+        const gmi::Entity* cls = m.classification(e);
         mix(h, cls ? static_cast<std::uint64_t>(cls->dim()) + 1 : 0);
         mix(h, cls ? static_cast<std::uint64_t>(cls->tag()) + 1 : 0);
-        if (const Remote* r = p.remote(e)) {
+        if (const Remote* r = remotes.find(e)) {
           mix(h, static_cast<std::uint64_t>(r->owner) + 1);
           for (const Copy& c : r->copies) {
             mix(h, static_cast<std::uint64_t>(c.part));
             mix(h, refOf(c.part, c.ent));
           }
         }
-        if (p.isGhost(e)) {
-          const Copy src = p.ghostSource(e);
-          mix(h, static_cast<std::uint64_t>(src.part) + 2);
-          mix(h, refOf(src.part, src.ent));
+        if (const Copy* src = ghost_source.find(e)) {
+          mix(h, static_cast<std::uint64_t>(src->part) + 2);
+          mix(h, refOf(src->part, src->ent));
         }
-        if (const auto* gcopies = p.ghostCopies(e)) {
+        if (const auto* gcopies = ghosted_on.find(e)) {
           // The tracked list accumulates in message-arrival order, which is
           // layout-dependent; mix it in canonical (part, name) order.
-          std::vector<Copy> gs(*gcopies);
+          gs.assign(gcopies->begin(), gcopies->end());
           std::sort(gs.begin(), gs.end(), [&](const Copy& a, const Copy& b) {
             if (a.part != b.part) return a.part < b.part;
             return refOf(a.part, a.ent) < refOf(b.part, b.ent);
@@ -490,11 +557,10 @@ std::uint64_t PartedMesh::fingerprint() const {
             mix(h, refOf(c.part, c.ent));
           }
         }
-        pcu::OutBuffer tags;
-        tag_plan.pack(e, tags);
-        const auto bytes = std::move(tags).take();
-        mix(h, bytes.size());
-        mix(h, common::crc32(bytes.data(), bytes.size()));
+        tags.clear();
+        tag_values.write(e, tags);
+        mix(h, tags.size());
+        mix(h, common::crc32(tags.data(), tags.size()));
       }
     }
   }

@@ -267,10 +267,23 @@ class PartedMesh {
   ///    the same generation, topoVersion, dataVersion and tableVersion. Any
   ///    moved stamp runs verify() in full; an abort forgets the memo. The
   ///    public verify() always runs in full.
+  /// Nesting rule: an operation called while a transaction on this mesh is
+  /// open joins it. It runs inline, with no audit, snapshot, commit gate,
+  /// seal or retry of its own; a throw propagates to the enclosing
+  /// transaction, which rolls the whole of it back.
   /// Caveat: rollback re-creates tag storage, so cached Tag pointers must
   /// be re-find()-ed by name afterwards.
   void setTransactional(bool on) { transactional_ = on; }
   [[nodiscard]] bool transactional() const { return transactional_; }
+
+  /// Run `body` as one operation named `opname` (e.g. "parma:round") under
+  /// the protocol above: one armor audit on entry, one snapshot, one commit
+  /// gate and one seal on exit, and on failure a rollback of everything
+  /// `body` wrote. The distributed operations `body` calls join it, so the
+  /// whole of `body` is one commit point.
+  void transaction(const char* opname, const std::function<void()>& body) {
+    runTransactional(opname, body);
+  }
 
   /// How many times an aborted transactional operation is automatically
   /// replayed (rollback, fault-epoch bump, re-run) before its error
@@ -313,7 +326,8 @@ class PartedMesh {
   /// snapshot holds.
   enum class Writes { kAll, kTagValues };
   /// Run `body` under the transactional protocol described at
-  /// setTransactional(); plain pass-through when inactive.
+  /// setTransactional(); plain pass-through when inactive, inline when a
+  /// transaction is already open.
   void runTransactional(const char* opname, const std::function<void()>& body,
                         Writes writes = Writes::kAll);
   /// The commit gate: verify(), unless no stamp it reads moved since the
@@ -335,6 +349,8 @@ class PartedMesh {
   OwnerRule rule_;
   int dim_ = -1;
   bool transactional_ = false;
+  /// A transaction on this mesh is open (runTransactional is running).
+  bool open_ = false;
   int op_retries_ = -1;
   std::uint64_t ops_retried_ = 0;
   int integrity_override_ = -1;  ///< -1 auto (env/fault plan), 0 off, 1 on

@@ -1,7 +1,10 @@
 #include "dist/plan.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <tuple>
+#include <utility>
 
 #include "dist/partedmesh.hpp"
 
@@ -10,17 +13,52 @@ namespace dist {
 namespace {
 
 /// One item of a part's side of a lane: the part at the other end, the
-/// root's handle and this part's entity.
-using Slot = std::tuple<PartId, std::uint64_t, Ent>;
+/// root's entity on it and this part's entity.
+using Slot = std::tuple<PartId, Ent, Ent>;
 
-/// Lay `slots` out as lanes: by peer, each in root-handle order.
-std::vector<Plan::Lane> lanesOf(std::vector<Slot>& slots) {
-  std::sort(slots.begin(), slots.end());
-  std::vector<Plan::Lane> lanes;
+/// Lay `slots` out as lanes: by peer, each in root-handle order (type,
+/// then slot), through one LSD radix sort of packed (peer, root type, root
+/// slot) keys.
+std::vector<Plan::Lane> lanesOf(const std::vector<Slot>& slots) {
+  std::uint64_t max_peer = 0;
+  std::uint64_t max_topo = 0;
+  std::uint64_t max_index = 0;
   for (const auto& [peer, root, item] : slots) {
-    if (lanes.empty() || lanes.back().peer != peer)
-      lanes.push_back({peer, {}});
-    lanes.back().items.push_back(item);
+    max_peer = std::max(max_peer, static_cast<std::uint64_t>(peer));
+    max_topo = std::max(max_topo, static_cast<std::uint64_t>(root.topo()));
+    max_index = std::max(max_index, std::uint64_t{root.index()});
+  }
+  const int index_bits = std::bit_width(max_index);
+  const int root_bits = index_bits + std::bit_width(max_topo);
+  const int key_bits = root_bits + std::bit_width(max_peer);
+  struct Keyed {
+    std::uint64_t key;
+    Ent item;
+  };
+  std::vector<Keyed> keyed;
+  keyed.reserve(slots.size());
+  for (const auto& [peer, root, item] : slots)
+    keyed.push_back({(static_cast<std::uint64_t>(peer) << root_bits) |
+                         (static_cast<std::uint64_t>(root.topo()) << index_bits) |
+                         root.index(),
+                     item});
+  constexpr int kDigitBits = 11;
+  constexpr std::uint64_t kDigitMask = (1u << kDigitBits) - 1;
+  std::vector<Keyed> next(keyed.size());
+  std::vector<std::size_t> count(std::size_t{1} << kDigitBits);
+  for (int shift = 0; shift < key_bits; shift += kDigitBits) {
+    std::fill(count.begin(), count.end(), 0);
+    for (const Keyed& k : keyed) ++count[(k.key >> shift) & kDigitMask];
+    std::size_t at = 0;
+    for (std::size_t& c : count) at += std::exchange(c, at);
+    for (const Keyed& k : keyed) next[count[(k.key >> shift) & kDigitMask]++] = k;
+    keyed.swap(next);
+  }
+  std::vector<Plan::Lane> lanes;
+  for (const Keyed& k : keyed) {
+    const auto peer = static_cast<PartId>(k.key >> root_bits);
+    if (lanes.empty() || lanes.back().peer != peer) lanes.push_back({peer, {}});
+    lanes.back().items.push_back(k.item);
   }
   return lanes;
 }
@@ -49,10 +87,10 @@ Plan Plan::shared(const PartedMesh& pm, int dim) {
       if (dim >= 0 && core::topoDim(e.topo()) != dim) continue;
       if (r.owner == part.id()) {
         for (const Copy& c : r.copies)
-          roots.emplace_back(c.part, e.packed(), e);
+          roots.emplace_back(c.part, e, e);
       } else {
         const GKey root = keyOf(part.id(), e, &r);
-        leaves.emplace_back(root.part, root.ent.packed(), e);
+        leaves.emplace_back(root.part, root.ent, e);
       }
     }
   });
@@ -62,9 +100,9 @@ Plan Plan::ghosts(const PartedMesh& pm) {
   return build(pm, [](const Part& part, auto& roots, auto& leaves) {
     for (const auto& [real, ghosts] : part.ghosted_on_)
       for (const Copy& g : ghosts)
-        roots.emplace_back(g.part, real.packed(), real);
+        roots.emplace_back(g.part, real, real);
     for (const auto& [ghost, real] : part.ghost_source_)
-      leaves.emplace_back(real.part, real.ent.packed(), ghost);
+      leaves.emplace_back(real.part, real.ent, ghost);
   });
 }
 

@@ -1,6 +1,5 @@
 #include "parma/balance.hpp"
 
-#include "dist/integrity.hpp"
 #include "parma/metrics.hpp"
 #include "pcu/error.hpp"
 #include "pcu/trace.hpp"
@@ -24,23 +23,22 @@ BalanceReport balance(dist::PartedMesh& pm, const std::string& priority,
 
   for (int round = 0; round < opts.max_rounds; ++round) {
     pcu::trace::Scope round_scope("parma:balance-round");
-    // A flip planted at the previous commit point (operation-exit seal or
-    // round boundary) sits in sealed state right now — repair it BEFORE the
-    // round reads part state to compute weights and diffusion plans, or a
-    // corrupted handle could be dereferenced outside any audit's reach.
-    if (auto* armor = pm.armorIfActive()) armor->auditAndRepair("parma:round");
-    // A faulted round aborts transactionally inside the migration layer:
-    // the mesh is already rolled back, so re-plan and re-run the same round
-    // up to round_retries times (rollback means the retry sees clean state
-    // and fresh imbalance metrics); only once every retry is also lost does
-    // the round count as faulted and balancing move on.
+    // A round is one transaction, and its migrations join it: the entry
+    // audit repairs a flip planted at the previous commit point before the
+    // round reads part state, and the exit seal is the round's one commit
+    // point. A faulted round rolls back to the exact round-start state, so
+    // re-plan and re-run it up to round_retries times; only once every retry
+    // is also lost does the round count as faulted and balancing move on.
     bool round_ok = false;
     for (int tries = 0; tries <= opts.round_retries; ++tries) {
       try {
-        const auto split_report = heavyPartSplit(pm, split_opts);
-        const auto improved = improve(pm, parsed, improve_opts);
-        report.elements_migrated +=
-            split_report.elements_moved + improved.totalMigrated();
+        std::size_t moved = 0;
+        pm.transaction("parma:round", [&] {
+          const auto split_report = heavyPartSplit(pm, split_opts);
+          const auto improved = improve(pm, parsed, improve_opts);
+          moved = split_report.elements_moved + improved.totalMigrated();
+        });
+        report.elements_migrated += moved;
         round_ok = true;
         break;
       } catch (const pcu::Error& e) {
@@ -57,17 +55,11 @@ BalanceReport balance(dist::PartedMesh& pm, const std::string& priority,
         if (tries < opts.round_retries) report.rounds_retried += 1;
       }
     }
+    report.rounds = round + 1;
     if (!round_ok) {
       report.rounds_faulted += 1;
-      report.rounds = round + 1;
       continue;
     }
-    report.rounds = round + 1;
-    // Round end is a commit point: audit-and-repair the whole mesh, reseal
-    // the ledgers, and fire any memflip scheduled for this boundary. The
-    // next reader of part state (the round-entry audit above, or the
-    // caller's own boundary) repairs whatever this plants.
-    if (auto* armor = pm.armorIfActive()) armor->boundary("parma:round");
     bool all_ok = true;
     for (int d : parsed.allDims())
       all_ok = all_ok &&

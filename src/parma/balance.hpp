@@ -19,9 +19,10 @@ namespace parma {
 struct BalanceOptions {
   double tolerance = 0.05;
   int max_rounds = 3;       ///< heavy-split + diffusion rounds
-  /// How many times a faulted round is re-planned and re-run (the mesh was
-  /// rolled back transactionally, so the retry starts from clean state)
-  /// before the round is skipped and counted in rounds_faulted.
+  /// How many times a faulted round is re-planned and re-run (a round is
+  /// one transaction, rolled back to its exact start state, so the retry
+  /// plans from that state) before the round is skipped and counted in
+  /// rounds_faulted.
   int round_retries = 2;
   ImproveOptions improve{}; ///< per-round diffusion settings
   HeavySplitOptions split{};

@@ -4,6 +4,7 @@
 #include <array>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.hpp"
@@ -996,6 +997,42 @@ TEST(SyncPins, TagRegistriesAndValuesArePinnedUnderAnyDeliveryThreads) {
     EXPECT_EQ(registry, kNumbered + kSynced + kSynced)
         << threads << " threads";
   }
+}
+
+/// --- fingerprint pins ------------------------------------------------------
+
+/// fingerprint() of a churned mesh with a dense vertex tag and a sparse
+/// multi-component element tag, then of the same mesh ghosted one layer.
+std::pair<std::uint64_t, std::uint64_t> fingerprintPin(bool three_d) {
+  auto gen = three_d ? meshgen::boxTets(4, 4, 4) : meshgen::boxTris(8, 8);
+  const int nparts = 4;
+  auto pm = churned(gen, nparts, 41);
+  for (PartId p = 0; p < nparts; ++p) {
+    auto& m = pm->part(p).mesh();
+    auto* u = m.tags().create<double>("u");
+    for (Ent v : m.entities(0))
+      m.tags().setScalar<double>(u, v, m.point(v).x + 2.0 * m.point(v).y);
+    auto* w = m.tags().create<int>("w", 2);
+    for (Ent e : m.entities(m.dim()))
+      if (e.index() % 3 == 0)
+        m.tags().set<int>(w, e, {static_cast<int>(e.index()), p});
+  }
+  const std::uint64_t plain = pm->fingerprint();
+  pm->ghostLayers(1);
+  pm->syncGhostTags();
+  return {plain, pm->fingerprint()};
+}
+
+TEST(FingerprintPins, SeededMeshesGhostedAndUnghosted) {
+  // Checkpoint MANIFESTs store fingerprint() values, so the digest must
+  // not change with its implementation. Recorded with the FlatMap-ordinal,
+  // per-entity-buffer implementation.
+  const auto [tets, tets_ghosted] = fingerprintPin(true);
+  const auto [tris, tris_ghosted] = fingerprintPin(false);
+  EXPECT_EQ(tets, 0xfc4a71c778fb2ef3ull);
+  EXPECT_EQ(tets_ghosted, 0x352d980751c268aaull);
+  EXPECT_EQ(tris, 0x241bd9faf0efe5b5ull);
+  EXPECT_EQ(tris_ghosted, 0xc0397ed027616833ull);
 }
 
 }  // namespace

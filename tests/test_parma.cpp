@@ -1,13 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+#include <optional>
+
 #include "core/measure.hpp"
+#include "dist/failover.hpp"
+#include "dist/integrity.hpp"
 #include "meshgen/boxmesh.hpp"
 #include "meshgen/workloads.hpp"
+#include "parma/balance.hpp"
 #include "parma/heavysplit.hpp"
 #include "parma/improve.hpp"
 #include "parma/metrics.hpp"
 #include "parma/priority.hpp"
 #include "part/partition.hpp"
+#include "pcu/error.hpp"
+#include "pcu/faults.hpp"
+#include "pcu/trace.hpp"
 
 namespace {
 
@@ -337,6 +347,218 @@ TEST(HeavySplit, LegacyPathNeverChangesPartCount) {
   pm->verify();
   for (int d = 0; d <= 3; ++d)
     EXPECT_EQ(pm->globalCount(d), gen.mesh->count(d));
+}
+
+/// --- balance rounds are transactions ------------------------------------------
+
+/// The mesh of the round tests: part 0 holds half again its share, so the
+/// first round diffuses through several migrations.
+std::unique_ptr<dist::PartedMesh> roundCase(const meshgen::Generated& gen) {
+  return imbalancedPartition(gen, 4, 0.5);
+}
+
+/// Migrations `fn` starts (the "dist:migrate" scopes it enters).
+int migrationsIn(const std::function<void()>& fn) {
+  pcu::trace::clear();
+  pcu::trace::setEnabled(true);
+  try {
+    fn();
+  } catch (...) {
+    pcu::trace::setEnabled(false);
+    pcu::trace::clear();
+    throw;
+  }
+  pcu::trace::setEnabled(false);
+  int n = 0;
+  for (const auto& t : pcu::trace::snapshot().threads)
+    for (const auto& ev : t.events)
+      if (ev.kind == pcu::trace::Kind::kBegin &&
+          std::strcmp(ev.name, "dist:migrate") == 0)
+        ++n;
+  pcu::trace::clear();
+  return n;
+}
+
+/// Installs a fault plan for one scope.
+struct PlanGuard {
+  explicit PlanGuard(const pcu::faults::FaultPlan& p) { pcu::faults::setPlan(p); }
+  ~PlanGuard() { pcu::faults::clearPlan(); }
+  PlanGuard(const PlanGuard&) = delete;
+  PlanGuard& operator=(const PlanGuard&) = delete;
+};
+
+constexpr int kVictimRank = 1;
+
+/// One single-round balance of a fresh roundCase() with rank kVictimRank
+/// killed at Network phase `phase`. `before(pm)` runs first. Returns how
+/// many migrations had started when the round died, or nullopt when the
+/// round finished before that phase.
+std::optional<int> killedRound(
+    const meshgen::Generated& gen, int phase,
+    const std::function<void(dist::PartedMesh&)>& before,
+    const std::function<void(dist::PartedMesh&)>& after) {
+  auto pm = roundCase(gen);
+  before(*pm);
+  pcu::faults::FaultPlan plan;
+  plan.seed = 3;
+  plan.kill = {kVictimRank, phase};
+  PlanGuard guard(plan);
+  parma::BalanceOptions opts;
+  opts.max_rounds = 1;
+  bool died = false;
+  const int started = migrationsIn([&] {
+    try {
+      parma::balance(*pm, "Rgn", opts);
+    } catch (const pcu::Error& e) {
+      EXPECT_EQ(e.code(), pcu::ErrorCode::kRankFailed) << e.what();
+      died = true;
+    }
+  });
+  if (!died) return std::nullopt;
+  after(*pm);
+  return started;
+}
+
+/// The first phase at which a kill lands in the round's second migration.
+int phaseOfSecondMigration(const meshgen::Generated& gen) {
+  const auto nothing = [](dist::PartedMesh&) {};
+  for (int phase = 0; phase < 200; ++phase) {
+    const auto started = killedRound(gen, phase, nothing, nothing);
+    if (!started) break;
+    if (*started == 2) return phase;
+  }
+  return -1;
+}
+
+TEST(BalanceRound, CleanFirstRoundMigratesMoreThanOnce) {
+  auto gen = meshgen::boxTets(3, 3, 3);
+  auto pm = roundCase(gen);
+  parma::BalanceOptions opts;
+  opts.max_rounds = 1;
+  EXPECT_GE(migrationsIn([&] { parma::balance(*pm, "Rgn", opts); }), 2);
+}
+
+TEST(BalanceRound, FaultInSecondMigrationRestoresRoundStartFingerprint) {
+  auto gen = meshgen::boxTets(3, 3, 3);
+  const int phase = phaseOfSecondMigration(gen);
+  ASSERT_GE(phase, 0) << "no kill lands in the round's second migration";
+  std::uint64_t round_start = 0;
+  const auto started = killedRound(
+      gen, phase,
+      [&](dist::PartedMesh& pm) { round_start = pm.fingerprint(); },
+      [&](dist::PartedMesh& pm) {
+        // The first migration committed nothing: the whole round is gone.
+        EXPECT_EQ(pm.fingerprint(), round_start);
+      });
+  ASSERT_TRUE(started.has_value());
+  EXPECT_EQ(*started, 2);
+}
+
+TEST(BalanceRound, EvacuationAfterADeathMidRoundLandsOnTheJournalState) {
+  auto gen = meshgen::boxTets(3, 3, 3);
+  const int phase = phaseOfSecondMigration(gen);
+  ASSERT_GE(phase, 0);
+  dist::failover::BuddyJournal journal;
+  std::uint64_t sealed = 0;
+  std::uint64_t journal_bytes = 0;
+  const auto started = killedRound(
+      gen, phase,
+      [&](dist::PartedMesh& pm) {
+        // The last commit point before the round: seal, which refreshes
+        // the journal replica.
+        pm.setIntegrity(true);
+        pm.armor().setJournal(&journal);
+        pm.armor().sealAndMaybeInject();
+        sealed = pm.fingerprint();
+        journal_bytes = journal.bytesStreamed();
+      },
+      [&](dist::PartedMesh& pm) {
+        // No commit point inside the round: the replica is still the
+        // round-start state, and so are the rolled-back survivors.
+        EXPECT_EQ(journal.bytesStreamed(), journal_bytes);
+        pcu::faults::clearPlan();
+        const auto evac = dist::failover::evacuate(pm, journal);
+        EXPECT_EQ(evac.ranks_lost, std::vector<int>{kVictimRank});
+        EXPECT_NO_THROW(pm.verify());
+        EXPECT_EQ(pm.fingerprint(), sealed);
+        const auto rep = parma::balanceAfterEvacuation(pm, "Rgn", evac);
+        EXPECT_EQ(rep.rounds_faulted, 0) << rep.last_error;
+        EXPECT_NO_THROW(pm.verify());
+      });
+  ASSERT_TRUE(started.has_value());
+  EXPECT_EQ(*started, 2);
+}
+
+TEST(BalanceRound, NestedMigrateNeitherAuditsNorSeals) {
+  auto gen = meshgen::boxTets(3, 3, 3);
+  auto pm = roundCase(gen);
+  pm->setTransactional(true);
+  pm->setIntegrity(true);
+  auto& armor = pm->armor();
+  armor.sealAndMaybeInject();
+  auto moveOne = [&](PartId from, PartId to) {
+    dist::MigrationPlan plan(static_cast<std::size_t>(pm->parts()));
+    plan[static_cast<std::size_t>(from)][pm->part(from).elements().front()] = to;
+    pm->migrate(plan);
+  };
+  // Outside a transaction a migration is its own commit point.
+  auto r0 = armor.report();
+  moveOne(0, 1);
+  auto r1 = armor.report();
+  EXPECT_EQ(r1.audits, r0.audits + 1);
+  EXPECT_EQ(r1.seals, r0.seals + 1);
+  // Inside one, migrations join it: one audit and one seal in all.
+  const std::uint64_t boundary = armor.boundaryIndex();
+  pm->transaction("test:two-moves", [&] {
+    const auto entered = armor.report();
+    EXPECT_EQ(entered.audits, r1.audits + 1);
+    moveOne(0, 2);
+    moveOne(0, 3);
+    const auto inner = armor.report();
+    EXPECT_EQ(inner.audits, entered.audits);
+    EXPECT_EQ(inner.seals, entered.seals);
+  });
+  const auto r2 = armor.report();
+  EXPECT_EQ(r2.audits, r1.audits + 1);
+  EXPECT_EQ(r2.seals, r1.seals + 1);
+  EXPECT_EQ(armor.boundaryIndex(), boundary + 1);
+  // A throw inside rolls the whole transaction back, moves included.
+  const std::uint64_t fp = pm->fingerprint();
+  EXPECT_THROW(pm->transaction("test:abort",
+                               [&] {
+                                 moveOne(1, 0);
+                                 throw pcu::Error(pcu::ErrorCode::kProtocol,
+                                                  -1, "test abort");
+                               }),
+               pcu::Error);
+  EXPECT_EQ(pm->fingerprint(), fp);
+  EXPECT_EQ(armor.report().seals, r2.seals);
+  EXPECT_NO_THROW(pm->verify());
+  // The aborted transaction is closed: the next migration commits alone.
+  moveOne(1, 0);
+  EXPECT_EQ(armor.report().seals, r2.seals + 1);
+}
+
+TEST(BalanceRound, BoundaryIndexAdvancesOncePerCompletedRound) {
+  // 384 elements on 5 parts never balance exactly: every round runs.
+  auto gen = meshgen::boxTets(4, 4, 4);
+  auto pm = imbalancedPartition(gen, 5, 0.5);
+  pm->setTransactional(true);
+  pm->setIntegrity(true);
+  auto& armor = pm->armor();
+  armor.sealAndMaybeInject();
+  parma::BalanceOptions opts;
+  opts.max_rounds = 3;
+  opts.tolerance = 0.0;
+  const std::uint64_t before = armor.boundaryIndex();
+  parma::BalanceReport rep;
+  const int migrations =
+      migrationsIn([&] { rep = parma::balance(*pm, "Rgn", opts); });
+  ASSERT_GE(rep.rounds, 2);
+  EXPECT_GT(migrations, rep.rounds) << "some round must migrate twice";
+  EXPECT_EQ(rep.rounds_faulted, 0) << rep.last_error;
+  EXPECT_EQ(armor.boundaryIndex() - before,
+            static_cast<std::uint64_t>(rep.rounds - rep.rounds_faulted));
 }
 
 }  // namespace

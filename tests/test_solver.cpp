@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/crc32.hpp"
+#include "common/rng.hpp"
 
 #include "core/measure.hpp"
 #include "dist/partedmesh.hpp"
@@ -225,6 +228,51 @@ TEST(PoissonExchange, EachAccumulatePostsOnePayloadPerLane) {
   // accumulate once.
   const auto accumulates = static_cast<std::uint64_t>(report.iterations) + 3;
   EXPECT_EQ(posted, accumulates * (up.size() + down.size()));
+}
+
+TEST(PoissonExchange, MigratedMeshWithLeafOrderUnlikeRootOrderIsPinned) {
+  // A seeded migration creates copies in arrival order, so on some lane a
+  // leaf's handle order differs from its owner's: a plan whose leaf side
+  // followed the leaf's own handles would add sums into the wrong vertices.
+  constexpr std::uint32_t kSolutionCrc = 0x506DC54Cu;
+  constexpr std::uint64_t kPosted = 120;
+  for (int threads : {0, 4}) {
+    auto gen = meshgen::boxTets(4, 4, 4);
+    auto pm = exchangeCase(gen, threads);
+    common::Rng rng(31);
+    dist::MigrationPlan plan(static_cast<std::size_t>(pm->parts()));
+    for (PartId p = 0; p < pm->parts(); ++p)
+      for (Ent e : pm->part(p).elements())
+        if (rng.uniform() < 0.2) {
+          const auto dest = static_cast<PartId>(
+              rng.below(static_cast<std::uint64_t>(pm->parts())));
+          if (dest != p) plan[static_cast<std::size_t>(p)][e] = dest;
+        }
+    pm->migrate(plan);
+    // Precondition: some (leaf part, owner part) lane of shared vertices
+    // lists its leaf handles out of order when read in owner-handle order.
+    bool inverted = false;
+    for (PartId p = 0; p < pm->parts(); ++p) {
+      std::vector<std::tuple<PartId, std::uint64_t, std::uint64_t>> lane;
+      for (const auto& [e, rem] : pm->part(p).remotes()) {
+        if (e.topo() != core::Topo::Vertex || rem.owner == p) continue;
+        for (const dist::Copy& c : rem.copies)
+          if (c.part == rem.owner)
+            lane.emplace_back(c.part, c.ent.packed(), e.packed());
+      }
+      std::sort(lane.begin(), lane.end());
+      for (std::size_t k = 1; k < lane.size(); ++k)
+        inverted = inverted || (std::get<0>(lane[k]) == std::get<0>(lane[k - 1]) &&
+                                std::get<2>(lane[k]) < std::get<2>(lane[k - 1]));
+    }
+    ASSERT_TRUE(inverted) << "every lane's leaf order matches its root order";
+    const auto before = pm->network().stats().messages_sent;
+    const auto report = solveExchangeCase(*pm);
+    EXPECT_TRUE(report.converged);
+    EXPECT_EQ(solutionCrc(*pm), kSolutionCrc) << threads << " threads";
+    EXPECT_EQ(pm->network().stats().messages_sent - before, kPosted)
+        << threads << " threads";
+  }
 }
 
 }  // namespace
