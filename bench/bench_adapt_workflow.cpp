@@ -6,6 +6,9 @@
 /// negligible slice of this loop.
 
 #include <iostream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "adapt/sizefield.hpp"
 #include "dist/padapt.hpp"
@@ -33,65 +36,68 @@ int main() {
   std::cout << "== Parallel adaptive workflow (Sec. I), scale: "
             << repro::scaleName(scale) << " ==\n\n";
 
-  pcu::Timers timers;
+  // (stage, seconds) in run order.
+  std::vector<std::pair<std::string, double>> stages;
+  auto timed = [&stages](const char* stage, auto&& body) {
+    const double t0 = pcu::now();
+    body();
+    stages.emplace_back(stage, pcu::now() - t0);
+  };
   auto gen = meshgen::vessel(spec);
   std::cout << "vessel mesh: " << gen.mesh->count(3) << " tets, " << nparts
             << " parts\n\n";
 
   std::unique_ptr<dist::PartedMesh> pm;
-  {
-    pcu::Timers::Scope s(timers, "1 partition+distribute");
+  timed("1 partition+distribute", [&] {
     const auto assign =
         part::partition(*gen.mesh, nparts, part::Method::GraphRB);
     pm = dist::PartedMesh::distribute(
         *gen.mesh, gen.model.get(), assign,
         dist::PartMap(nparts, pcu::Machine(4, 8)));
-  }
-  {
-    pcu::Timers::Scope s(timers, "2 analysis (Poisson)");
+  });
+  timed("2 analysis (Poisson)", [&] {
     solver::solvePoisson(
         *pm, [](const common::Vec3&) { return 1.0; },
         [](const common::Vec3&) { return 0.0; },
         {.max_iterations = 600, .tolerance = 1e-6});
-  }
+  });
   const double zc = 0.55 * spec.length;
   adapt::AnalyticSize size([&](const common::Vec3& x) {
     const double dz = (x.z - zc) / (0.12 * spec.length);
     return 1.1 - 0.62 * std::exp(-dz * dz);
   });
-  {
-    pcu::Timers::Scope s(timers, "3 distributed adaptation");
+  timed("3 distributed adaptation", [&] {
     dist::refineParted(*pm, size, {.max_passes = 6});
-  }
+  });
   const double imb_after_adapt = parma::entityBalance(*pm, 3).imbalance;
-  {
-    pcu::Timers::Scope s(timers, "4 ParMA rebalance");
+  timed("4 ParMA rebalance", [&] {
     parma::BalanceOptions b{.tolerance = 0.05};
     b.improve.max_iterations = 60;
     parma::balance(*pm, "Rgn", b);
-  }
+  });
   const double imb_after_parma = parma::entityBalance(*pm, 3).imbalance;
-  {
-    pcu::Timers::Scope s(timers, "5 analysis on adapted mesh");
+  timed("5 analysis on adapted mesh", [&] {
     solver::solvePoisson(
         *pm, [](const common::Vec3&) { return 1.0; },
         [](const common::Vec3&) { return 0.0; },
         {.max_iterations = 1500, .tolerance = 1e-6});
-  }
+  });
   pm->verify();
 
   repro::Table t({"Stage", "time (s)"});
   double total = 0.0;
-  for (const auto& [name, entry] : timers.entries()) {
-    t.row({name, repro::fmt(entry.seconds, 2)});
-    total += entry.seconds;
+  double balance = 0.0;
+  for (const auto& [name, seconds] : stages) {
+    t.row({name, repro::fmt(seconds, 2)});
+    total += seconds;
+    if (name == "4 ParMA rebalance") balance = seconds;
   }
   t.row({"total", repro::fmt(total, 2)});
   t.print();
   std::cout << "\nadapted to " << pm->globalCount(3)
             << " tets; element imbalance " << repro::fmt(imb_after_adapt, 2)
             << " after adaptation, " << repro::fmt(imb_after_parma, 2)
-            << " after ParMA (" << repro::fmt(100.0 * timers.seconds("4 ParMA rebalance") / total, 1)
+            << " after ParMA (" << repro::fmt(100.0 * balance / total, 1)
             << "% of the workflow spent balancing)\n";
   return 0;
 }

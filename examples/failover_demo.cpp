@@ -20,7 +20,6 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "dist/checkpoint.hpp"
 #include "dist/failover.hpp"
 #include "dist/partedmesh.hpp"
 #include "meshgen/boxmesh.hpp"

@@ -276,7 +276,13 @@ int main() {
   // --- report -------------------------------------------------------------
   const double base_cycle = base_write + base_read;
   const double pario_cycle = pario_write + pario_read;
+#ifdef NDEBUG
+  const char* asserts = "off";
+#else
+  const char* asserts = "on";
+#endif
   std::printf("{\n");
+  std::printf("  \"asserts\": \"%s\",\n", asserts);
   std::printf("  \"parts\": %d,\n", nparts);
   std::printf("  \"storage_model\": {\"iostall_ms_per_op\": %d, "
               "\"note\": \"deterministic per-op device latency via the "

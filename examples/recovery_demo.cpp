@@ -19,7 +19,7 @@
 #include <filesystem>
 #include <iostream>
 
-#include "dist/checkpoint.hpp"
+#include "dist/pario.hpp"
 #include "dist/partedmesh.hpp"
 #include "meshgen/boxmesh.hpp"
 #include "parma/balance.hpp"
@@ -67,7 +67,7 @@ int main() {
 
   // --- rounds with per-round checkpoints, then a simulated crash -----------
   auto report = parma::balance(*pm, "Rgn", opts);
-  dist::checkpoint(*pm, dirs[0]);
+  dist::pario::checkpointImage(*pm, dirs[0]);
   std::cout << "round 1: imbalance " << report.initial_imbalance << " -> "
             << report.final_imbalance << ", checkpoint -> " << dirs[0]
             << "\n";
@@ -77,7 +77,7 @@ int main() {
   // The crash: the process dies while writing round 2's checkpoint. We
   // emulate it by removing the MANIFEST — exactly the state a real kill
   // leaves, since the MANIFEST is renamed in last.
-  dist::checkpoint(*pm, dirs[1]);
+  dist::pario::checkpointImage(*pm, dirs[1]);
   fs::remove(fs::path(dirs[1]) / "MANIFEST");
   std::cout << "round 2: checkpoint to " << dirs[1]
             << " interrupted (no MANIFEST)\n";
@@ -86,10 +86,10 @@ int main() {
   // --- restart: pick the newest directory that validates -------------------
   std::string latest;
   for (const auto& d : dirs)
-    if (dist::checkpointValid(d)) latest = d;
+    if (dist::pario::valid(d)) latest = d;
   assert(!latest.empty() && "no valid checkpoint to restart from");
   std::cout << "restart: restoring from " << latest << "\n";
-  auto restored = dist::restore(latest, gen.model.get(), map);
+  auto restored = dist::pario::restoreImage(latest, gen.model.get(), map);
   assert(restored->fingerprint() == fp_committed &&
          "restored mesh must be fingerprint-identical to the checkpoint");
   restored->verify();

@@ -37,9 +37,10 @@ AdmitReport admitRanks(PartedMesh& pm, int k);
 
 /// Give every machine rank that currently hosts no part one fresh empty
 /// part pinned to it (no machine growth). This is admitRanks' second half,
-/// exposed for restore-onto-more-ranks: restore(dir, model, n) with n
-/// greater than the checkpoint's part count leaves ranks idle until this
-/// populates them. Returns the new parts (empty when no rank was idle).
+/// exposed for restore-onto-more-ranks: pario::restoreImage(dir, model,
+/// n) with n greater than the checkpoint's part count leaves ranks idle
+/// until this populates them. Returns the new parts (empty when no rank
+/// was idle).
 std::vector<PartId> addPartsOnIdleRanks(PartedMesh& pm);
 
 /// Admit any join=K@P knock the transport consumed (Network::pendingJoin):

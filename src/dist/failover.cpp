@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <set>
 #include <utility>
 
 #include "common/crc32.hpp"
 #include "core/meshio.hpp"
-#include "dist/checkpoint.hpp"
-#include "dist/partio.hpp"
+#include "dist/pario.hpp"
 #include "pcu/error.hpp"
 #include "pcu/failure.hpp"
 #include "pcu/faults.hpp"
@@ -95,6 +95,28 @@ void BuddyJournal::record(const PartedMesh& pm) {
                         static_cast<std::int64_t>(streamed));
 }
 
+std::optional<partio::Replica> BuddyJournal::replica(
+    PartId p, std::string* fault) const {
+  auto it = parts_.find(p);
+  std::string why = "no journal replica";
+  if (it != parts_.end()) {
+    const Snapshot& s = it->second;
+    const std::uint32_t mesh = common::crc32(s.mesh.data(), s.mesh.size());
+    const std::uint32_t meta = common::crc32(s.meta.data(), s.meta.size());
+    if (mesh == s.mesh_crc && meta == s.meta_crc)
+      return partio::Replica{p, s.mesh, s.meta};
+    const bool mesh_bad = mesh != s.mesh_crc;
+    char crcs[64];
+    std::snprintf(crcs, sizeof crcs,
+                  "%s stream CRC (recorded 0x%08X, now 0x%08X)",
+                  mesh_bad ? "mesh" : "metadata",
+                  mesh_bad ? s.mesh_crc : s.meta_crc, mesh_bad ? mesh : meta);
+    why = std::string("journal replica fails its ") + crcs;
+  }
+  if (fault != nullptr) *fault = "part " + std::to_string(p) + ": " + why;
+  return std::nullopt;
+}
+
 int buddyOf(int r, int nranks, const std::vector<int>& dead) {
   const std::set<int> gone(dead.begin(), dead.end());
   for (int step = 1; step <= nranks; ++step) {
@@ -127,19 +149,17 @@ EvacuationReport evacuate(PartedMesh& pm, const BuddyJournal& journal,
   //    a missing or corrupt replica aborts with nothing wiped.
   std::vector<partio::Replica> replicas;
   for (PartId p : rep.parts_evacuated) {
-    partio::Replica r{p, {}, {}};
-    if (const BuddyJournal::Snapshot* snap = journal.find(p)) {
-      r.mesh = snap->mesh;
-      r.meta = snap->meta;
-    } else if (!checkpoint_dir.empty()) {
-      std::tie(r.mesh, r.meta) = checkpointPartBytes(checkpoint_dir, p);
-    } else {
-      failValidation("evacuate: part " + std::to_string(p) +
-                     " (dead rank " + std::to_string(map.rankOf(p)) +
-                     ") has no journal replica and no checkpoint fallback");
+    std::string fault;
+    std::optional<partio::Replica> r = journal.replica(p, &fault);
+    if (!r && !checkpoint_dir.empty()) {
+      r = partio::Replica{p, {}, {}};
+      std::tie(r->mesh, r->meta) = pario::partBytes(checkpoint_dir, p);
     }
-    rep.journal_bytes_replayed += r.mesh.size() + r.meta.size();
-    replicas.push_back(std::move(r));
+    if (!r)
+      failValidation("evacuate: " + fault + ", and no checkpoint fallback (" +
+                     "dead rank " + std::to_string(map.rankOf(p)) + ")");
+    rep.journal_bytes_replayed += r->mesh.size() + r->meta.size();
+    replicas.push_back(std::move(*r));
   }
   // 2. Rebuild them in place and patch the survivors' mirror records.
   //    Survivors resolve at their CURRENT state: the transactional

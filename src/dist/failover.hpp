@@ -20,14 +20,20 @@
 /// fresh streams match the stored copy, so steady-state phases stream only
 /// deltas.
 ///
+/// replica(p) is the one way a part's bytes leave the journal: each stream
+/// is checked against the CRC recorded when it was streamed, because the
+/// journal lives in the same fallible memory as the mesh.
+///
 /// evacuate(pm, journal[, checkpoint_dir]) runs on the survivors after an
 /// operation aborts with pcu::ErrorCode::kRankFailed:
 ///  1. every part pinned to a dead rank is fetched from the journal
-///     (falling back to `checkpoint_dir` for parts the journal lacks);
-///  2. partio::rebuildParts — the one rebuild routine, shared with armor
-///     repair — wipes and rebuilds them in place, re-resolves their
-///     boundary/ghost records against the rebuilt handles, and patches the
-///     surviving parts' mirror records through copy symmetry;
+///     (falling back to `checkpoint_dir` for parts the journal lacks or
+///     holds only a copy failing its CRC);
+///  2. partio::rebuildParts — the one decoder of part streams, shared with
+///     armor repair and checkpoint restore — wipes and rebuilds them in
+///     place, re-resolves their boundary/ghost records against the rebuilt
+///     handles, and patches the surviving parts' mirror records through
+///     copy symmetry;
 ///  3. the parts are re-pinned to their buddy ranks (lifting the
 ///     transport's dead-rank gate) and the whole mesh is verify()-ed.
 ///
@@ -39,12 +45,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "dist/partedmesh.hpp"
+#include "dist/partio.hpp"
 
 namespace dist {
 namespace failover {
@@ -96,6 +104,14 @@ class BuddyJournal {
   [[nodiscard]] bool hasPart(PartId p) const {
     return parts_.count(p) > 0;
   }
+  /// Part `p`'s replica, handed out only when both streams still match the
+  /// CRCs recorded with them. nullopt when the journal holds no copy of
+  /// `p` or a stream fails its CRC; `fault`, when non-null, then receives
+  /// why, naming the part (and the stream with both CRCs).
+  [[nodiscard]] std::optional<partio::Replica> replica(
+      PartId p, std::string* fault = nullptr) const;
+  /// The stored snapshot, unchecked: for inspection only — decode through
+  /// replica().
   [[nodiscard]] const Snapshot* find(PartId p) const {
     auto it = parts_.find(p);
     return it == parts_.end() ? nullptr : &it->second;
@@ -127,12 +143,13 @@ struct EvacuationReport {
 };
 
 /// Rebuild every part pinned to a dead rank from `journal` (falling back
-/// to the checkpoint in `checkpoint_dir` when non-empty), patch the
-/// surviving parts' mirror records, re-pin the rebuilt parts to their
-/// buddy ranks and verify() the result. Throws kValidation when no rank is
-/// dead or a dead part has no replica anywhere; propagates verify()
-/// failures. On return the mesh is fully operational on the surviving
-/// ranks.
+/// to the checkpoint in `checkpoint_dir` when non-empty and the journal
+/// has no replica that passes its CRCs), patch the surviving parts' mirror
+/// records, re-pin the rebuilt parts to their buddy ranks and verify() the
+/// result. Throws kValidation, with nothing wiped, when no rank is dead or
+/// a dead part has no usable replica anywhere (naming the part and, for a
+/// corrupt journal copy, its failed CRC); propagates verify() failures. On
+/// return the mesh is fully operational on the surviving ranks.
 EvacuationReport evacuate(PartedMesh& pm, const BuddyJournal& journal,
                           const std::string& checkpoint_dir = "");
 

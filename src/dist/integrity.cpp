@@ -6,8 +6,7 @@
 #include <string>
 #include <utility>
 
-#include "common/crc32.hpp"
-#include "dist/checkpoint.hpp"
+#include "dist/pario.hpp"
 #include "dist/partio.hpp"
 #include "pcu/buffer.hpp"
 #include "pcu/error.hpp"
@@ -270,37 +269,28 @@ void Armor::auditAndRepair(const char* where) {
 
 bool Armor::repairFromJournal(PartId p) {
   if (journal_ == nullptr) return false;
-  const failover::BuddyJournal::Snapshot* snap = journal_->find(p);
-  if (snap == nullptr) return false;
-  // CRC gate: the replica is only trustworthy if its own bytes still match
-  // the CRCs recorded when it was streamed (the journal lives in the same
-  // fallible memory as the mesh).
-  if (common::crc32(snap->mesh.data(), snap->mesh.size()) != snap->mesh_crc ||
-      common::crc32(snap->meta.data(), snap->meta.size()) != snap->meta_crc)
-    return false;
-  // A stale replica (kValidation) escalates to the checkpoint.
-  return rebuildFrom(p, snap->mesh, snap->meta, "journal");
+  // A replica that is absent or fails its CRCs escalates to the
+  // checkpoint, and so does a stale one (the rebuild's kValidation).
+  auto replica = journal_->replica(p);
+  return replica && rebuildFrom(std::move(*replica), "journal");
 }
 
 bool Armor::repairFromCheckpoint(PartId p) {
   if (checkpoint_dir_.empty()) return false;
-  std::vector<std::byte> mesh_bytes;
-  std::vector<std::byte> meta_bytes;
+  partio::Replica replica{p, {}, {}};
   try {
-    std::tie(mesh_bytes, meta_bytes) =
-        checkpointPartBytes(checkpoint_dir_, p);
+    std::tie(replica.mesh, replica.meta) =
+        pario::partBytes(checkpoint_dir_, p);
   } catch (const std::exception&) {
     return false;  // missing/damaged checkpoint: ladder exhausted
   }
-  return rebuildFrom(p, std::move(mesh_bytes), std::move(meta_bytes),
-                     "checkpoint");
+  return rebuildFrom(std::move(replica), "checkpoint");
 }
 
-bool Armor::rebuildFrom(PartId p, std::vector<std::byte> mesh_bytes,
-                        std::vector<std::byte> meta_bytes, const char* src) {
-  const std::uint64_t replayed = mesh_bytes.size() + meta_bytes.size();
+bool Armor::rebuildFrom(partio::Replica replica, const char* src) {
+  const std::uint64_t replayed = replica.mesh.size() + replica.meta.size();
   std::vector<partio::Replica> one;
-  one.push_back({p, std::move(mesh_bytes), std::move(meta_bytes)});
+  one.push_back(std::move(replica));
   try {
     partio::rebuildParts(pm_, std::move(one),
                          std::string("integrity repair from ") + src);

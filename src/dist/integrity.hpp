@@ -153,8 +153,7 @@ class Armor {
   /// Shared tier-2/3 body: partio::rebuildParts on the one-part set (the
   /// part's rank is alive, only its bytes were bad, so nothing is
   /// re-pinned). False when the replica is stale or malformed.
-  bool rebuildFrom(PartId p, std::vector<std::byte> mesh_bytes,
-                   std::vector<std::byte> meta_bytes, const char* src);
+  bool rebuildFrom(partio::Replica replica, const char* src);
 
   void injectFlips(const pcu::faults::MemFlip& burst);
   bool flipOne(pcu::faults::MemTarget target, std::uint64_t seed, int rank,

@@ -10,14 +10,12 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <utility>
 
 #include "common/crc32.hpp"
 #include "core/meshio.hpp"
-#include "core/topo.hpp"
 #include "dist/partio.hpp"
 #include "pcu/buffer.hpp"
 #include "pcu/error.hpp"
@@ -37,10 +35,6 @@ constexpr std::uint64_t kChunkAlign = 8;
 // per-part slot table follow).
 constexpr std::size_t kManifestHeadBytes = 8 + 4 + 4 + 4 + 1 + 4 + 8 + 8 + 8;
 constexpr std::size_t kManifestSlotBytes = 2 * (8 + 8 + 8 + 4);
-// Concurrency cap for the logical writers/readers. The extent layout and
-// every byte written depend only on the logical writer count (== parts),
-// never on this, so images are machine-independent.
-constexpr int kMaxIoThreads = 16;
 
 [[noreturn]] void failValidation(const std::string& what) {
   throw pcu::Error(pcu::ErrorCode::kValidation, -1, what);
@@ -55,42 +49,6 @@ std::uint64_t alignUp(std::uint64_t v, std::uint64_t a) {
 }
 
 std::string manifestPath(const std::string& dir) { return dir + "/MANIFEST"; }
-
-/// Run fn(0..n-1) on up to kMaxIoThreads workers. Workers inherit the
-/// caller's ambient fault domain (DomainScope is thread-local), so a
-/// tenant's storage chaos plan follows its I/O onto the pool. The first
-/// exception is rethrown in the caller after all workers drain.
-void parallelFor(int n, const std::function<void(int)>& fn) {
-  if (n <= 0) return;
-  const int nthreads = std::min(n, kMaxIoThreads);
-  if (nthreads <= 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  auto domain = pcu::faults::currentHandle();
-  std::atomic<int> next{0};
-  std::mutex err_mutex;
-  std::exception_ptr err;
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(nthreads));
-  for (int t = 0; t < nthreads; ++t) {
-    workers.emplace_back([&] {
-      pcu::faults::DomainScope scope(domain);
-      for (;;) {
-        const int i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        try {
-          fn(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(err_mutex);
-          if (!err) err = std::current_exception();
-        }
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  if (err) std::rethrow_exception(err);
-}
 
 void put32(std::byte* p, std::uint32_t v) { std::memcpy(p, &v, 4); }
 void put64(std::byte* p, std::uint64_t v) { std::memcpy(p, &v, 8); }
@@ -296,6 +254,22 @@ OpenedImage openForRead(const std::string& dir) {
     // read-only media: restore still works, repairs just don't persist
     return OpenedImage{std::move(idx), File::openRead(path), false};
   }
+}
+
+/// Both chunks of part `p`, each read-repaired from its buddy copy when
+/// bad; nullopt when either chunk has no good copy left.
+std::optional<partio::Replica> loadPart(OpenedImage& opened, PartId p,
+                                        std::atomic<std::uint64_t>& repaired,
+                                        std::atomic<std::uint64_t>& lost) {
+  File* rw = opened.can_repair ? &opened.img : nullptr;
+  const auto& ps = opened.idx.parts[static_cast<std::size_t>(p)];
+  const auto up = static_cast<std::uint32_t>(p);
+  auto mesh = loadChunk(opened.img, rw, kChunkMesh, up, ps.mesh, repaired,
+                        lost);
+  auto meta = loadChunk(opened.img, rw, kChunkMeta, up, ps.meta, repaired,
+                        lost);
+  if (!mesh || !meta) return std::nullopt;
+  return partio::Replica{p, std::move(*mesh), std::move(*meta)};
 }
 
 std::string joinParts(const std::vector<PartId>& parts) {
@@ -590,13 +564,13 @@ WriteStats checkpointImage(const PartedMesh& pm, const std::string& dir) {
   std::vector<std::vector<std::byte>> mesh_bytes(static_cast<std::size_t>(n));
   std::vector<std::vector<std::byte>> meta_bytes(static_cast<std::size_t>(n));
   std::vector<partio::OrdinalMap> ords(static_cast<std::size_t>(n));
-  parallelFor(n, [&](int p) {
+  partio::parallelFor(n, [&](int p) {
     mesh_bytes[static_cast<std::size_t>(p)] =
         core::meshToBytes(pm.part(p).mesh());
     ords[static_cast<std::size_t>(p)] =
         partio::buildOrdinals(pm.part(p).mesh());
   });
-  parallelFor(n, [&](int p) {
+  partio::parallelFor(n, [&](int p) {
     meta_bytes[static_cast<std::size_t>(p)] = partio::buildMeta(
         pm.part(p), ords[static_cast<std::size_t>(p)], ords);
   });
@@ -639,7 +613,7 @@ WriteStats checkpointImage(const PartedMesh& pm, const std::string& dir) {
     // writes its part's primary chunks into its own region and the
     // replicas into buddy (p+1) % n's region — disjoint extents, no
     // coordination, no rank-0 fan-out.
-    parallelFor(n, [&](int p) {
+    partio::parallelFor(n, [&](int p) {
       pcu::trace::Scope wscope("io:write", p);
       const auto& ps = idx.parts[static_cast<std::size_t>(p)];
       const auto put = [&](const ChunkSlot& s, std::uint32_t type,
@@ -666,7 +640,7 @@ WriteStats checkpointImage(const PartedMesh& pm, const std::string& dir) {
     // lying disk — reports success), so nothing is committed until every
     // chunk copy reads back intact against the manifest-to-be. One bad
     // copy aborts the whole attempt; the previous checkpoint survives.
-    parallelFor(n, [&](int p) {
+    partio::parallelFor(n, [&](int p) {
       const auto& ps = idx.parts[static_cast<std::size_t>(p)];
       const auto up = static_cast<std::uint32_t>(p);
       for (const ChunkSlot* s : {&ps.mesh, &ps.meta}) {
@@ -740,35 +714,23 @@ std::unique_ptr<PartedMesh> restoreImage(const std::string& dir,
   // Partition-on-read: every part's chunks are pulled, validated and
   // repaired by its target rank's reader, concurrently over disjoint
   // extents of the one image.
-  std::vector<std::vector<std::byte>> mesh_bytes(static_cast<std::size_t>(n));
-  std::vector<std::vector<std::byte>> meta_bytes(static_cast<std::size_t>(n));
-  std::vector<char> part_lost(static_cast<std::size_t>(n), 0);
+  std::vector<partio::Replica> replicas(static_cast<std::size_t>(n));
   std::atomic<std::uint64_t> repaired{0};
   std::atomic<std::uint64_t> lost{0};
   std::atomic<std::uint64_t> bytes_read{0};
-  File* rw = opened.can_repair ? &opened.img : nullptr;
-  parallelFor(n, [&](int p) {
+  partio::parallelFor(n, [&](int p) {
     pcu::trace::Scope rscope("io:read", reader[static_cast<std::size_t>(p)]);
-    const auto& ps = idx.parts[static_cast<std::size_t>(p)];
-    auto mesh = loadChunk(opened.img, rw, kChunkMesh,
-                          static_cast<std::uint32_t>(p), ps.mesh, repaired,
-                          lost);
-    auto meta = loadChunk(opened.img, rw, kChunkMeta,
-                          static_cast<std::uint32_t>(p), ps.meta, repaired,
-                          lost);
-    if (!mesh || !meta) {
-      part_lost[static_cast<std::size_t>(p)] = 1;
-      return;
-    }
-    bytes_read.fetch_add(mesh->size() + meta->size(),
+    auto r = loadPart(opened, p, repaired, lost);
+    if (!r) return;
+    bytes_read.fetch_add(r->mesh.size() + r->meta.size(),
                          std::memory_order_relaxed);
-    mesh_bytes[static_cast<std::size_t>(p)] = std::move(*mesh);
-    meta_bytes[static_cast<std::size_t>(p)] = std::move(*meta);
+    replicas[static_cast<std::size_t>(p)] = std::move(*r);
   });
 
   std::vector<PartId> lost_parts;
   for (int p = 0; p < n; ++p)
-    if (part_lost[static_cast<std::size_t>(p)] != 0) lost_parts.push_back(p);
+    if (replicas[static_cast<std::size_t>(p)].part < 0) lost_parts.push_back(p);
+  std::erase_if(replicas, [](const partio::Replica& r) { return r.part < 0; });
   if (repaired.load() > 0)
     pcu::trace::counter("io:chunks_repaired",
                         static_cast<std::int64_t>(repaired.load()));
@@ -789,29 +751,13 @@ std::unique_ptr<PartedMesh> restoreImage(const std::string& dir,
                    " (both copies of a chunk are bad); re-run with "
                    "OnLoss::kPartial to load the survivors");
 
-  auto pm =
-      std::make_unique<PartedMesh>(model, n, std::move(map), idx.rule);
-  partio::EntResolver ents(n);
-  parallelFor(n, [&](int p) {
-    if (part_lost[static_cast<std::size_t>(p)] != 0) return;
-    auto loaded = core::meshFromBytes(
-        std::move(mesh_bytes[static_cast<std::size_t>(p)]), model);
-    Part& part = pm->part(p);
-    part.mesh().copyFrom(*loaded);
-    ents.index(p, part.mesh());
-  });
-
   // A partial restore filters records referencing lost parts and drops
   // all ghosts mesh-wide — a ghost whose source may be gone cannot satisfy
   // the verify() invariants.
-  parallelFor(n, [&](int p) {
-    if (part_lost[static_cast<std::size_t>(p)] != 0) return;
-    partio::applyMeta(pm->part(p), p,
-                      std::move(meta_bytes[static_cast<std::size_t>(p)]), ents,
-                      "restore: " + dir + " part " + std::to_string(p) +
-                          " metadata",
-                      lost_parts);
-  });
+  auto pm =
+      std::make_unique<PartedMesh>(model, n, std::move(map), idx.rule);
+  partio::rebuildParts(*pm, std::move(replicas), "restore: " + dir,
+                       lost_parts);
 
   CheckpointAccess::setDim(*pm, idx.dim);
   pm->verify();
@@ -853,31 +799,22 @@ std::unique_ptr<PartedMesh> restoreImage(const std::string& dir,
 std::pair<std::vector<std::byte>, std::vector<std::byte>> partBytes(
     const std::string& dir, PartId p) {
   OpenedImage opened = openForRead(dir);
-  const Index& idx = opened.idx;
-  if (p < 0 || p >= idx.nparts)
-    failValidation("checkpointPartBytes: part " + std::to_string(p) +
+  if (p < 0 || p >= opened.idx.nparts)
+    failValidation("partBytes: part " + std::to_string(p) +
                    " out of range for " + dir + " (" +
-                   std::to_string(idx.nparts) + " parts)");
-  File* rw = opened.can_repair ? &opened.img : nullptr;
+                   std::to_string(opened.idx.nparts) + " parts)");
   std::atomic<std::uint64_t> repaired{0};
   std::atomic<std::uint64_t> lost{0};
-  const auto& ps = idx.parts[static_cast<std::size_t>(p)];
-  auto mesh = loadChunk(opened.img, rw, kChunkMesh,
-                        static_cast<std::uint32_t>(p), ps.mesh, repaired,
-                        lost);
-  auto meta = loadChunk(opened.img, rw, kChunkMeta,
-                        static_cast<std::uint32_t>(p), ps.meta, repaired,
-                        lost);
-  if (!mesh || !meta)
+  auto r = loadPart(opened, p, repaired, lost);
+  if (!r)
     throw pcu::Error(pcu::ErrorCode::kCorruptPayload, -1,
-                     "checkpointPartBytes: part " + std::to_string(p) +
-                         " of " + dir +
+                     "partBytes: part " + std::to_string(p) + " of " + dir +
                          " does not match its MANIFEST size/CRC in either "
                          "copy");
   if (repaired.load() > 0)
     pcu::trace::counter("io:chunks_repaired",
                         static_cast<std::int64_t>(repaired.load()));
-  return {std::move(*mesh), std::move(*meta)};
+  return {std::move(r->mesh), std::move(r->meta)};
 }
 
 bool valid(const std::string& dir) {

@@ -2,7 +2,8 @@
 #define PUMI_DIST_PARIO_HPP
 
 /// \file pario.hpp
-/// \brief Crash-consistent parallel streaming mesh I/O (recovery tier 3).
+/// \brief Checkpoint/restart: crash-consistent parallel streaming mesh
+/// I/O (recovery tier 3).
 ///
 /// One checkpoint is one chunked image file plus a MANIFEST index:
 ///
@@ -26,7 +27,7 @@
 /// redistribution pass), cross-part references resolving through the
 /// partio (dim, ordinal) entrefs.
 ///
-/// Durability discipline (carried over from dist/checkpoint and tightened):
+/// Durability discipline:
 /// the image and the MANIFEST are each written to a temp file, fdatasync'd
 /// and atomically renamed, MANIFEST strictly last — a crash anywhere
 /// leaves the previous checkpoint's MANIFEST (still naming the previous,
@@ -48,6 +49,14 @@
 /// ghosts mesh-wide (a ghost whose source may be lost cannot satisfy the
 /// verify() invariants), then verify()s what remains. scrub() is the
 /// offline variant: verify and repair every chunk, reporting what it fixed.
+/// Restored parts are decoded by partio::rebuildParts, the decoder armor
+/// repair and failover evacuation share.
+///
+/// Errors are structured pcu::Error values: kValidation for a missing,
+/// unreadable or malformed checkpoint and for unrecoverable loss under
+/// OnLoss::kFail (naming the path, reason and lost parts), kCorruptPayload
+/// for a rebuilt mesh whose fingerprint disagrees with the MANIFEST,
+/// kIoFault for storage-level write failures.
 
 #include <cstddef>
 #include <cstdint>

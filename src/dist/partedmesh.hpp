@@ -155,7 +155,7 @@ class Part {
 
  private:
   friend class PartedMesh;
-  friend struct CheckpointAccess;  ///< checkpoint.cpp (de)serializes the maps
+  friend struct CheckpointAccess;  ///< partio (de)serializes the maps
   friend class integrity::Armor;   ///< memory-fault spans
   friend class Plan;               ///< lanes from the ghost tables
   /// Draw a new table version (after any write to the three tables).
@@ -320,7 +320,7 @@ class PartedMesh {
   [[nodiscard]] integrity::Armor* armorIfActive();
 
  private:
-  friend struct CheckpointAccess;  ///< checkpoint.cpp restores dim_
+  friend struct CheckpointAccess;  ///< pario restore sets dim_
   struct Rollback;
   /// What a transactional operation may write, which sets what its
   /// snapshot holds.

@@ -1,11 +1,16 @@
 #include "dist/partio.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
 #include <utility>
 
 #include "core/meshio.hpp"
 #include "pcu/buffer.hpp"
 #include "pcu/error.hpp"
+#include "pcu/faults.hpp"
 
 namespace dist {
 namespace partio {
@@ -16,7 +21,47 @@ namespace {
   throw pcu::Error(pcu::ErrorCode::kValidation, -1, what);
 }
 
+// Concurrency cap for parallelFor. Every byte written or rebuilt depends
+// only on the part count, never on this, so results are machine-independent.
+constexpr int kMaxWorkers = 16;
+
 }  // namespace
+
+void parallelFor(int n, const std::function<void(int)>& fn) {
+  if (n <= 0) return;
+  const int nthreads = std::min(n, kMaxWorkers);
+  if (nthreads <= 1) {
+    for (int i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  auto domain = pcu::faults::currentHandle();
+  std::atomic<int> next{0};
+  std::mutex err_mutex;
+  int err_at = n;
+  std::exception_ptr err;
+  std::vector<std::thread> workers;
+  workers.reserve(static_cast<std::size_t>(nthreads));
+  for (int t = 0; t < nthreads; ++t) {
+    workers.emplace_back([&] {
+      pcu::faults::DomainScope scope(domain);
+      for (;;) {
+        const int i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n) return;
+        try {
+          fn(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(err_mutex);
+          if (i < err_at) {
+            err_at = i;
+            err = std::current_exception();
+          }
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  if (err) std::rethrow_exception(err);
+}
 
 OrdinalMap buildOrdinals(const core::Mesh& m) {
   OrdinalMap ord;
@@ -176,32 +221,44 @@ void applyMeta(Part& part, PartId p, std::vector<std::byte> meta,
 }
 
 void rebuildParts(PartedMesh& pm, std::vector<Replica> replicas,
-                  const std::string& ctx) {
+                  const std::string& ctx, const std::vector<PartId>& lost) {
+  const int nrep = static_cast<int>(replicas.size());
+  auto at = [&replicas](int i) -> Replica& {
+    return replicas[static_cast<std::size_t>(i)];
+  };
   // 1. Decode first: a malformed mesh stream aborts with nothing wiped.
-  std::vector<std::unique_ptr<core::Mesh>> decoded;
-  decoded.reserve(replicas.size());
-  for (Replica& r : replicas)
-    decoded.push_back(core::meshFromBytes(std::move(r.mesh), pm.model()));
-  // 2. Wipe.
-  for (std::size_t i = 0; i < replicas.size(); ++i)
-    CheckpointAccess::resetPart(pm.part(replicas[i].part), *decoded[i]);
-  decoded.clear();
-  // 3. Resolve against every part's current mesh: the rebuilt parts' fresh
-  //    handles, and the rest at the state whose ordinals the replicas hold.
+  std::vector<std::unique_ptr<core::Mesh>> decoded(replicas.size());
+  parallelFor(nrep, [&](int i) {
+    decoded[static_cast<std::size_t>(i)] =
+        core::meshFromBytes(std::move(at(i).mesh), pm.model());
+  });
+  // 2. Wipe, and index the rebuilt parts' fresh handles.
   const int nparts = pm.parts();
   EntResolver ents(nparts);
-  for (PartId q = 0; q < nparts; ++q) ents.index(q, pm.part(q).mesh());
-  for (Replica& r : replicas)
-    applyMeta(pm.part(r.part), r.part, std::move(r.meta), ents,
-              ctx + ": part " + std::to_string(r.part) + " replica");
-  // 4. Patch the mirrors outside the set; a link whose both ends were
-  //    rebuilt was installed from both replicas already.
+  parallelFor(nrep, [&](int i) {
+    auto& mesh = decoded[static_cast<std::size_t>(i)];
+    Part& part = pm.part(at(i).part);
+    CheckpointAccess::resetPart(part, *mesh);
+    mesh.reset();
+    ents.index(at(i).part, part.mesh());
+  });
   std::vector<bool> rebuilt(static_cast<std::size_t>(nparts), false);
   for (const Replica& r : replicas)
     rebuilt[static_cast<std::size_t>(r.part)] = true;
   auto inSet = [&rebuilt](PartId q) {
     return rebuilt[static_cast<std::size_t>(q)];
   };
+  // 3. Resolve against every part's current mesh: the rest are indexed at
+  //    the state whose ordinals the replicas hold.
+  for (PartId q = 0; q < nparts; ++q)
+    if (!inSet(q)) ents.index(q, pm.part(q).mesh());
+  parallelFor(nrep, [&](int i) {
+    Replica& r = at(i);
+    applyMeta(pm.part(r.part), r.part, std::move(r.meta), ents,
+              ctx + ": part " + std::to_string(r.part) + " replica", lost);
+  });
+  // 4. Patch the mirrors outside the set; a link whose both ends were
+  //    rebuilt was installed from both replicas already.
   for (const Replica& r : replicas) {
     const PartId p = r.part;
     const Part& dp = pm.part(p);

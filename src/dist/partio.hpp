@@ -11,16 +11,17 @@
 /// entities(dim) iteration order, which the mesh stream format preserves.
 /// pario.cpp writes these streams into checkpoint images; failover.cpp
 /// streams them to a buddy rank's journal. This header is the single home
-/// of the format and of its decode: pario's restore resolves references
-/// through EntResolver and applyMeta, and armor repair (tiers 2 and 3) and
-/// failover evacuation rebuild live parts through rebuildParts — so every
-/// layer consumes every other's bytes (evacuation and repair fall back to
-/// the newest checkpoint for parts the journal lacks).
+/// of the format and of its one decoder, rebuildParts, which pario's
+/// restore, armor repair (tiers 2 and 3) and failover evacuation all call
+/// — so every layer consumes every other's bytes (evacuation and repair
+/// fall back to the newest checkpoint for parts the journal lacks or holds
+/// only a copy failing its CRC).
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -31,9 +32,9 @@
 namespace dist {
 
 /// Private-state backdoor for (de)serialization: checkpointing and
-/// evacuation must read and rebuild the ghost maps, the cached element
-/// dimension, and (for evacuation) wipe a dead part in place — none of
-/// which should grow public mutators for these internal uses.
+/// rebuilding must read and rebuild the ghost maps, the cached element
+/// dimension, and wipe a part in place — none of which should grow public
+/// mutators for these internal uses.
 struct CheckpointAccess {
   static const common::FlatMap<Ent, Copy, EntHash>& ghostSource(
       const Part& p) {
@@ -64,6 +65,14 @@ struct CheckpointAccess {
 };
 
 namespace partio {
+
+/// Run fn(0..n-1) on up to 16 worker threads (inline when n <= 1). Each
+/// worker inherits the caller's ambient fault domain (DomainScope is
+/// thread-local), so a tenant's storage chaos plan follows its I/O onto
+/// the pool. Every index runs; once all workers drain, the exception of
+/// the lowest failing index is rethrown, so which error surfaces does not
+/// depend on scheduling.
+void parallelFor(int n, const std::function<void(int)>& fn);
 
 /// Magic word of the part metadata stream ("PUMCPKP1").
 inline constexpr std::uint64_t kMetaMagic = 0x50554d43504b5031ull;
@@ -199,21 +208,25 @@ struct Replica {
   std::vector<std::byte> meta;
 };
 
-/// Rebuild the replicas' parts of `pm` in place — the one decode path of
-/// armor repair and failover evacuation:
+/// Rebuild the replicas' parts of `pm` in place — the one decoder of part
+/// streams, shared by checkpoint restore, armor repair and failover
+/// evacuation:
 ///  1. decode every mesh stream, before any part is wiped;
 ///  2. reset each part to its decoded mesh;
 ///  3. install each part's metadata, resolving references against every
 ///     part's current mesh (survivors must hold the state the replicas
-///     recorded ordinals of);
+///     recorded ordinals of), filtering the `lost` parts as applyMeta
+///     documents;
 ///  4. patch the mirror records of parts outside the set through copy
 ///     symmetry: their stored handles into a rebuilt part died with its
 ///     old mesh, but the rebuilt records name the same links from the
 ///     other end.
+/// Steps 1–3 run per part on parallelFor's workers; step 4 is serial.
 /// Errors name `ctx` and the part ("<ctx>: part 3 replica ..."). A stale
 /// replica throws pcu::Error(kValidation) after its part was wiped.
 void rebuildParts(PartedMesh& pm, std::vector<Replica> replicas,
-                  const std::string& ctx);
+                  const std::string& ctx,
+                  const std::vector<PartId>& lost = {});
 
 }  // namespace partio
 }  // namespace dist

@@ -76,9 +76,9 @@ MaybeJoin admitPendingJoin(dist::PartedMesh& pm, const JoinOptions& opts = {});
 
 /// Restore-onto-more-ranks expansion: give every idle machine rank one
 /// fresh empty part, then carve + diffuse + verify exactly like
-/// elasticJoin (no machine growth — restore(dir, model, n) already built
-/// the n-rank machine). No-op report (admitted-style all-zero new_parts)
-/// when no rank is idle.
+/// elasticJoin (no machine growth — pario::restoreImage(dir, model, n)
+/// already built the n-rank machine). No-op report (admitted-style
+/// all-zero new_parts) when no rank is idle.
 JoinReport expandToIdleRanks(dist::PartedMesh& pm,
                              const JoinOptions& opts = {});
 

@@ -1,5 +1,6 @@
 #include "pcu/counters.hpp"
 
+#include <chrono>
 #include <fstream>
 #include <sstream>
 #include <string>

@@ -5,11 +5,7 @@
 /// \brief Run-time and memory usage measurement (paper Sec. II-D,
 /// "Performance measurement: run-time and memory usage counter").
 
-#include <chrono>
 #include <cstdint>
-#include <map>
-#include <string>
-#include <string_view>
 
 namespace pcu {
 
@@ -21,56 +17,6 @@ std::uint64_t currentMemoryBytes();
 
 /// Peak resident set size of this process in bytes (0 if unavailable).
 std::uint64_t peakMemoryBytes();
-
-/// A named accumulator of wall-clock time and call counts.
-class Timers {
- public:
-  /// RAII scope: accumulates elapsed time into the named timer. Holds a
-  /// view of the name (no allocation on the hot path); the referenced
-  /// characters must outlive the scope, which every caller passing a
-  /// string literal satisfies.
-  class Scope {
-   public:
-    Scope(Timers& timers, std::string_view name)
-        : timers_(timers), name_(name), start_(now()) {}
-    ~Scope() { timers_.add(name_, now() - start_); }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    Timers& timers_;
-    std::string_view name_;
-    double start_;
-  };
-
-  void add(std::string_view name, double seconds) {
-    auto it = entries_.find(name);
-    if (it == entries_.end())
-      it = entries_.emplace(std::string(name), Entry{}).first;
-    it->second.seconds += seconds;
-    it->second.calls += 1;
-  }
-  [[nodiscard]] double seconds(std::string_view name) const {
-    auto it = entries_.find(name);
-    return it == entries_.end() ? 0.0 : it->second.seconds;
-  }
-  [[nodiscard]] std::uint64_t calls(std::string_view name) const {
-    auto it = entries_.find(name);
-    return it == entries_.end() ? 0 : it->second.calls;
-  }
-  void clear() { entries_.clear(); }
-
-  struct Entry {
-    double seconds = 0.0;
-    std::uint64_t calls = 0;
-  };
-  /// Transparent comparator: lookups by string_view allocate nothing.
-  using EntryMap = std::map<std::string, Entry, std::less<>>;
-  [[nodiscard]] const EntryMap& entries() const { return entries_; }
-
- private:
-  EntryMap entries_;
-};
 
 }  // namespace pcu
 

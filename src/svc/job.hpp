@@ -52,10 +52,11 @@ struct JobSpec {
   bool balance = true;         ///< run a parma balance pass at the end
   bool solve = false;          ///< run the Poisson solve stage
   ChaosSpec chaos;             ///< tenant-scoped fault injection
-  /// When non-empty, the job checkpoints its mesh (dist::checkpoint) into
-  /// this directory at every phase boundary — exactly where the journal
-  /// records and transactional rollback lands — so failover evacuation can
-  /// fall back to the checkpoint for parts the buddy journal lacks, and an
+  /// When non-empty, the job checkpoints its mesh (pario::checkpointImage)
+  /// into this directory at every phase boundary — exactly where the
+  /// journal records and transactional rollback lands — so failover
+  /// evacuation can fall back to the checkpoint for parts the buddy
+  /// journal lacks or holds only a copy failing its CRC, and an
   /// operator can restore the job's last committed state after the fact.
   /// Checkpoint I/O runs under the tenant's fault domain, so storage chaos
   /// (iobitrot/iotorn/...) in `chaos.faults` exercises it; a failed

@@ -7,10 +7,10 @@
 #include <utility>
 
 #include "common/rng.hpp"
-#include "dist/checkpoint.hpp"
 #include "dist/digest.hpp"
 #include "dist/failover.hpp"
 #include "dist/integrity.hpp"
+#include "dist/pario.hpp"
 #include "dist/partedmesh.hpp"
 #include "meshgen/boxmesh.hpp"
 #include "parma/balance.hpp"
@@ -334,7 +334,7 @@ JobResult Scheduler::execute(const JobSpec& spec, const std::vector<int>& grant,
       journal.record(*pm);
       if (spec.checkpoint_dir.empty()) return;
       try {
-        dist::checkpoint(*pm, spec.checkpoint_dir);
+        dist::pario::checkpointImage(*pm, spec.checkpoint_dir);
         ++res.checkpoints;
       } catch (const pcu::Error&) {
         ++res.faults_recovered;

@@ -24,10 +24,10 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "dist/checkpoint.hpp"
 #include "dist/digest.hpp"
 #include "dist/elastic.hpp"
 #include "dist/failover.hpp"
+#include "dist/pario.hpp"
 #include "dist/partedmesh.hpp"
 #include "meshgen/boxmesh.hpp"
 #include "parma/balance.hpp"
@@ -415,8 +415,8 @@ TEST_P(GrowShrinkCycle, ConservesEveryElementThroughTheCycle) {
 
   // SHRINK 6 -> 3 ranks: checkpoint, restart on half the machine.
   const std::uint64_t fp = pm->fingerprint();
-  dist::checkpoint(*pm, dirp.string());
-  auto pm2 = dist::restore(dirp.string(), gen.model.get(), 3);
+  dist::pario::checkpointImage(*pm, dirp.string());
+  auto pm2 = dist::pario::restoreImage(dirp.string(), gen.model.get(), 3);
   ASSERT_NE(pm2, nullptr);
   EXPECT_EQ(pm2->fingerprint(), fp)
       << "restore must reproduce part contents fingerprint-exactly";
@@ -550,9 +550,9 @@ TEST(RestoreOntoMore, IdentityAssignmentLeavesNewRanksIdle) {
   auto gen = meshgen::boxTris(5, 5);
   auto pm = makeMesh(gen, 4);
   const std::uint64_t fp = pm->fingerprint();
-  dist::checkpoint(*pm, dirp.string());
+  dist::pario::checkpointImage(*pm, dirp.string());
 
-  auto pm2 = dist::restore(dirp.string(), gen.model.get(), 6);
+  auto pm2 = dist::pario::restoreImage(dirp.string(), gen.model.get(), 6);
   ASSERT_NE(pm2, nullptr);
   EXPECT_EQ(pm2->fingerprint(), fp);
   EXPECT_EQ(pm2->parts(), 4);
@@ -571,9 +571,9 @@ TEST(RestoreOntoMore, ExpandRebalancesOntoTheIdleRanks) {
   auto gen = meshgen::boxTets(5, 5, 5);
   auto pm = makeMesh(gen, 8);
   const auto covered = digest::elementDigests(*pm);
-  dist::checkpoint(*pm, dirp.string());
+  dist::pario::checkpointImage(*pm, dirp.string());
 
-  auto pm2 = dist::restore(dirp.string(), gen.model.get(), 12);
+  auto pm2 = dist::pario::restoreImage(dirp.string(), gen.model.get(), 12);
   ASSERT_NE(pm2, nullptr);
   const auto rep = parma::expandToIdleRanks(*pm2, {.tolerance = 0.10});
   EXPECT_EQ(rep.ranks_before, 12);

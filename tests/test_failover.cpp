@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "dist/checkpoint.hpp"
 #include "dist/failover.hpp"
+#include "dist/pario.hpp"
 #include "dist/partedmesh.hpp"
 #include "meshgen/boxmesh.hpp"
 #include "parma/balance.hpp"
@@ -296,7 +296,7 @@ TEST(Failover, FallsBackToCheckpointWhenJournalLacksThePart) {
   auto gen = meshgen::boxTris(5, 5);
   auto pm = makeMesh(gen, 6);
   const std::uint64_t fp = pm->fingerprint();
-  dist::checkpoint(*pm, dir);
+  dist::pario::checkpointImage(*pm, dir);
 
   faults::FaultPlan p;
   p.seed = 5;
@@ -328,6 +328,64 @@ TEST(Failover, FallsBackToCheckpointWhenJournalLacksThePart) {
   EXPECT_EQ(pm->fingerprint(), fp);
   EXPECT_NO_THROW(pm->verify());
   EXPECT_EQ(rep.parts_evacuated, std::vector<PartId>{2});
+}
+
+/// The journal lives in the same fallible memory as the mesh: a bit that
+/// flips in a replica after it was recorded must never be decoded into a
+/// part. The flip below (bit 4 of byte 5560 of part 2's 7,292-byte mesh
+/// stream) decodes into a verify()-clean mesh with a different
+/// fingerprint, so only the CRC recorded with the stream can catch it.
+/// Evacuation then takes the checkpoint, and without one refuses, naming
+/// the part and its failed CRC, with the mesh untouched.
+TEST(Failover, CorruptJournalReplicaFallsBackToCheckpoint) {
+  namespace fs = std::filesystem;
+  const fs::path dirp =
+      fs::temp_directory_path() / "pumi_test_failover" / "corrupt_replica";
+  fs::remove_all(dirp);
+  const std::string dir = dirp.string();
+
+  auto gen = meshgen::boxTris(16, 16);
+  auto pm = makeMesh(gen, 6);
+  const std::uint64_t fp = pm->fingerprint();
+  dist::pario::checkpointImage(*pm, dir);
+  failover::BuddyJournal journal;
+  journal.record(*pm);
+  const failover::BuddyJournal::Snapshot* snap = journal.find(2);
+  ASSERT_NE(snap, nullptr);
+  ASSERT_EQ(snap->mesh.size(), 7292u);
+  auto& mesh_stream = const_cast<std::vector<std::byte>&>(snap->mesh);
+  mesh_stream[5560] ^= std::byte{1 << 4};
+
+  faults::FaultPlan p;
+  p.seed = 5;
+  p.kill = {2, 1};
+  p.deadline_ms = 25;
+  PlanGuard g(p);
+  common::Rng rng(9);
+  try {
+    pm->migrate(randomPlan(*pm, rng, 0.25));
+    FAIL() << "migration crossing a dead rank committed";
+  } catch (const Error& e) {
+    ASSERT_EQ(e.code(), ErrorCode::kRankFailed) << e.what();
+  }
+  ASSERT_EQ(pm->fingerprint(), fp);
+
+  try {
+    failover::evacuate(*pm, journal);
+    FAIL() << "evacuation decoded a replica that fails its CRC";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kValidation);
+    EXPECT_NE(e.detail().find("part 2"), std::string::npos) << e.what();
+    EXPECT_NE(e.detail().find("CRC"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(pm->fingerprint(), fp);
+
+  const auto rep = failover::evacuate(*pm, journal, dir);
+  EXPECT_EQ(pm->fingerprint(), fp)
+      << "the checkpoint, not the corrupt replica, must be decoded";
+  EXPECT_NO_THROW(pm->verify());
+  EXPECT_EQ(rep.parts_evacuated, std::vector<PartId>{2});
+  fs::remove_all(dirp);
 }
 
 TEST(Failover, EvacuatesTwoNeighbouringPartsFromOneDeadRank) {
@@ -390,12 +448,12 @@ TEST(CheckpointShrink, RestoresOntoFewerRanksDeterministically) {
   common::Rng rng(3);
   pm->migrate(randomPlan(*pm, rng, 0.2));
   const std::uint64_t fp = pm->fingerprint();
-  dist::checkpoint(*pm, dir);
+  dist::pario::checkpointImage(*pm, dir);
 
   // A checkpoint written by 8 ranks restores onto the 5 survivors: every
   // part keeps its identity, orphans land at p % 5 — the deterministic
   // assignment every survivor computes without communicating.
-  auto restored = dist::restore(dir, gen.model.get(), 5);
+  auto restored = dist::pario::restoreImage(dir, gen.model.get(), 5);
   EXPECT_EQ(restored->parts(), 8);
   EXPECT_EQ(restored->fingerprint(), fp);
   EXPECT_NO_THROW(restored->verify());
@@ -409,7 +467,7 @@ TEST(CheckpointShrink, RestoresOntoFewerRanksDeterministically) {
   EXPECT_NO_THROW(restored->migrate(randomPlan(*restored, rng2, 0.2)));
   EXPECT_NO_THROW(restored->verify());
 
-  EXPECT_THROW(dist::restore(dir, gen.model.get(), 0), Error);
+  EXPECT_THROW(dist::pario::restoreImage(dir, gen.model.get(), 0), Error);
 }
 
 /// --- the acceptance scenario ---------------------------------------------

@@ -34,10 +34,10 @@
 #include "core/integrity.hpp"
 #include "core/mesh.hpp"
 #include "core/meshio.hpp"
-#include "dist/checkpoint.hpp"
 #include "dist/failover.hpp"
 #include "dist/integrity.hpp"
 #include "dist/padapt.hpp"
+#include "dist/pario.hpp"
 #include "dist/partedmesh.hpp"
 #include "dist/partio.hpp"
 #include "meshgen/boxmesh.hpp"
@@ -382,7 +382,7 @@ TEST(Armor, FallsBackToTheCheckpointWhenNoJournalIsSet) {
   auto gen = meshgen::boxTris(5, 5);
   auto pm = makeMesh(gen, 4);
   pm->setIntegrity(true);
-  dist::checkpoint(*pm, dirp.string());
+  dist::pario::checkpointImage(*pm, dirp.string());
   di::Armor& armor = pm->armor();
   armor.setCheckpointDir(dirp.string());
   armor.sealAndMaybeInject();
@@ -395,6 +395,45 @@ TEST(Armor, FallsBackToTheCheckpointWhenNoJournalIsSet) {
   const auto rep = armor.report();
   ASSERT_GE(rep.detected.size(), 1u);
   EXPECT_EQ(rep.detected[0].repair_tier, 3) << "checkpoint is tier 3";
+  EXPECT_EQ(pm->fingerprint(), fp);
+  EXPECT_NO_THROW(pm->verify());
+  fs::remove_all(dirp);
+}
+
+TEST(Armor, JournalReplicaFailingItsCrcEscalatesToTheCheckpoint) {
+  // The replica lives in the same fallible memory as the mesh: one flipped
+  // byte in it must skip tier 2, not decode into the part.
+  namespace fs = std::filesystem;
+  const fs::path dirp =
+      fs::temp_directory_path() / "pumi_test_integrity" / "tier2_crc";
+  fs::remove_all(dirp);
+
+  auto gen = meshgen::boxTris(5, 5);
+  auto pm = makeMesh(gen, 4);
+  pm->setIntegrity(true);
+  dist::pario::checkpointImage(*pm, dirp.string());
+  failover::BuddyJournal journal;
+  di::Armor& armor = pm->armor();
+  armor.setJournal(&journal);
+  armor.setCheckpointDir(dirp.string());
+  armor.sealAndMaybeInject();
+  const std::uint64_t fp = pm->fingerprint();
+
+  const std::string sec = sectionWithPrefix(armor, 1, "pool:");
+  ASSERT_FALSE(sec.empty());
+  corruptSection(pm->part(1).mesh(), sec, 0);
+  const failover::BuddyJournal::Snapshot* snap = journal.find(1);
+  ASSERT_NE(snap, nullptr);
+  auto& mesh_stream = const_cast<std::vector<std::byte>&>(snap->mesh);
+  mesh_stream[mesh_stream.size() / 2] ^= std::byte{0x40};
+
+  EXPECT_NO_THROW(armor.auditAndRepair("test"));
+  const auto rep = armor.report();
+  ASSERT_GE(rep.detected.size(), 1u);
+  EXPECT_EQ(rep.detected[0].part, 1);
+  EXPECT_EQ(rep.detected[0].repair_tier, 3)
+      << "a replica failing its CRC must escalate to the checkpoint";
+  EXPECT_EQ(rep.parts_repaired, std::vector<PartId>{1});
   EXPECT_EQ(pm->fingerprint(), fp);
   EXPECT_NO_THROW(pm->verify());
   fs::remove_all(dirp);

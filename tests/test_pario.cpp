@@ -27,7 +27,6 @@
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "core/meshio.hpp"
-#include "dist/checkpoint.hpp"
 #include "dist/padapt.hpp"
 #include "dist/pario.hpp"
 #include "dist/partedmesh.hpp"
@@ -211,7 +210,7 @@ TEST_P(IoChaosMatrix, SingleCopyDamageRepairsToIdenticalMesh) {
 
   const auto dir =
       freshDir("chaos1_" + std::to_string(seed) + (three_d ? "_3d" : "_2d"));
-  dist::checkpoint(*pm, dir);
+  pario::checkpointImage(*pm, dir);
 
   // Pick the victim chunk copy from the seed: part, mesh-or-meta chunk,
   // primary-or-replica copy, and the damage mode.
@@ -270,7 +269,7 @@ TEST_P(IoChaosMatrix, BothCopiesGoneDegradesToPartialRestore) {
 
   const auto dir =
       freshDir("chaos2_" + std::to_string(seed) + (three_d ? "_3d" : "_2d"));
-  dist::checkpoint(*pm, dir);
+  pario::checkpointImage(*pm, dir);
 
   common::Rng rng(seed * 2654435761ull + 3);
   const auto idx = pario::loadIndex(dir);
@@ -288,7 +287,7 @@ TEST_P(IoChaosMatrix, BothCopiesGoneDegradesToPartialRestore) {
       tearChunk(image, off, slot.length);
   }
 
-  EXPECT_FALSE(dist::checkpointValid(dir));
+  EXPECT_FALSE(pario::valid(dir));
   try {
     pario::restoreImage(dir, gen.model.get(), pario::OnLoss::kFail);
     FAIL() << "fail-fast restore accepted unrecoverable loss, seed " << seed;
@@ -338,7 +337,7 @@ TEST(IoChaos, RestoreNeverCrashesUnderInjectedReadFaults) {
   auto pm = makeMesh(gen, 4);
   const std::uint64_t fp = pm->fingerprint();
   const auto dir = freshDir("injected_read");
-  dist::checkpoint(*pm, dir);
+  pario::checkpointImage(*pm, dir);
 
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     faults::FaultPlan p;
@@ -360,7 +359,7 @@ TEST(IoChaos, RestoreNeverCrashesUnderInjectedReadFaults) {
   }
   // With the plan cleared the checkpoint is still intact on disk.
   faults::clearPlan();
-  auto restored = dist::restore(dir, gen.model.get());
+  auto restored = pario::restoreImage(dir, gen.model.get());
   EXPECT_EQ(restored->fingerprint(), fp);
 }
 
@@ -372,7 +371,7 @@ TEST(IoChaos, CheckpointUnderInjectedWriteFaultsIsAtomic) {
   auto pm = makeMesh(gen, 4);
   const std::uint64_t fp = pm->fingerprint();
   const auto dir = freshDir("injected_write");
-  dist::checkpoint(*pm, dir);  // a known-good generation-1 checkpoint
+  pario::checkpointImage(*pm, dir);  // a known-good generation-1 checkpoint
 
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     faults::FaultPlan p;
@@ -382,7 +381,7 @@ TEST(IoChaos, CheckpointUnderInjectedWriteFaultsIsAtomic) {
     {
       PlanGuard g(p);
       try {
-        dist::checkpoint(*pm, dir);
+        pario::checkpointImage(*pm, dir);
       } catch (const Error& e) {
         EXPECT_TRUE(e.code() == ErrorCode::kIoFault ||
                     e.code() == ErrorCode::kValidation)
@@ -412,7 +411,7 @@ TEST(PariaCrash, EnospcMidCheckpointLeaksNoTempFiles) {
   {
     PlanGuard g(p);
     try {
-      dist::checkpoint(*pm, dir);
+      pario::checkpointImage(*pm, dir);
       FAIL() << "checkpoint succeeded with every write failing ENOSPC";
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), ErrorCode::kIoFault);
@@ -424,7 +423,7 @@ TEST(PariaCrash, EnospcMidCheckpointLeaksNoTempFiles) {
   EXPECT_TRUE(tmpFilesIn(dir).empty());
   EXPECT_TRUE(imageFilesIn(dir).empty());
   EXPECT_FALSE(fs::exists(fs::path(dir) / "MANIFEST"));
-  EXPECT_FALSE(dist::checkpointValid(dir));
+  EXPECT_FALSE(pario::valid(dir));
 }
 
 TEST(PariaCrash, EnospcRecheckpointPreservesPreviousGeneration) {
@@ -432,19 +431,19 @@ TEST(PariaCrash, EnospcRecheckpointPreservesPreviousGeneration) {
   auto pm = makeMesh(gen, 3);
   const std::uint64_t fp = pm->fingerprint();
   const auto dir = freshDir("enospc2");
-  dist::checkpoint(*pm, dir);
-  ASSERT_TRUE(dist::checkpointValid(dir));
+  pario::checkpointImage(*pm, dir);
+  ASSERT_TRUE(pario::valid(dir));
 
   faults::FaultPlan p;
   p.seed = 6;
   p.ioenospc = 1.0;
   {
     PlanGuard g(p);
-    EXPECT_THROW(dist::checkpoint(*pm, dir), Error);
+    EXPECT_THROW(pario::checkpointImage(*pm, dir), Error);
   }
   EXPECT_TRUE(tmpFilesIn(dir).empty());
-  EXPECT_TRUE(dist::checkpointValid(dir));
-  auto restored = dist::restore(dir, gen.model.get());
+  EXPECT_TRUE(pario::valid(dir));
+  auto restored = pario::restoreImage(dir, gen.model.get());
   EXPECT_EQ(restored->fingerprint(), fp);
   EXPECT_EQ(pario::loadIndex(dir).generation, 1u);
 }
@@ -458,7 +457,7 @@ TEST(PariaCrash, CrashBetweenRenamesKeepsPreviousGenerationRestorable) {
   auto pm = makeMesh(gen, 3);
   const std::uint64_t fp = pm->fingerprint();
   const auto dir = freshDir("between_renames");
-  dist::checkpoint(*pm, dir);
+  pario::checkpointImage(*pm, dir);
   const auto idx1 = pario::loadIndex(dir);
   ASSERT_EQ(idx1.generation, 1u);
 
@@ -471,18 +470,18 @@ TEST(PariaCrash, CrashBetweenRenamesKeepsPreviousGenerationRestorable) {
   }
 
   // The old MANIFEST still commits generation 1: valid and restorable.
-  EXPECT_TRUE(dist::checkpointValid(dir));
+  EXPECT_TRUE(pario::valid(dir));
   EXPECT_EQ(pario::loadIndex(dir).generation, 1u);
-  auto restored = dist::restore(dir, gen.model.get());
+  auto restored = pario::restoreImage(dir, gen.model.get());
   EXPECT_EQ(restored->fingerprint(), fp);
 
   // The next checkpoint sweeps the leavings and commits generation 2:
   // exactly one image file, no temp files, restores identically.
-  dist::checkpoint(*pm, dir);
+  pario::checkpointImage(*pm, dir);
   EXPECT_TRUE(tmpFilesIn(dir).empty());
   EXPECT_EQ(imageFilesIn(dir), std::vector<std::string>{"IMAGE.2"});
   EXPECT_EQ(pario::loadIndex(dir).generation, 2u);
-  auto restored2 = dist::restore(dir, gen.model.get());
+  auto restored2 = pario::restoreImage(dir, gen.model.get());
   EXPECT_EQ(restored2->fingerprint(), fp);
 }
 
@@ -492,13 +491,13 @@ TEST(PariaValidation, MissingDirectoryIsStructuredError) {
   const std::string dir = "/nonexistent/pumi/checkpoint";
   auto gen = meshgen::boxTris(2, 2);
   try {
-    dist::restore(dir, gen.model.get());
+    pario::restoreImage(dir, gen.model.get());
     FAIL() << "restore accepted a nonexistent directory";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kValidation);
     EXPECT_NE(e.detail().find(dir), std::string::npos) << e.what();
   }
-  EXPECT_FALSE(dist::checkpointValid(dir));
+  EXPECT_FALSE(pario::valid(dir));
 }
 
 TEST(PariaValidation, NotADirectoryIsStructuredError) {
@@ -506,7 +505,7 @@ TEST(PariaValidation, NotADirectoryIsStructuredError) {
   const std::string dir = "/dev/null/sub";
   auto gen = meshgen::boxTris(2, 2);
   try {
-    dist::restore(dir, gen.model.get());
+    pario::restoreImage(dir, gen.model.get());
     FAIL() << "restore accepted a path under a non-directory";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kValidation);
@@ -524,7 +523,7 @@ TEST(PariaValidation, FileInPlaceOfDirectoryIsStructuredError) {
   }
   auto gen = meshgen::boxTris(2, 2);
   try {
-    dist::restore(dir, gen.model.get());
+    pario::restoreImage(dir, gen.model.get());
     FAIL() << "restore accepted a plain file as a checkpoint directory";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kValidation);
@@ -538,10 +537,10 @@ TEST(PariaValidation, PermissionDeniedDirectoryIsStructuredError) {
   auto gen = meshgen::boxTris(4, 4);
   auto pm = makeMesh(gen, 2);
   const auto dir = freshDir("denied");
-  dist::checkpoint(*pm, dir);
+  pario::checkpointImage(*pm, dir);
   fs::permissions(dir, fs::perms::none);
   try {
-    dist::restore(dir, gen.model.get());
+    pario::restoreImage(dir, gen.model.get());
     FAIL() << "restore accepted an unreadable directory";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kValidation);
@@ -554,20 +553,20 @@ TEST(PariaValidation, TruncatedManifestIsStructuredError) {
   auto gen = meshgen::boxTris(4, 4);
   auto pm = makeMesh(gen, 2);
   const auto dir = freshDir("truncman");
-  dist::checkpoint(*pm, dir);
+  pario::checkpointImage(*pm, dir);
   fs::resize_file(fs::path(dir) / "MANIFEST", 13);
-  EXPECT_FALSE(dist::checkpointValid(dir));
-  EXPECT_THROW(dist::restore(dir, gen.model.get()), Error);
+  EXPECT_FALSE(pario::valid(dir));
+  EXPECT_THROW(pario::restoreImage(dir, gen.model.get()), Error);
 }
 
 TEST(PariaValidation, BitflippedManifestFailsItsOwnCrc) {
   auto gen = meshgen::boxTris(4, 4);
   auto pm = makeMesh(gen, 2);
   const auto dir = freshDir("manflip");
-  dist::checkpoint(*pm, dir);
+  pario::checkpointImage(*pm, dir);
   flipByte(dir + "/MANIFEST", 20);
   try {
-    dist::restore(dir, gen.model.get());
+    pario::restoreImage(dir, gen.model.get());
     FAIL() << "restore accepted a bit-flipped MANIFEST";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kValidation);
@@ -648,10 +647,10 @@ TEST(PariaEdge, ZeroEntityPartsRoundTrip) {
   const std::uint64_t fp = pm->fingerprint();
 
   const auto dir = freshDir("emptyparts");
-  dist::checkpoint(*pm, dir);
-  EXPECT_TRUE(dist::checkpointValid(dir));
+  pario::checkpointImage(*pm, dir);
+  EXPECT_TRUE(pario::valid(dir));
   EXPECT_EQ(pario::scrub(dir).chunks_lost, 0u);
-  auto restored = dist::restore(dir, gen.model.get());
+  auto restored = pario::restoreImage(dir, gen.model.get());
   EXPECT_EQ(restored->fingerprint(), fp);
   EXPECT_EQ(restored->part(1).elements().size(), 0u);
   EXPECT_EQ(restored->part(2).elements().size(), 0u);
@@ -670,8 +669,8 @@ TEST(PariaEdge, ZeroLengthTagPayloadRoundTrips) {
   const std::uint64_t fp = pm->fingerprint();
 
   const auto dir = freshDir("emptytag");
-  dist::checkpoint(*pm, dir);
-  auto restored = dist::restore(dir, gen.model.get());
+  pario::checkpointImage(*pm, dir);
+  auto restored = pario::restoreImage(dir, gen.model.get());
   EXPECT_EQ(restored->fingerprint(), fp);
   // The empty-valued tag survived on whichever part owns that vertex.
   bool found = false;
@@ -695,16 +694,16 @@ TEST(PariaRead, PartitionOnReadMapsPartsToTargetRanks) {
   auto pm = makeMesh(gen, 6);
   const std::uint64_t fp = pm->fingerprint();
   const auto dir = freshDir("n_to_m");
-  dist::checkpoint(*pm, dir);
+  pario::checkpointImage(*pm, dir);
 
   // 6 writers -> 2 readers: part p must land on rank p % 2.
-  auto onto2 = dist::restore(dir, gen.model.get(), 2);
+  auto onto2 = pario::restoreImage(dir, gen.model.get(), 2);
   EXPECT_EQ(onto2->fingerprint(), fp);
   for (PartId p = 0; p < onto2->parts(); ++p)
     EXPECT_EQ(onto2->network().partMap().rankOf(p), p % 2);
 
   // 6 writers -> 8 readers: identity assignment, two idle ranks.
-  auto onto8 = dist::restore(dir, gen.model.get(), 8);
+  auto onto8 = pario::restoreImage(dir, gen.model.get(), 8);
   EXPECT_EQ(onto8->fingerprint(), fp);
   for (PartId p = 0; p < onto8->parts(); ++p)
     EXPECT_EQ(onto8->network().partMap().rankOf(p), p);
@@ -714,14 +713,14 @@ TEST(PariaRead, PartBytesReadRepairsDamagedCopy) {
   auto gen = meshgen::boxTris(4, 4);
   auto pm = makeMesh(gen, 3);
   const auto dir = freshDir("partbytes");
-  dist::checkpoint(*pm, dir);
-  const auto clean = dist::checkpointPartBytes(dir, 1);
+  pario::checkpointImage(*pm, dir);
+  const auto clean = pario::partBytes(dir, 1);
 
   const auto idx = pario::loadIndex(dir);
   const auto& slot = idx.parts[1].mesh;
   flipByte(dir + "/" + idx.image,
            slot.primary + pario::kChunkHeaderBytes + slot.length / 3);
-  const auto repaired = dist::checkpointPartBytes(dir, 1);
+  const auto repaired = pario::partBytes(dir, 1);
   EXPECT_EQ(repaired.first, clean.first);
   EXPECT_EQ(repaired.second, clean.second);
 
@@ -734,7 +733,7 @@ TEST(PariaRead, PartBytesReadRepairsDamagedCopy) {
   EXPECT_THROW(
       {
         try {
-          dist::checkpointPartBytes(dir, 1);
+          pario::partBytes(dir, 1);
         } catch (const Error& e) {
           EXPECT_EQ(e.code(), ErrorCode::kCorruptPayload);
           throw;
@@ -750,7 +749,7 @@ TEST(PariaScrub, RepairsEveryDamagedCopyOnce) {
   auto pm = makeMesh(gen, 4);
   const std::uint64_t fp = pm->fingerprint();
   const auto dir = freshDir("scrub");
-  dist::checkpoint(*pm, dir);
+  pario::checkpointImage(*pm, dir);
 
   const auto clean = pario::scrub(dir);
   EXPECT_TRUE(clean.clean());
@@ -772,7 +771,7 @@ TEST(PariaScrub, RepairsEveryDamagedCopyOnce) {
   const auto again = pario::scrub(dir);
   EXPECT_EQ(again.chunks_repaired, 0u);
   EXPECT_EQ(again.chunks_ok, 8u);
-  auto restored = dist::restore(dir, gen.model.get());
+  auto restored = pario::restoreImage(dir, gen.model.get());
   EXPECT_EQ(restored->fingerprint(), fp);
 }
 
@@ -780,7 +779,7 @@ TEST(PariaScrub, ReportsLostChunksWithoutThrowing) {
   auto gen = meshgen::boxTris(4, 4);
   auto pm = makeMesh(gen, 3);
   const auto dir = freshDir("scrublost");
-  dist::checkpoint(*pm, dir);
+  pario::checkpointImage(*pm, dir);
   const auto idx = pario::loadIndex(dir);
   const std::string image = dir + "/" + idx.image;
   for (const std::uint64_t off :
@@ -805,7 +804,7 @@ TEST(PariaWrite, RecheckpointAdvancesGenerationAndSweepsOldImage) {
   const auto s2 = pario::checkpointImage(*pm, dir);
   EXPECT_EQ(s2.generation, 2u);
   EXPECT_EQ(imageFilesIn(dir), std::vector<std::string>{"IMAGE.2"});
-  EXPECT_TRUE(dist::checkpointValid(dir));
+  EXPECT_TRUE(pario::valid(dir));
 }
 
 /// --- report determinism (integrity armor rides on these lists) -----------
@@ -819,7 +818,7 @@ TEST(PariaReport, LostPartListIsSortedAndDeterministicAcrossReruns) {
   const int nparts = 6;
   auto pm = makeMesh(gen, nparts);
   const auto dir = freshDir("report_determinism");
-  dist::checkpoint(*pm, dir);
+  pario::checkpointImage(*pm, dir);
 
   // Destroy both copies of three parts' mesh chunks, deliberately in
   // non-sorted order (4, then 1, then 3).
@@ -1064,6 +1063,53 @@ TEST(EncoderPins, PinnedFixtureReencodes) {
   auto pm = pinnedMesh(gen);
   for (PartId p = 0; p < pm->parts(); ++p)
     expectReencodes(pm->part(p).mesh(), pm->model());
+}
+
+/// --- restore pins -----------------------------------------------------------
+
+/// Restore is handle-exact: every restored part re-encodes to the stream
+/// pinned here (so pool slots, free lists and tag records come back where
+/// the pinned decoder put them) and the mesh to the pinned fingerprint.
+/// The fixture is FormatPins'; the partial case destroys both copies of
+/// part 2's chunks, so its ghosts are dropped mesh-wide and its links to
+/// part 2 are filtered. Values recorded with the restore that decoded part
+/// streams in its own loop before rebuildParts took that over.
+TEST(RestorePins, FullRestoreIsHandleExact) {
+  auto gen = meshgen::boxTets(4, 4, 4);
+  auto pm = pinnedMesh(gen);
+  const auto dir = freshDir("restore_pins_full");
+  pario::checkpointImage(*pm, dir);
+  auto restored =
+      pario::restoreImage(dir, gen.model.get(), pario::OnLoss::kFail);
+  // The very streams FormatPins pins on the checkpointed mesh.
+  const std::vector<std::uint32_t> kMesh = {0x6CB9435Cu, 0xD460CB8Fu,
+                                           0x6C179B5Eu, 0x50A73873u};
+  EXPECT_EQ(meshCrcs(*restored), kMesh);
+  EXPECT_EQ(restored->fingerprint(), 0x1BF230997611F684ull);
+  fs::remove_all(dir);
+}
+
+TEST(RestorePins, PartialRestoreIsHandleExact) {
+  auto gen = meshgen::boxTets(4, 4, 4);
+  auto pm = pinnedMesh(gen);
+  const auto dir = freshDir("restore_pins_partial");
+  pario::checkpointImage(*pm, dir);
+  const auto idx = pario::loadIndex(dir);
+  const auto& lost = idx.parts[2];
+  for (const pario::ChunkSlot* slot : {&lost.mesh, &lost.meta})
+    for (const std::uint64_t off : {slot->primary, slot->replica})
+      flipByte(dir + "/" + idx.image,
+               off + pario::kChunkHeaderBytes + slot->length / 2);
+  pario::RestoreReport report;
+  auto restored = pario::restoreImage(dir, gen.model.get(),
+                                      pario::OnLoss::kPartial, &report);
+  EXPECT_EQ(report.lost, std::vector<PartId>{2});
+  // Part 2 comes back empty; the survivors lose their ghosts.
+  const std::vector<std::uint32_t> kMesh = {0xFBBCAFFEu, 0x874E9E67u,
+                                           0x49DF0020u, 0x2A995544u};
+  EXPECT_EQ(meshCrcs(*restored), kMesh);
+  EXPECT_EQ(restored->fingerprint(), 0x5E3AB435C56E3985ull);
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <thread>
+#include <vector>
 
 #include "pcu/counters.hpp"
 
@@ -11,76 +10,6 @@ TEST(Counters, NowIsMonotonic) {
   const double a = pcu::now();
   const double b = pcu::now();
   EXPECT_GE(b, a);
-}
-
-TEST(Counters, TimerAccumulates) {
-  pcu::Timers timers;
-  {
-    pcu::Timers::Scope s(timers, "work");
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  {
-    pcu::Timers::Scope s(timers, "work");
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(timers.calls("work"), 2u);
-  EXPECT_GE(timers.seconds("work"), 0.008);
-  EXPECT_EQ(timers.calls("other"), 0u);
-  EXPECT_EQ(timers.seconds("other"), 0.0);
-}
-
-TEST(Counters, NestedScopesAccumulateIndependently) {
-  pcu::Timers timers;
-  {
-    pcu::Timers::Scope outer(timers, "outer");
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    {
-      pcu::Timers::Scope inner(timers, "inner");
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    {
-      pcu::Timers::Scope inner(timers, "inner");
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  }
-  EXPECT_EQ(timers.calls("outer"), 1u);
-  EXPECT_EQ(timers.calls("inner"), 2u);
-  // The outer scope contains both inner scopes.
-  EXPECT_GE(timers.seconds("outer"), timers.seconds("inner"));
-  timers.clear();
-  EXPECT_EQ(timers.calls("outer"), 0u);
-  EXPECT_EQ(timers.calls("inner"), 0u);
-  EXPECT_EQ(timers.entries().size(), 0u);
-  // A cleared Timers is immediately reusable.
-  timers.add("outer", 1.0);
-  EXPECT_DOUBLE_EQ(timers.seconds("outer"), 1.0);
-}
-
-TEST(Counters, ScopeTakesStringViewWithoutCopy) {
-  // Scope names are string_views over caller storage: literals and any
-  // stable buffer work; lookups accept string_view too (no temporary
-  // std::string per query).
-  pcu::Timers timers;
-  const std::string dynamic = "dynamic-phase";
-  {
-    pcu::Timers::Scope s(timers, std::string_view(dynamic));
-  }
-  {
-    pcu::Timers::Scope s(timers, "literal-phase");
-  }
-  EXPECT_EQ(timers.calls(std::string_view("dynamic-phase")), 1u);
-  EXPECT_EQ(timers.calls("literal-phase"), 1u);
-}
-
-TEST(Counters, ManualAddAndEntries) {
-  pcu::Timers timers;
-  timers.add("phase", 1.5);
-  timers.add("phase", 0.5);
-  timers.add("io", 0.25);
-  EXPECT_DOUBLE_EQ(timers.seconds("phase"), 2.0);
-  EXPECT_EQ(timers.entries().size(), 2u);
-  timers.clear();
-  EXPECT_EQ(timers.entries().size(), 0u);
 }
 
 TEST(Counters, MemoryCountersReportSomething) {

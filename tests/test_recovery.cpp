@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "dist/checkpoint.hpp"
 #include "dist/network.hpp"
 #include "dist/pario.hpp"
 #include "dist/partedmesh.hpp"
@@ -449,12 +448,11 @@ TEST(Checkpoint, RoundTripIsFingerprintIdentical) {
   const int dim = pm->dim();
 
   const auto dir = freshDir("roundtrip");
-  dist::checkpoint(*pm, dir);
-  EXPECT_TRUE(dist::checkpointValid(dir));
+  dist::pario::checkpointImage(*pm, dir);
+  EXPECT_TRUE(dist::pario::valid(dir));
 
-  auto restored =
-      dist::restore(dir, gen.model.get(),
-                    dist::PartMap(pm->parts(), pcu::Machine::flat(4)));
+  auto restored = dist::pario::restoreImage(
+      dir, gen.model.get(), dist::PartMap(pm->parts(), pcu::Machine::flat(4)));
   EXPECT_EQ(restored->fingerprint(), fp);
   EXPECT_EQ(restored->dim(), dim);
   EXPECT_NO_THROW(restored->verify());
@@ -475,8 +473,8 @@ TEST(Checkpoint, TwoDimensionalMeshRoundTrips) {
   pm->migrate(randomPlan(*pm, rng, 0.2));
   const std::uint64_t fp = pm->fingerprint();
   const auto dir = freshDir("roundtrip2d");
-  dist::checkpoint(*pm, dir);
-  auto restored = dist::restore(dir, gen.model.get());
+  dist::pario::checkpointImage(*pm, dir);
+  auto restored = dist::pario::restoreImage(dir, gen.model.get());
   EXPECT_EQ(restored->fingerprint(), fp);
   EXPECT_NO_THROW(restored->verify());
 }
@@ -498,8 +496,8 @@ TEST(Checkpoint, ReadRepairsSingleCorruptedCopy) {
   auto pm = makeMesh(gen, 3);
   const std::uint64_t fp = pm->fingerprint();
   const auto dir = freshDir("corrupt1");
-  dist::checkpoint(*pm, dir);
-  ASSERT_TRUE(dist::checkpointValid(dir));
+  dist::pario::checkpointImage(*pm, dir);
+  ASSERT_TRUE(dist::pario::valid(dir));
 
   // Flip one byte in the middle of part 0's primary mesh chunk: the buddy
   // replica is intact, so the checkpoint still validates and restore
@@ -509,7 +507,7 @@ TEST(Checkpoint, ReadRepairsSingleCorruptedCopy) {
   flipImageByte(dir + "/" + idx.image,
                 slot.primary + dist::pario::kChunkHeaderBytes +
                     slot.length / 2);
-  EXPECT_TRUE(dist::checkpointValid(dir));
+  EXPECT_TRUE(dist::pario::valid(dir));
 
   dist::pario::RestoreReport report;
   auto restored = dist::pario::restoreImage(
@@ -525,8 +523,8 @@ TEST(Checkpoint, DetectsCorruptedPartChunk) {
   auto gen = meshgen::boxTris(4, 4);
   auto pm = makeMesh(gen, 3);
   const auto dir = freshDir("corrupt2");
-  dist::checkpoint(*pm, dir);
-  ASSERT_TRUE(dist::checkpointValid(dir));
+  dist::pario::checkpointImage(*pm, dir);
+  ASSERT_TRUE(dist::pario::valid(dir));
 
   // Flip a payload byte in BOTH copies of part 0's mesh chunk: the data is
   // unrecoverable, the checkpoint must not validate, and a full restore
@@ -541,9 +539,9 @@ TEST(Checkpoint, DetectsCorruptedPartChunk) {
                 slot.replica + dist::pario::kChunkHeaderBytes +
                     slot.length / 2);
 
-  EXPECT_FALSE(dist::checkpointValid(dir));
+  EXPECT_FALSE(dist::pario::valid(dir));
   try {
-    dist::restore(dir, gen.model.get());
+    dist::pario::restoreImage(dir, gen.model.get());
     FAIL() << "restore accepted a checkpoint with both copies corrupted";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kValidation);
@@ -556,13 +554,13 @@ TEST(Checkpoint, InterruptedCheckpointIsInvalid) {
   auto gen = meshgen::boxTris(4, 4);
   auto pm = makeMesh(gen, 3);
   const auto dir = freshDir("interrupted");
-  dist::checkpoint(*pm, dir);
+  dist::pario::checkpointImage(*pm, dir);
   // A kill before the MANIFEST rename leaves the data files with no
   // manifest: the directory must not validate and restore must say why.
   std::filesystem::remove(std::filesystem::path(dir) / "MANIFEST");
-  EXPECT_FALSE(dist::checkpointValid(dir));
+  EXPECT_FALSE(dist::pario::valid(dir));
   try {
-    dist::restore(dir, gen.model.get());
+    dist::pario::restoreImage(dir, gen.model.get());
     FAIL() << "restore accepted a checkpoint with no MANIFEST";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kValidation);
@@ -585,14 +583,14 @@ TEST(Checkpoint, KilledMidBalanceRestoresCommittedState) {
   opts.max_rounds = 1;
   parma::balance(*pm, "Rgn", opts);
   const auto dir = freshDir("midbalance");
-  dist::checkpoint(*pm, dir);
+  dist::pario::checkpointImage(*pm, dir);
   const std::uint64_t committed = pm->fingerprint();
 
   parma::balance(*pm, "Rgn", opts);  // work the crash will destroy
   pm.reset();                        // the kill
 
-  ASSERT_TRUE(dist::checkpointValid(dir));
-  auto restored = dist::restore(dir, gen.model.get());
+  ASSERT_TRUE(dist::pario::valid(dir));
+  auto restored = dist::pario::restoreImage(dir, gen.model.get());
   EXPECT_EQ(restored->fingerprint(), committed);
   EXPECT_NO_THROW(restored->verify());
   opts.max_rounds = 2;

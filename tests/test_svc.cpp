@@ -28,8 +28,8 @@
 #include <utility>
 #include <vector>
 
-#include "dist/checkpoint.hpp"
 #include "dist/digest.hpp"
+#include "dist/pario.hpp"
 #include "dist/partedmesh.hpp"
 #include "meshgen/boxmesh.hpp"
 #include "part/partition.hpp"
@@ -550,12 +550,12 @@ TEST(CheckpointHooks, JobCommitsRestorableStateAtPhaseBoundaries) {
   // Every phase boundary committed: initial build, each migrate round,
   // the balance pass, and the final state.
   EXPECT_GE(res.checkpoints, 4);
-  ASSERT_TRUE(dist::checkpointValid(dir));
+  ASSERT_TRUE(dist::pario::valid(dir));
 
   // The last committed checkpoint is the completed mesh: restoring it
   // reproduces the job's element count and order-independent digest.
   auto gen = meshgen::boxTets(3, 3, 3);
-  auto restored = dist::restore(dir, gen.model.get());
+  auto restored = dist::pario::restoreImage(dir, gen.model.get());
   EXPECT_NO_THROW(restored->verify());
   const auto digests = dist::digest::elementDigests(*restored);
   EXPECT_EQ(digests.size(), res.elements);
@@ -586,9 +586,9 @@ TEST(CheckpointHooks, StorageChaosInTenantPlanIsAbsorbedNotFatal) {
   EXPECT_EQ(res.elements, clean.elements);
   // Failed checkpoint attempts were counted, not fatal; and a directory
   // that claims validity must actually restore.
-  if (dist::checkpointValid(dir)) {
+  if (dist::pario::valid(dir)) {
     auto gen = meshgen::boxTets(3, 3, 3);
-    EXPECT_NO_THROW(dist::restore(dir, gen.model.get())->verify());
+    EXPECT_NO_THROW(dist::pario::restoreImage(dir, gen.model.get())->verify());
   } else {
     EXPECT_GT(res.faults_recovered, 0);
   }

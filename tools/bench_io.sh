@@ -18,6 +18,10 @@
 #     read-repair to a fingerprint-identical mesh. The merge asserts
 #     success_rate == 1.0.
 #
+# The JSON records the build it measured: CMake build type, online core
+# count and whether asserts were compiled in (the top-level CMakeLists
+# keeps them on in every build type).
+#
 # Usage: tools/bench_io.sh <build-dir> [out.json]
 # Build with -DCMAKE_BUILD_TYPE=Release for meaningful numbers.
 set -euo pipefail
@@ -38,12 +42,15 @@ TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
 "$BUILD/examples/io_demo" > "$TMP/io.json"
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$BUILD/CMakeCache.txt")"
 
-python3 - "$TMP/io.json" "$OUT" <<'EOF'
+python3 - "$TMP/io.json" "$OUT" "${BUILD_TYPE:-none}" "$(nproc)" <<'EOF'
 import json, sys
 
-src, out = sys.argv[1], sys.argv[2]
+src, out, build_type, cores = sys.argv[1:5]
 demo = json.load(open(src))
+build = {"build_type": build_type, "cores": int(cores),
+         "asserts": demo.pop("asserts")}
 summary = {"description": (
     "Chunked-image parallel checkpoint I/O vs the seed implementation's "
     "serialized per-part-file baseline at 16 parts, under a "
@@ -61,6 +68,7 @@ summary = {"description": (
     "chunk copy bit-flipped (even seeds) or torn (odd seeds), restore "
     "must read-repair to a fingerprint-identical mesh. Produced by "
     "tools/bench_io.sh."),
+    "build": build,
     **demo}
 
 # The headline claims. These are asserted, not just recorded: the PR's

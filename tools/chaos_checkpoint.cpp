@@ -25,7 +25,6 @@
 #include <fstream>
 #include <string>
 
-#include "dist/checkpoint.hpp"
 #include "dist/pario.hpp"
 #include "dist/partedmesh.hpp"
 #include "meshgen/boxmesh.hpp"
@@ -83,7 +82,7 @@ int main(int argc, char** argv) {
         *gen.mesh, gen.model.get(), assign,
         dist::PartMap(nparts, pcu::Machine::flat(nparts)));
     std::filesystem::remove_all(dir);
-    dist::checkpoint(*pm, dir);
+    pario::checkpointImage(*pm, dir);
 
     const auto idx = pario::loadIndex(dir);
     const std::string image = dir + "/" + idx.image;
